@@ -6,7 +6,7 @@ Three fixed workloads, one per engine family:
 - perm:  containment decisions for every text of size 7 against every
          pattern of size 4;
 - part:  witness counting on reduced instances (block-index words of
-         length 20 against length 6);
+         length 14 against length 6);
 - rgf:   a census slice, matching one word pattern against the words of
          all 4140 partitions of [8].
 

@@ -6,13 +6,15 @@ Text grammars (all elements 1-based decimal):
 - partition: blocks joined by "/", elements within a block comma-separated,
   "1,3/2,4"; when the input contains no comma at all, each block may be a
   digit string ("13/24"), accepted only while every element is a single
-  digit and never emitted;
+  digit and never emitted; comma-free input that is no partition in this
+  compact form is read with each block as one element ("1/2/.../10");
 - word: letters separated by commas or whitespace, "1,2,1,2", and must
   satisfy restricted growth.
 
-Any positional argument may be "-" to read the value from stdin (at most
-one per invocation).  Results go to stdout, errors to stderr.  JSON output
-is one record per line with keys in the documented order.
+Any positional argument may be "-" to read the value from stdin, at most
+one per invocation.  ``--jobs`` takes a count of at least 1.  Results go to
+stdout, errors to stderr.  JSON output is one record per line with keys in
+the documented order.
 
 Exit codes: 0 = success, and for relational commands the relation holds;
 1 = the relation does not hold; 2 = usage or parse error; 3 = a verify run
@@ -81,25 +83,52 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def parse_partition(text: str) -> SetPartition:
-    """Parse "1,3/2,4" (or compact "13/24"); rejects gaps and repeats."""
+    """Parse "1,3/2,4" (or compact "13/24"); rejects gaps and repeats.
+
+    Comma-free input whose compact reading is not a partition is read once
+    more with each block token as one element, so that all-singleton
+    partitions of [n >= 10] such as "1/2/.../10" can be entered.  The two
+    readings never both succeed: an element 10 puts a digit 0 in the compact
+    reading, which is never valid.
+    """
     stripped = text.strip()
     if not stripped:
         return SetPartition(())
-    compact = "," not in stripped
+    tokens = [token.strip() for token in stripped.split("/")]
+    if "," in stripped:
+        return _partition_of_blocks(tokens, lambda token, _: _int_tokens(token, "element"))
+    try:
+        return _partition_of_blocks(tokens, _compact_block)
+    except ParseError as compact_error:
+        try:
+            return _partition_of_blocks(tokens, _element_block)
+        except ParseError:
+            raise compact_error from None
+
+
+def _compact_block(token: str, index: int) -> list[int]:
+    if not token.isdigit():
+        raise ParseError(f"invalid block {token!r} at position {index}")
+    return [int(ch) for ch in token]
+
+
+def _element_block(token: str, index: int) -> list[int]:
+    if not token.isdigit() or token.startswith("0"):
+        raise ParseError(f"invalid element {token!r} at position {index}")
+    return [int(token)]
+
+
+def _partition_of_blocks(tokens: list[str], read) -> SetPartition:
+    """Partition from its block tokens, each read into elements by read(token,
+    position); checks that the blocks partition [n]."""
     blocks: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for index, block_token in enumerate(stripped.split("/"), start=1):
-        token = block_token.strip()
+    for index, token in enumerate(tokens, start=1):
         if not token:
             raise ParseError(f"empty block at position {index}")
-        if compact:
-            if not token.isdigit():
-                raise ParseError(f"invalid block {token!r} at position {index}")
-            elements = [int(ch) for ch in token]
-        else:
-            elements = _int_tokens(token, "element")
-            if not elements:
-                raise ParseError(f"empty block at position {index}")
+        elements = read(token, index)
+        if not elements:
+            raise ParseError(f"empty block at position {index}")
         for element in elements:
             if element < 1:
                 raise ParseError(f"invalid element {element} in block {index}")
@@ -139,6 +168,20 @@ def _read_arg(value: str) -> str:
     return sys.stdin.read().strip() if value == "-" else value
 
 
+def _read_args(*values: str) -> list[str]:
+    # stdin holds one value: a second "-" would read it empty.
+    if values.count("-") > 1:
+        raise ParseError("at most one argument may be '-' (stdin)")
+    return [_read_arg(value) for value in values]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(fmt: str, record: dict, plain_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(record, separators=(",", ":")))
@@ -160,8 +203,7 @@ def _match_output(
 
 
 def _cmd_contains(ns: argparse.Namespace) -> int:
-    text_raw = _read_arg(ns.text)
-    pattern_raw = _read_arg(ns.pattern)
+    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
     if ns.kind == "perm":
         if ns.oracle:
             raise ParseError("--oracle applies only to --kind partition")
@@ -179,8 +221,7 @@ def _cmd_contains(ns: argparse.Namespace) -> int:
 
 
 def _cmd_count(ns: argparse.Namespace) -> int:
-    text_raw = _read_arg(ns.text)
-    pattern_raw = _read_arg(ns.pattern)
+    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
     if ns.kind == "perm":
         value = perm_count(parse_permutation(text_raw), parse_permutation(pattern_raw))
     elif ns.kind == "partition":
@@ -220,7 +261,8 @@ def _cmd_rgf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_rgf_contains(ns: argparse.Namespace) -> int:
-    result = rgf_contains(parse_rgf(_read_arg(ns.text)), parse_rgf(_read_arg(ns.pattern)))
+    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
+    result = rgf_contains(parse_rgf(text_raw), parse_rgf(pattern_raw))
     return _match_output("rgf-contains", result, ns.witness, ns.format)
 
 
@@ -365,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("--notion", choices=("partition", "rgf"), default="partition")
     p.add_argument("--force", action="store_true", help="override the safety bound")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", parents=[common], help="run the verification gates")
@@ -373,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--max-k", type=int, default=None, dest="max_k")
     p.add_argument("--force", action="store_true", help="override the safety bound")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -54,10 +55,15 @@ class SetPartition:
     """Disjoint nonempty blocks covering {1, ..., n}, held in canonical form.
 
     The constructor accepts blocks in any order with elements in any order
-    and canonicalizes; the partition of [0] is ``SetPartition(())``.
+    and canonicalizes; the partition of [0] is ``SetPartition(())``.  The
+    ground-set size is stored at construction and the block-index word is
+    computed on first use; neither is a field, so equality, hashing and repr
+    see the blocks alone.
 
     >>> SetPartition(((2, 4), (3, 1))).blocks
     ((1, 3), (2, 4))
+    >>> SetPartition(((2, 4), (3, 1))).word
+    (1, 2, 1, 2)
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -72,18 +78,38 @@ class SetPartition:
         n = len(elements)
         if sorted(elements) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition [{n}]: {blocks}")
+        object.__setattr__(self, "_n", n)
 
     @classmethod
-    def _from_canonical(cls, blocks: tuple[tuple[int, ...], ...]) -> SetPartition:
-        # Caller guarantees canonical, valid blocks; skips validation.
+    def _from_canonical(
+        cls,
+        blocks: tuple[tuple[int, ...], ...],
+        n: int,
+        word: tuple[int, ...] | None = None,
+    ) -> SetPartition:
+        # Caller guarantees canonical, valid blocks of [n] (and, if given,
+        # their block-index word); skips validation.
         part = object.__new__(cls)
         object.__setattr__(part, "blocks", blocks)
+        object.__setattr__(part, "_n", n)
+        if word is not None:
+            part.__dict__["word"] = word  # where cached_property keeps it
         return part
 
     @property
     def n(self) -> int:
         """Size of the ground set."""
-        return sum(len(block) for block in self.blocks)
+        return self._n  # type: ignore[attr-defined]
+
+    @cached_property
+    def word(self) -> tuple[int, ...]:
+        """Block-index word: the i-th letter is the index of the block
+        containing i, blocks numbered 1, 2, ... by their minima."""
+        letters = [0] * self._n  # type: ignore[attr-defined]
+        for index, block in enumerate(self.blocks, start=1):
+            for e in block:
+                letters[e - 1] = index
+        return tuple(letters)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -172,30 +198,27 @@ def restrict(sigma: SetPartition, subset: Iterable[int]) -> SetPartition:
     >>> restrict(SetPartition(((1, 3), (2, 4))), {1, 3, 4}).blocks
     ((1, 2), (3,))
     """
-    chosen = set(subset)
+    order = sorted(set(subset))
     n = sigma.n
-    for e in chosen:
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} is outside the ground set [{n}]")
-    order = sorted(chosen)
+    if order and (order[0] < 1 or order[-1] > n):
+        e = next(e for e in order if not 1 <= e <= n)
+        raise ValueError(f"element {e} is outside the ground set [{n}]")
     rank = {e: i for i, e in enumerate(order, start=1)}
     blocks = []
     for block in sigma.blocks:
-        reduced = tuple(rank[e] for e in block if e in rank)
+        reduced = tuple([rank[e] for e in block if e in rank])
         if reduced:
             blocks.append(reduced)
-    blocks.sort(key=lambda block: block[0])
-    return SetPartition._from_canonical(tuple(blocks))
+    # Disjoint blocks differ in their first elements, so plain tuple order
+    # is order by minimum.
+    blocks.sort()
+    return SetPartition._from_canonical(tuple(blocks), len(order))
 
 
 def rgf_of(sigma: SetPartition) -> RGFWord:
     """Encode a partition as the word whose i-th letter is the index of the
     block containing i, blocks numbered 1, 2, ... by their minima."""
-    letters = [0] * sigma.n
-    for index, block in enumerate(sigma.blocks, start=1):
-        for e in block:
-            letters[e - 1] = index
-    return RGFWord(tuple(letters))
+    return RGFWord(sigma.word)
 
 
 def partition_of_rgf(word: RGFWord) -> SetPartition:
@@ -203,7 +226,11 @@ def partition_of_rgf(word: RGFWord) -> SetPartition:
     blocks: dict[int, list[int]] = {}
     for position, letter in enumerate(word.letters, start=1):
         blocks.setdefault(letter, []).append(position)
-    return SetPartition(tuple(tuple(block) for block in blocks.values()))
+    # Restricted growth numbers the blocks by their minima, so the blocks
+    # come out canonical, and the word is the partition's own.
+    return SetPartition._from_canonical(
+        tuple(tuple(block) for block in blocks.values()), len(word.letters), word.letters
+    )
 
 
 def flatten(word: Sequence[int]) -> tuple[int, ...]:

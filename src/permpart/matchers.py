@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._backend import kernels as _K
-from .core import Permutation, RGFWord, SetPartition, rgf_of
+from .core import Permutation, RGFWord, SetPartition
 
 # A strictly increasing 1-based index sequence certifying a permutation
 # occurrence, and an ascending element subset certifying a partition
@@ -66,7 +66,7 @@ def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult
     On success the witness is the lexicographically least subset of the
     ground set whose restriction equals the pattern.
     """
-    hit = _K.part_find(rgf_of(text).letters, rgf_of(pattern).letters)
+    hit = _K.part_find(text.word, pattern.word)
     return MatchResult(hit is not None, hit)
 
 
@@ -74,7 +74,7 @@ def partition_count(
     text: SetPartition, pattern: SetPartition, *, cancel: Cancel = None
 ) -> int:
     """Number of subsets whose restriction equals the pattern partition."""
-    return _K.part_count(rgf_of(text).letters, rgf_of(pattern).letters, cancel)
+    return _K.part_count(text.word, pattern.word, cancel)
 
 
 def rgf_contains(text: RGFWord, pattern: RGFWord) -> MatchResult:
@@ -83,6 +83,10 @@ def rgf_contains(text: RGFWord, pattern: RGFWord) -> MatchResult:
     On success the witness is the lexicographically least position set whose
     subsequence value-standardizes to the pattern.
     """
+    # A subsequence has no more distinct letters than its text, and a
+    # restricted growth word has exactly max_letter of them.
+    if pattern.max_letter > text.max_letter:
+        return MatchResult(False)
     hit = _K.rgf_find(text.letters, pattern.letters)
     return MatchResult(hit is not None, hit)
 
@@ -90,4 +94,6 @@ def rgf_contains(text: RGFWord, pattern: RGFWord) -> MatchResult:
 def rgf_count(text: RGFWord, pattern: RGFWord, *, cancel: Cancel = None) -> int:
     """Number of position sets whose subsequence value-standardizes to the
     pattern word."""
+    if pattern.max_letter > text.max_letter:
+        return 0
     return _K.rgf_count(text.letters, pattern.letters, cancel)

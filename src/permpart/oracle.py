@@ -6,6 +6,9 @@ compares restrictions.  They share no search code with the engines in
 permpart.matchers, which is the point; verify_reduction and
 verify_rgf_coincidence judge the engines (and the permutation-to-partition
 reduction itself) against them over every instance up to the given bounds.
+The gates tally each text's restrictions once per subset size and answer
+every pattern of that size from the tally, so each subset is restricted
+once per text rather than once per pattern.
 
 Enumeration orders are fixed so runs reproduce byte for byte:
 permutations stream in lexicographic order of their value words, partitions
@@ -22,10 +25,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
+from . import matchers
 from .core import (
     Permutation,
     RGFWord,
@@ -35,7 +40,6 @@ from .core import (
     rgf_of,
 )
 from .errors import BoundExceeded
-from .fastpaths import dispatch_contains
 from .matchers import partition_count, perm_contains, perm_count, rgf_contains
 from .reduction import reduce_perm
 
@@ -71,22 +75,25 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(values)
 
 
-def _rgf_words(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth words of length n, lexicographically."""
-    if n == 0:
-        yield ()
-        return
-    word = [0] * n
+def _rgf_words(n: int) -> list[tuple[int, ...]]:
+    """All restricted growth words of length n, lexicographically.
 
-    def grow(i: int, peak: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(word)
-            return
-        for letter in range(1, peak + 2):
-            word[i] = letter
-            yield from grow(i + 1, max(peak, letter))
-
-    yield from grow(0, 0)
+    Grown one letter at a time: a prefix whose maximum is m extends by each
+    of 1..m, keeping m, and by m + 1, raising it.
+    """
+    words: list[tuple[int, ...]] = [()]
+    peaks = [0]
+    for _ in range(n):
+        longer: list[tuple[int, ...]] = []
+        longer_peaks: list[int] = []
+        for word, peak in zip(words, peaks):
+            for letter in range(1, peak + 1):
+                longer.append(word + (letter,))
+                longer_peaks.append(peak)
+            longer.append(word + (peak + 1,))
+            longer_peaks.append(peak + 1)
+        words, peaks = longer, longer_peaks
+    return words
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
@@ -189,25 +196,41 @@ def _reduction_patterns(max_k: int) -> list[tuple[Permutation, SetPartition]]:
     ]
 
 
+def _restriction_tally(text: SetPartition, sizes: Iterable[int]) -> Counter[SetPartition]:
+    """Restrictions of the text to every subset of each given size, tallied.
+
+    The brute-force reference for all patterns of those sizes at once: a
+    pattern of size k is contained iff its tally is positive, and its tally
+    is brute_partition_count(text, pattern), by the same subset scan.
+    """
+    tally: Counter[SetPartition] = Counter()
+    ground = range(1, text.n + 1)
+    for k in sizes:
+        tally.update(restrict(text, subset) for subset in itertools.combinations(ground, k))
+    return tally
+
+
 def _verify_reduction_chunk(payload) -> tuple[int, list[Mismatch]]:
     perm_values, max_k = payload
     patterns = _reduction_patterns(max_k)
+    sizes = sorted({reduced.n for _, reduced in patterns})
     pairs = 0
     mismatches = []
     for values in perm_values:
         perm = Permutation(values)
         reduced_text = reduce_perm(perm)
+        tally = _restriction_tally(reduced_text, sizes)
         for tau, reduced_pattern in patterns:
             pairs += 1
+            witnesses = tally[reduced_pattern]
             engine = perm_contains(perm, tau).contains
-            reference = brute_partition_contains(reduced_text, reduced_pattern)
+            reference = witnesses > 0
             if engine != reference:
                 mismatches.append(
                     Mismatch("containment", values, tau.values, engine, reference)
                 )
             if perm.n <= 5 and tau.n <= 3:
                 occurrences = perm_count(perm, tau)
-                witnesses = brute_partition_count(reduced_text, reduced_pattern)
                 if occurrences != witnesses:
                     mismatches.append(
                         Mismatch("parsimony", values, tau.values, occurrences, witnesses)
@@ -256,16 +279,18 @@ def _verify_rgf_chunk(payload) -> tuple[int, list[Mismatch]]:
         for k in range(1, max_k + 1)
         for tau in enumerate_permutations(k)
     ]
+    sizes = sorted({reduced.n for _, reduced, _ in patterns})
     pairs = 0
     mismatches = []
     for values in perm_values:
         perm = Permutation(values)
         reduced_text = reduce_perm(perm)
         text_word = rgf_of(reduced_text)
+        tally = _restriction_tally(reduced_text, sizes)
         for tau_values, reduced_pattern, pattern_word in patterns:
             pairs += 1
             word_answer = rgf_contains(text_word, pattern_word).contains
-            partition_answer = brute_partition_contains(reduced_text, reduced_pattern)
+            partition_answer = tally[reduced_pattern] > 0
             if word_answer != partition_answer:
                 mismatches.append(
                     Mismatch(
@@ -330,17 +355,33 @@ class CensusRow:
 
 
 def _census_chunk(payload) -> int:
+    """How many of the words contain the pattern word.
+
+    The words are restricted growth words, read as partitions (their
+    block-index words) or as words by notion; the pattern is a restricted
+    growth word too.  Its two linear shapes are decided from the letters,
+    with the same answers under both notions; any other pattern goes to the
+    kernel, looked up here so that a substituted kernel table is used.
+    """
     words, pattern, notion = payload
-    hits = 0
-    if notion == "partition":
-        for word in words:
-            if dispatch_contains(partition_of_rgf(RGFWord(word)), pattern).contains:
-                hits += 1
-    else:
-        for word in words:
-            if rgf_contains(RGFWord(word), pattern).contains:
-                hits += 1
-    return hits
+    k = len(pattern)
+    if k == 0:
+        return len(words)
+    # A restricted growth word uses every letter up to its maximum, so it has
+    # at least m blocks (distinct letters) iff the letter m occurs.
+    m = max(pattern)
+    if m == k:
+        # 1, 2, ..., k: the text needs k blocks.
+        return sum(1 for word in words if k in word)
+    if m == 1:
+        # One block of k: some letter must occur k times.
+        return sum(
+            1 for word in words if any(word.count(letter) >= k for letter in set(word))
+        )
+    # Otherwise the text needs m blocks too, then a kernel search.
+    kernels = matchers._K
+    find = kernels.part_find if notion == "partition" else kernels.rgf_find
+    return sum(1 for word in words if m in word and find(word, pattern) is not None)
 
 
 def census(
@@ -354,9 +395,12 @@ def census(
     """Count avoiders and containers of a pattern among all Bell(n)
     structures of [n], under the chosen containment notion.
 
-    The partition notion takes a SetPartition pattern and runs the
-    dispatching matcher; the word notion takes an RGFWord pattern and runs
-    the word matcher over the words of all partitions of [n].
+    The partition notion takes a SetPartition pattern and the word notion
+    an RGFWord pattern.  Both run over the block-index words of all
+    partitions of [n] with the pattern encoded once: all-singleton and
+    single-block patterns are decided from letter counts, as in
+    permpart.fastpaths, and any other pattern by the partition or the word
+    kernel.  No structure is built per text.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -374,11 +418,12 @@ def census(
     else:
         raise ValueError(f"unknown notion: {notion!r}")
 
-    words = list(_rgf_words(n))
+    pattern_word = pattern.word if isinstance(pattern, SetPartition) else pattern.letters
+    words = _rgf_words(n)
     if jobs <= 1 or len(words) < 2:
-        hits = _census_chunk((words, pattern, notion))
+        hits = _census_chunk((words, pattern_word, notion))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = [(chunk, pattern, notion) for chunk in _chunks(words, jobs)]
+            payloads = [(chunk, pattern_word, notion) for chunk in _chunks(words, jobs)]
             hits = sum(pool.map(_census_chunk, payloads))
     return CensusRow(n, pattern, notion, len(words) - hits, hits)

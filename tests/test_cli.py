@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from permpart import brute_partition_contains, dispatch_contains
+from permpart import SetPartition, brute_partition_contains, dispatch_contains
 from permpart.cli import (
     ParseError,
     format_partition,
@@ -62,6 +62,21 @@ class TestParsers:
             parse_partition("1,2/2,3")
         with pytest.raises(ParseError, match="empty block"):
             parse_partition("1,2//3")
+        # the compact reading's error is kept when the element reading fails too
+        with pytest.raises(ParseError, match="repeated element 1"):
+            parse_partition("11/x")
+        with pytest.raises(ParseError, match="invalid element 0 in block 4"):
+            parse_partition("1/2/3/01")
+        with pytest.raises(ParseError, match="repeated element 1"):
+            parse_partition("1/2/3/4/5/6/7/8/9/11")
+
+    def test_all_singletons_past_nine(self):
+        for n in (10, 11, 12):
+            sigma = SetPartition(tuple((e,) for e in range(1, n + 1)))
+            text = format_partition(sigma)
+            assert text == "/".join(map(str, range(1, n + 1)))
+            assert parse_partition(text) == sigma
+            assert parse_partition(" " + "/".join(map(str, range(n, 0, -1)))) == sigma
 
     def test_rgf_grammar(self):
         assert parse_rgf("1,2,1,2").letters == (1, 2, 1, 2)
@@ -112,6 +127,23 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         code, out, err = run(capsys, ["--help"])
         assert code == 0
+
+    def test_two_stdin_arguments_are_2(self, capsys):
+        for argv in (
+            ["contains", "-", "-", "--kind", "partition"],
+            ["count", "-", "-", "--kind", "rgf"],
+            ["rgf-contains", "-", "-"],
+        ):
+            code, out, err = run(capsys, argv, stdin="1,2/3\n")
+            assert (code, out) == (2, "")
+            assert "at most one argument may be '-'" in err
+
+    def test_jobs_below_one_is_2(self, capsys):
+        for jobs in ("0", "-3"):
+            for argv in (["census", "4", "1,2"], ["verify", "reduction", "--max-n", "2"]):
+                code, out, err = run(capsys, argv + ["--jobs", jobs])
+                assert (code, out) == (2, "")
+                assert "--jobs" in err and "at least 1" in err
 
     def test_bound_refusal_is_2(self, capsys):
         code, out, err = run(capsys, ["census", "11", "1,2"])
@@ -208,6 +240,24 @@ class TestCommands:
             0,
             '{"command":"rgf-contains","contains":true,"witness":[1,3]}\n',
         )
+
+    def test_rgf_roundtrip_past_nine(self, capsys):
+        for n in (10, 11, 12):
+            word = ",".join(map(str, range(1, n + 1)))
+            code, out, err = run(capsys, ["rgf", "--invert", word])
+            assert (code, out) == (0, "/".join(map(str, range(1, n + 1))) + "\n")
+            code, out, err = run(capsys, ["rgf", "-"], stdin=out)
+            assert (code, out) == (0, word + "\n")
+
+    def test_jobs_do_not_change_output(self, capsys):
+        for argv in (
+            ["verify", "--max-n", "4", "--max-k", "3", "--format", "json"],
+            ["census", "6", "1,3/2,4", "--format", "json"],
+            ["census", "6", "1,2,1,2", "--notion", "rgf", "--format", "json"],
+        ):
+            serial = run(capsys, argv + ["--jobs", "1"])
+            assert serial[0] == 0
+            assert run(capsys, argv + ["--jobs", "2"]) == serial
 
     def test_census_json_golden(self, capsys):
         code, out, err = run(capsys, ["census", "4", "1,2", "--format", "json"])

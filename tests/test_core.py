@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -54,6 +56,49 @@ class TestTypes:
             RGFWord((2, 1))
         with pytest.raises(ValueError):
             RGFWord((1, 3))
+
+
+def block_index_word(sigma):
+    """The block-index word, recomputed here from the blocks alone."""
+    return tuple(
+        next(index for index, block in enumerate(sigma.blocks, start=1) if e in block)
+        for e in range(1, sum(map(len, sigma.blocks)) + 1)
+    )
+
+
+class TestStoredWordAndSize:
+    def test_every_partition_up_to_7(self):
+        for n in range(8):
+            for sigma in partitions_of(n):
+                rebuilt = SetPartition(tuple(reversed(sigma.blocks)))
+                for part in (sigma, rebuilt):
+                    assert part.n == n
+                    assert part.word == rgf_of(part).letters == block_index_word(part)
+
+    def test_restrictions(self):
+        for n in range(7):
+            for sigma in partitions_of(n):
+                for subset in subsets(n):
+                    restricted = restrict(sigma, subset)
+                    assert restricted.n == len(subset)
+                    assert restricted.word == block_index_word(restricted)
+
+    def test_word_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(SetPartition)] == ["blocks"]
+        decoded = partition_of_rgf(RGFWord((1, 2, 1, 2)))  # word stored
+        fresh = SetPartition(((2, 4), (1, 3)))  # word not yet computed
+        assert "word" in vars(decoded) and "word" not in vars(fresh)
+        for _ in range(2):  # before and after fresh computes its word
+            assert decoded == fresh
+            assert hash(decoded) == hash(fresh) == hash((fresh.blocks,))
+            assert repr(decoded) == repr(fresh) == "SetPartition(blocks=((1, 3), (2, 4)))"
+            assert fresh.word == (1, 2, 1, 2)
+
+    def test_pickle_keeps_size_and_word(self):
+        for sigma in (SetPartition(()), partition_of_rgf(RGFWord((1, 2, 2, 1, 3)))):
+            copy = pickle.loads(pickle.dumps(sigma))
+            assert copy == sigma
+            assert (copy.n, copy.word) == (sigma.n, sigma.word)
 
 
 class TestStandardize:

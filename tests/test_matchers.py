@@ -1,8 +1,11 @@
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpart import (
+    MatchResult,
     Permutation,
     RGFWord,
     SearchCancelled,
@@ -16,6 +19,7 @@ from permpart import (
     rgf_contains,
     rgf_count,
 )
+from permpart import matchers
 from permpart.core import restrict, rgf_of, value_standardize
 from helpers import (
     partition_witnesses,
@@ -127,6 +131,28 @@ class TestAgainstBruteForce:
                         assert result.contains == bool(hits)
                         assert result.witness == (min(hits) if hits else None)
                         assert rgf_count(text, pattern) == len(hits)
+
+    def test_rgf_letter_count_shortcut(self, monkeypatch):
+        # a text word with fewer distinct letters than the pattern is
+        # answered before any kernel runs, on either backend
+        def no_kernel(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(
+            matchers, "_K", types.SimpleNamespace(rgf_find=no_kernel, rgf_count=no_kernel)
+        )
+        pairs = 0
+        for n in range(8):
+            for k in range(1, 6):
+                for text in rgf_words_of(n):
+                    for pattern in rgf_words_of(k):
+                        if pattern.max_letter <= text.max_letter:
+                            continue
+                        pairs += 1
+                        assert rgf_positions(text.letters, pattern.letters) == []
+                        assert rgf_contains(text, pattern) == MatchResult(False)
+                        assert rgf_count(text, pattern) == 0
+        assert pairs > 10_000
 
 
 class TestProperties:

@@ -2,6 +2,8 @@ import pytest
 
 from permpart import (
     BoundExceeded,
+    MatchResult,
+    Mismatch,
     Permutation,
     RGFWord,
     SetPartition,
@@ -9,12 +11,17 @@ from permpart import (
     brute_partition_contains,
     brute_partition_count,
     census,
+    dispatch_contains,
     enumerate_partitions,
     enumerate_permutations,
+    reduce_perm,
+    rgf_contains,
+    rgf_of,
     verify_reduction,
     verify_rgf_coincidence,
 )
-from helpers import bell_by_triangle
+from permpart import oracle
+from helpers import bell_by_triangle, partitions_of, perms_of
 
 
 class TestBellNumbers:
@@ -165,6 +172,149 @@ class TestCensus:
             census(3, SetPartition(((1, 2),)), "rgf")
         with pytest.raises(ValueError):
             census(3, SetPartition(((1, 2),)), "words")
+
+    def test_matches_per_structure_dispatch(self):
+        # every pattern of size <= 4 over n = 0..7, both notions, against
+        # avoiders counted one SetPartition at a time
+        for k in range(5):
+            for pattern in partitions_of(k):
+                word = rgf_of(pattern)
+                for n in range(8):
+                    texts = partitions_of(n)
+                    hits = sum(dispatch_contains(sigma, pattern).contains for sigma in texts)
+                    row = census(n, pattern)
+                    assert (row.avoiders, row.containers) == (len(texts) - hits, hits)
+                    hits = sum(rgf_contains(rgf_of(sigma), word).contains for sigma in texts)
+                    row = census(n, word, "rgf")
+                    assert (row.avoiders, row.containers) == (len(texts) - hits, hits)
+
+    def test_builds_no_structure_per_text(self, monkeypatch):
+        built = []
+        real_post_init = SetPartition.__post_init__
+        real_from_canonical = SetPartition._from_canonical.__func__
+        real_rgf_post_init = RGFWord.__post_init__
+
+        def post_init(self):
+            built.append(self)
+            real_post_init(self)
+
+        def from_canonical(cls, *args):
+            built.append(args)
+            return real_from_canonical(cls, *args)
+
+        def rgf_post_init(self):
+            built.append(self)
+            real_rgf_post_init(self)
+
+        pattern, word = SetPartition(((1, 3), (2, 4))), RGFWord((1, 2, 1, 2))
+        monkeypatch.setattr(SetPartition, "__post_init__", post_init)
+        monkeypatch.setattr(SetPartition, "_from_canonical", classmethod(from_canonical))
+        monkeypatch.setattr(RGFWord, "__post_init__", rgf_post_init)
+        monkeypatch.setattr(oracle, "partition_of_rgf", lambda w: built.append(w))
+        assert census(7, pattern).avoiders == 429
+        assert census(7, word, "rgf").avoiders == 429
+        assert built == []
+
+    def test_empty_ground_set(self):
+        for pattern in (SetPartition(()), SetPartition(((1,),)), SetPartition(((1, 2),))):
+            row = census(0, pattern)
+            assert row.total == 1 and row.containers == (pattern.n == 0)
+            row = census(0, rgf_of(pattern), "rgf")
+            assert row.total == 1 and row.containers == (pattern.n == 0)
+
+
+def _per_pair_reports(max_n, max_k):
+    """Both gates' mismatch lists, recomputed one pair at a time with the
+    per-pair brute-force references and whatever engines the oracle module
+    currently calls."""
+    reduction, words = [], []
+    for n in range(1, max_n + 1):
+        for perm in perms_of(n):
+            text = reduce_perm(perm)
+            for k in range(1, max_k + 1):
+                for tau in perms_of(k):
+                    pattern = reduce_perm(tau)
+                    args = (perm.values, tau.values)
+                    engine = oracle.perm_contains(perm, tau).contains
+                    reference = brute_partition_contains(text, pattern)
+                    if engine != reference:
+                        reduction.append(Mismatch("containment", *args, engine, reference))
+                    if n <= 5 and k <= 3:
+                        witnesses = brute_partition_count(text, pattern)
+                        occurrences = oracle.perm_count(perm, tau)
+                        if occurrences != witnesses:
+                            reduction.append(
+                                Mismatch("parsimony", *args, occurrences, witnesses)
+                            )
+                        engine = oracle.partition_count(text, pattern)
+                        if engine != witnesses:
+                            reduction.append(
+                                Mismatch("count-agreement", *args, engine, witnesses)
+                            )
+                    answer = oracle.rgf_contains(rgf_of(text), rgf_of(pattern)).contains
+                    if answer != reference:
+                        words.append(Mismatch("rgf-coincidence", *args, answer, reference))
+    return oracle._sorted_mismatches(reduction), oracle._sorted_mismatches(words)
+
+
+class TestRestrictionTally:
+    def test_reports_match_per_pair_references(self, monkeypatch):
+        # break every engine the gates call on some pairs, so that the
+        # reports have mismatches of every kind to agree on
+        real = {
+            name: getattr(oracle, name)
+            for name in ("perm_contains", "perm_count", "partition_count", "rgf_contains")
+        }
+
+        def perm_contains(text, tau):
+            result = real["perm_contains"](text, tau)
+            return MatchResult(not result.contains) if sum(text.values) % 3 == 0 else result
+
+        def perm_count(text, tau):
+            return real["perm_count"](text, tau) + (text.values[0] == 2)
+
+        def partition_count(text, pattern):
+            return real["partition_count"](text, pattern) * (1 + text.n % 3)
+
+        def rgf_contains(text, pattern):
+            if text.letters[-1] == 1:
+                return MatchResult(len(pattern) == 6)
+            return real["rgf_contains"](text, pattern)
+
+        for fake in (perm_contains, perm_count, partition_count, rgf_contains):
+            monkeypatch.setattr(oracle, fake.__name__, fake)
+        reduction, words = _per_pair_reports(4, 3)
+        assert {m.check for m in reduction} == {"containment", "parsimony", "count-agreement"}
+        assert words
+        report = verify_reduction(4, 3)
+        assert report.pairs_checked == 33 * 9 and report.mismatches == reduction
+        report = verify_rgf_coincidence(4, 3)
+        assert report.pairs_checked == 33 * 9 and report.mismatches == words
+
+    def test_restrictions_made_once_per_subset(self, monkeypatch):
+        calls = []
+        real_restrict = oracle.restrict
+
+        def counted(sigma, subset):
+            calls.append(subset)
+            return real_restrict(sigma, subset)
+
+        monkeypatch.setattr(oracle, "restrict", counted)
+        assert verify_reduction(4, 4).ok
+        # texts of [2n], n = 1..4, each restricted to its subsets of sizes 2, 4, 6, 8
+        assert len(calls) == 1 * 1 + 2 * 7 + 6 * 31 + 24 * 127 == 3249
+
+
+def test_parallel_reports_and_rows_match_serial():
+    for gate in (verify_reduction, verify_rgf_coincidence):
+        serial, parallel = gate(4, 3, jobs=1), gate(4, 3, jobs=2)
+        assert (serial.pairs_checked, serial.mismatches) == (
+            parallel.pairs_checked,
+            parallel.mismatches,
+        )
+    for pattern in (SetPartition(((1, 3), (2, 4))), RGFWord((1, 2, 1, 2))):
+        notion = "rgf" if isinstance(pattern, RGFWord) else "partition"
+        assert census(6, pattern, notion, jobs=2) == census(6, pattern, notion, jobs=1)
 
 
 def test_mismatch_free_reports_survive_permutation_identity():
