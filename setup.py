@@ -1,22 +1,9 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        [Extension("permpart._kernels", ["src/permpart/_kernels.pyx"])],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-        },
-    )
-else:
-    # The package still works without the extension: permpart._backend falls
-    # back to the pure-Python kernels at import time.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernels are optional: without a C compiler the build skips
+# them and permpart._backend falls back to the pure-Python kernels.
+setup(
+    ext_modules=[
+        Extension("permpart._kernels", ["src/permpart/_kernels.c"], optional=True)
+    ]
+)

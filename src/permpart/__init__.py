@@ -26,12 +26,10 @@ from .core import (
     Permutation,
     RGFWord,
     SetPartition,
-    StandardizationMap,
     flatten,
     partition_of_rgf,
     restrict,
     rgf_of,
-    standardize,
     value_standardize,
 )
 from .errors import BoundExceeded, SearchCancelled
@@ -89,7 +87,6 @@ __all__ = [
     "SearchCancelled",
     "SetPartition",
     "ShapeTag",
-    "StandardizationMap",
     "SubsetWitness",
     "VerificationReport",
     "bell_number",
@@ -117,7 +114,6 @@ __all__ = [
     "rgf_contains",
     "rgf_count",
     "rgf_of",
-    "standardize",
     "transport_occurrence",
     "value_standardize",
     "verify_reduction",

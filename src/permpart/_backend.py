@@ -1,9 +1,10 @@
 """Selects the search-kernel implementation at import time.
 
-The compiled extension (permpart._kernels, Cython) and the pure-Python
-module (permpart._kernels_py) export the same six functions with identical
-semantics.  The compiled one wins when importable; set PERMPART_PURE=1 to
-force the pure-Python kernels, e.g. when benchmarking or debugging.
+The compiled extension (permpart._kernels, built from the hand-written C
+file _kernels.c) and the pure-Python module (permpart._kernels_py) export
+the same six functions with identical semantics.  The compiled one wins
+when importable; set PERMPART_PURE=1 to force the pure-Python kernels,
+e.g. when benchmarking or debugging.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ The compiled extension permpart._kernels implements the same six functions
 with identical semantics and identical search order; permpart._backend picks
 whichever is available at import time.
 
+Each notion (permutations, partitions, words) has one search loop with a
+``find`` flag: find returns the witness at the first complete match, count
+counts every match.  The six public functions are thin entries to these
+three loops.
+
 Kernel conventions:
 
 - inputs are plain tuples of ints; permutations come as their value words,
@@ -26,7 +31,7 @@ from .errors import SearchCancelled
 
 _POLL_MASK = (1 << 14) - 1
 
-# Suffix-count pruning tables are skipped above this size (entries); the
+# Text-side suffix-count tables are skipped above this size (entries); the
 # search stays correct, only less pruned.
 _TABLE_LIMIT = 4_000_000
 
@@ -36,6 +41,14 @@ Cancel = Callable[[], bool] | None
 def _poll(cancel: Cancel, ticks: int) -> None:
     if cancel is not None and ticks & _POLL_MASK == 0 and cancel():
         raise SearchCancelled("search aborted by cancellation signal")
+
+
+def _trivial(find: bool, empty: bool):
+    """The answer when no search is needed: the empty pattern occurs once,
+    at no positions; a pattern longer than its text never occurs."""
+    if find:
+        return () if empty else None
+    return 1 if empty else 0
 
 
 def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -58,27 +71,19 @@ def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def perm_find(
-    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
-) -> tuple[int, ...] | None:
-    """Lexicographically least occurrence of the pattern permutation in the
-    text permutation, as 1-based index tuple, or None."""
+def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
     n, k = len(text), len(pattern)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
+    if k == 0 or k > n:
+        return _trivial(find, k == 0)
     lo, hi = _order_bounds(pattern)
     chosen = [0] * k
-    j = 0
-    i = 0
-    ticks = 0
+    count = j = i = ticks = 0
     while True:
         ticks += 1
         _poll(cancel, ticks)
         if i > n - (k - j):
             if j == 0:
-                return None
+                return None if find else count
             j -= 1
             i = chosen[j] + 1
             continue
@@ -87,52 +92,32 @@ def perm_find(
             hi[j] < 0 or v < text[chosen[hi[j]]]
         ):
             chosen[j] = i
-            if j == k - 1:
+            if j < k - 1:
+                j += 1
+            elif find:
                 return tuple(c + 1 for c in chosen)
-            j += 1
+            else:
+                count += 1
         i += 1
+
+
+def perm_find(
+    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
+) -> tuple[int, ...] | None:
+    """Lexicographically least occurrence of the pattern permutation in the
+    text permutation, as 1-based index tuple, or None."""
+    return _perm_search(text, pattern, True, cancel)
 
 
 def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
     """Exact number of occurrences of the pattern permutation in the text."""
-    n, k = len(text), len(pattern)
-    if k == 0:
-        return 1
-    if k > n:
-        return 0
-    lo, hi = _order_bounds(pattern)
-    chosen = [0] * k
-    count = 0
-    j = 0
-    i = 0
-    ticks = 0
-    while True:
-        ticks += 1
-        _poll(cancel, ticks)
-        if i > n - (k - j):
-            if j == 0:
-                return count
-            j -= 1
-            i = chosen[j] + 1
-            continue
-        v = text[i]
-        if (lo[j] < 0 or text[chosen[lo[j]]] < v) and (
-            hi[j] < 0 or v < text[chosen[hi[j]]]
-        ):
-            if j == k - 1:
-                count += 1
-            else:
-                chosen[j] = i
-                j += 1
-        i += 1
+    return _perm_search(text, pattern, False, cancel)
 
 
-def _suffix_counts(word: Sequence[int], width: int) -> list[int] | None:
+def _suffix_counts(word: Sequence[int], width: int) -> list[int]:
     """Flat (len+1) x width table: entry [i*width + t-1] counts letter t among
-    word[i:].  None when the table would be too large to pay off."""
+    word[i:]."""
     n = len(word)
-    if (n + 1) * width > _TABLE_LIMIT:
-        return None
     table = [0] * ((n + 1) * width)
     for i in range(n - 1, -1, -1):
         base = i * width
@@ -171,41 +156,32 @@ def _first_occurrences(word: Sequence[int]) -> list[bool]:
     return new
 
 
-def part_find(
-    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
-) -> tuple[int, ...] | None:
-    """Lexicographically least subset T of the text partition's ground set
-    whose restriction equals the pattern partition, or None.
-
-    Both partitions arrive as block-index words.  The restriction of the
+def _part_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
+    """Both partitions arrive as block-index words.  The restriction of the
     text to positions T equals the pattern iff the text word's subsequence
     at T flattens (first-occurrence relabeling) to the pattern word, so the
     search assigns pattern blocks to distinct text blocks left to right.
     """
     n, k = len(text), len(pattern)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
+    if k == 0 or k > n:
+        return _trivial(find, k == 0)
     nb = max(text)
     npat = max(pattern)
     if not _sizes_dominate(_letter_counts(text, nb), _letter_counts(pattern, npat)):
-        return None
-    avail = _suffix_counts(text, nb)
-    need = _suffix_counts_pattern(pattern, npat)
+        return _trivial(find, False)
+    avail = _suffix_counts(text, nb) if (n + 1) * nb <= _TABLE_LIMIT else None
+    need = _suffix_counts(pattern, npat)
     is_new = _first_occurrences(pattern)
     assigned = [0] * (npat + 1)  # pattern block -> text block, 0 = unassigned
     used = [False] * (nb + 1)
     chosen = [0] * k
-    j = 0
-    i = 0
-    ticks = 0
+    count = j = i = ticks = 0
     while True:
         ticks += 1
         _poll(cancel, ticks)
         if i > n - (k - j):
             if j == 0:
-                return None
+                return None if find else count
             j -= 1
             block = pattern[j]
             if is_new[j]:
@@ -224,192 +200,29 @@ def part_find(
             ok = False
         if ok:
             chosen[j] = i
-            if j == k - 1:
-                return tuple(c + 1 for c in chosen)
-            if is_new[j]:
-                assigned[block] = t
-                used[t] = True
-            j += 1
-        i += 1
-
-
-def part_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
-    """Exact number of subsets whose restriction equals the pattern."""
-    n, k = len(text), len(pattern)
-    if k == 0:
-        return 1
-    if k > n:
-        return 0
-    nb = max(text)
-    npat = max(pattern)
-    if not _sizes_dominate(_letter_counts(text, nb), _letter_counts(pattern, npat)):
-        return 0
-    avail = _suffix_counts(text, nb)
-    need = _suffix_counts_pattern(pattern, npat)
-    is_new = _first_occurrences(pattern)
-    assigned = [0] * (npat + 1)
-    used = [False] * (nb + 1)
-    chosen = [0] * k
-    count = 0
-    j = 0
-    i = 0
-    ticks = 0
-    while True:
-        ticks += 1
-        _poll(cancel, ticks)
-        if i > n - (k - j):
-            if j == 0:
-                return count
-            j -= 1
-            block = pattern[j]
-            if is_new[j]:
-                used[assigned[block]] = False
-                assigned[block] = 0
-            i = chosen[j] + 1
-            continue
-        t = text[i]
-        block = pattern[j]
-        ok = (not used[t]) if is_new[j] else (t == assigned[block])
-        if (
-            ok
-            and avail is not None
-            and avail[(i + 1) * nb + t - 1] < need[(j + 1) * npat + block - 1]
-        ):
-            ok = False
-        if ok:
-            if j == k - 1:
-                count += 1
-            else:
-                chosen[j] = i
+            if j < k - 1:
                 if is_new[j]:
                     assigned[block] = t
                     used[t] = True
                 j += 1
+            elif find:
+                return tuple(c + 1 for c in chosen)
+            else:
+                count += 1
         i += 1
 
 
-def _suffix_counts_pattern(pattern: Sequence[int], width: int) -> list[int]:
-    # Pattern-side table is always built: patterns are small.
-    k = len(pattern)
-    table = [0] * ((k + 1) * width)
-    for j in range(k - 1, -1, -1):
-        base = j * width
-        nxt = base + width
-        for t in range(width):
-            table[base + t] = table[nxt + t]
-        table[base + pattern[j] - 1] += 1
-    return table
-
-
-def rgf_find(
+def part_find(
     text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
 ) -> tuple[int, ...] | None:
-    """Lexicographically least position set at which the text word's
-    subsequence value-standardizes to the pattern word, or None.
-
-    The pattern is a restricted growth word, so its letters are exactly the
-    value ranks 1..m; the search binds each rank to a text letter, keeping
-    the binding strictly increasing in the rank.
-    """
-    n, k = len(text), len(pattern)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
-    m = max(pattern)
-    maxt = max(text)
-    avail = _suffix_counts(text, maxt)
-    need = _suffix_counts_pattern(pattern, m)
-    is_new = _first_occurrences(pattern)
-    bound = [0] * (m + 1)  # rank -> text letter, 0 = unbound
-    chosen = [0] * k
-    j = 0
-    i = 0
-    ticks = 0
-    while True:
-        ticks += 1
-        _poll(cancel, ticks)
-        if i > n - (k - j):
-            if j == 0:
-                return None
-            j -= 1
-            if is_new[j]:
-                bound[pattern[j]] = 0
-            i = chosen[j] + 1
-            continue
-        t = text[i]
-        rank = pattern[j]
-        if is_new[j]:
-            ok = _between_bounds(bound, rank, m, t)
-        else:
-            ok = t == bound[rank]
-        if (
-            ok
-            and avail is not None
-            and avail[(i + 1) * maxt + t - 1] < need[(j + 1) * m + rank - 1]
-        ):
-            ok = False
-        if ok:
-            chosen[j] = i
-            if j == k - 1:
-                return tuple(c + 1 for c in chosen)
-            if is_new[j]:
-                bound[rank] = t
-            j += 1
-        i += 1
+    """Lexicographically least subset T of the text partition's ground set
+    whose restriction equals the pattern partition, or None."""
+    return _part_search(text, pattern, True, cancel)
 
 
-def rgf_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
-    """Exact number of position sets whose subsequence value-standardizes to
-    the pattern word."""
-    n, k = len(text), len(pattern)
-    if k == 0:
-        return 1
-    if k > n:
-        return 0
-    m = max(pattern)
-    maxt = max(text)
-    avail = _suffix_counts(text, maxt)
-    need = _suffix_counts_pattern(pattern, m)
-    is_new = _first_occurrences(pattern)
-    bound = [0] * (m + 1)
-    chosen = [0] * k
-    count = 0
-    j = 0
-    i = 0
-    ticks = 0
-    while True:
-        ticks += 1
-        _poll(cancel, ticks)
-        if i > n - (k - j):
-            if j == 0:
-                return count
-            j -= 1
-            if is_new[j]:
-                bound[pattern[j]] = 0
-            i = chosen[j] + 1
-            continue
-        t = text[i]
-        rank = pattern[j]
-        if is_new[j]:
-            ok = _between_bounds(bound, rank, m, t)
-        else:
-            ok = t == bound[rank]
-        if (
-            ok
-            and avail is not None
-            and avail[(i + 1) * maxt + t - 1] < need[(j + 1) * m + rank - 1]
-        ):
-            ok = False
-        if ok:
-            if j == k - 1:
-                count += 1
-            else:
-                chosen[j] = i
-                if is_new[j]:
-                    bound[rank] = t
-                j += 1
-        i += 1
+def part_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
+    """Exact number of subsets whose restriction equals the pattern."""
+    return _part_search(text, pattern, False, cancel)
 
 
 def _between_bounds(bound: list[int], rank: int, m: int, t: int) -> bool:
@@ -426,3 +239,69 @@ def _between_bounds(bound: list[int], rank: int, m: int, t: int) -> bool:
                 return False
             break
     return True
+
+
+def _rgf_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
+    """The pattern is a restricted growth word, so its letters are exactly
+    the value ranks 1..m; the search binds each rank to a text letter,
+    keeping the binding strictly increasing in the rank.
+    """
+    n, k = len(text), len(pattern)
+    if k == 0 or k > n:
+        return _trivial(find, k == 0)
+    m = max(pattern)
+    maxt = max(text)
+    avail = _suffix_counts(text, maxt) if (n + 1) * maxt <= _TABLE_LIMIT else None
+    need = _suffix_counts(pattern, m)
+    is_new = _first_occurrences(pattern)
+    bound = [0] * (m + 1)  # rank -> text letter, 0 = unbound
+    chosen = [0] * k
+    count = j = i = ticks = 0
+    while True:
+        ticks += 1
+        _poll(cancel, ticks)
+        if i > n - (k - j):
+            if j == 0:
+                return None if find else count
+            j -= 1
+            if is_new[j]:
+                bound[pattern[j]] = 0
+            i = chosen[j] + 1
+            continue
+        t = text[i]
+        rank = pattern[j]
+        if is_new[j]:
+            ok = _between_bounds(bound, rank, m, t)
+        else:
+            ok = t == bound[rank]
+        if (
+            ok
+            and avail is not None
+            and avail[(i + 1) * maxt + t - 1] < need[(j + 1) * m + rank - 1]
+        ):
+            ok = False
+        if ok:
+            chosen[j] = i
+            if j < k - 1:
+                if is_new[j]:
+                    bound[rank] = t
+                j += 1
+            elif find:
+                return tuple(c + 1 for c in chosen)
+            else:
+                count += 1
+        i += 1
+
+
+def rgf_find(
+    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
+) -> tuple[int, ...] | None:
+    """Lexicographically least position set at which the text word's
+    subsequence value-standardizes to the pattern word, or None."""
+    return _rgf_search(text, pattern, True, cancel)
+
+
+def rgf_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
+    """Exact number of position sets whose subsequence value-standardizes to
+    the pattern word."""
+    return _rgf_search(text, pattern, False, cancel)

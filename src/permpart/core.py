@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -147,46 +146,6 @@ class RGFWord:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
-
-
-@dataclass(frozen=True)
-class StandardizationMap:
-    """The order-preserving bijection from a finite set onto {1, ..., #T}:
-    the i-th smallest element of the domain maps to i."""
-
-    domain: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        domain = tuple(self.domain)
-        object.__setattr__(self, "domain", domain)
-        if list(domain) != sorted(set(domain)):
-            raise ValueError("domain must be strictly ascending")
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        return {e: i for i, e in enumerate(self.domain, start=1)}
-
-    def __len__(self) -> int:
-        return len(self.domain)
-
-    def __getitem__(self, element: int) -> int:
-        i = bisect_left(self.domain, element)
-        if i == len(self.domain) or self.domain[i] != element:
-            raise KeyError(element)
-        return i + 1
-
-    def image(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """Ascending image of a subset of the domain."""
-        return tuple(sorted(self[e] for e in set(subset)))
-
-
-def standardize(elements: Iterable[int]) -> StandardizationMap:
-    """Order-preserving relabeling of a finite set of positive integers.
-
-    >>> standardize({1, 3, 4}).mapping
-    {1: 1, 3: 2, 4: 3}
-    """
-    return StandardizationMap(tuple(sorted(set(elements))))
 
 
 def restrict(sigma: SetPartition, subset: Iterable[int]) -> SetPartition:

@@ -14,7 +14,6 @@ from permpart import (
     partition_of_rgf,
     restrict,
     rgf_of,
-    standardize,
     value_standardize,
 )
 from helpers import partitions_of
@@ -101,28 +100,6 @@ class TestStoredWordAndSize:
             assert (copy.n, copy.word) == (sigma.n, sigma.word)
 
 
-class TestStandardize:
-    def test_examples(self):
-        assert standardize({1, 3, 4}).mapping == {1: 1, 3: 2, 4: 3}
-        assert standardize({5}).mapping == {5: 1}
-        # sort-and-rank; the witness set of the worked transport example
-        assert standardize({2, 3, 5, 6}).mapping == {2: 1, 3: 2, 5: 3, 6: 4}
-        assert standardize(()).mapping == {}
-
-    def test_order_preserving_exhaustive(self):
-        # every subset of [8]
-        for subset in subsets(8):
-            st_map = standardize(subset)
-            for x, y in itertools.combinations(subset, 2):
-                assert (x < y) == (st_map[x] < st_map[y])
-
-    def test_image(self):
-        st_map = standardize({2, 3, 5, 6})
-        assert st_map.image({3, 6}) == (2, 4)
-        with pytest.raises(KeyError):
-            st_map[4]
-
-
 class TestRestrict:
     def test_examples(self):
         assert restrict(SetPartition(((1, 3), (2, 4))), {1, 3, 4}) == SetPartition(
@@ -146,12 +123,12 @@ class TestRestrict:
         for n in range(6):
             for sigma in partitions_of(n):
                 for big in subsets(n):
-                    st_map = standardize(big)
+                    rank = {e: i for i, e in enumerate(big, start=1)}
                     inner = restrict(sigma, big)
                     for size in range(len(big) + 1):
                         for small in itertools.combinations(big, size):
                             assert restrict(sigma, small) == restrict(
-                                inner, st_map.image(small)
+                                inner, [rank[e] for e in small]
                             )
 
 

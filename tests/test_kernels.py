@@ -1,12 +1,22 @@
-"""Parity between the compiled and pure-Python kernels.
+"""Parity between the compiled and pure-Python kernels, and the kernel
+contract both must keep.
 
 The two implementations must agree bit for bit: same answers, same
-lexicographically least witnesses, same counts.
+lexicographically least witnesses, same counts, same cancellation polls.
+The compiled module is built here from src/permpart/_kernels.c with the
+interpreter's own compiler flags, so these tests run whenever a C compiler
+is present; it is loaded without entering sys.modules, so the rest of the
+suite keeps whichever backend permpart picked at import.
 """
 
+import importlib.util
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,20 +24,64 @@ from hypothesis import strategies as st
 
 from permpart import _backend, _kernels_py
 from permpart.core import rgf_of
+from permpart.errors import SearchCancelled
 from helpers import partitions_of, perms_of
 
-compiled = pytest.importorskip(
-    "permpart._kernels", reason="compiled kernels not built"
-)
-
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "permpart" / "_kernels.c"
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
+
+# Searches long enough to reach the poll several times: full counts, and
+# exhaustive searches for patterns the text avoids.
+LONG_SEARCHES = [
+    ("perm_find", tuple(range(24, 0, -1)), (4, 3, 2, 1, 5)),
+    ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4)),
+    ("part_find", tuple(range(1, 201)) * 2, (1, 1, 2, 2)),
+    ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
+    ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
+    ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4)),
+]
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernels, built into a temporary directory.  Skips only
+    when the compiler is missing; a build that warns fails."""
+    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if not ldshared or shutil.which(ldshared[0]) is None:
+        pytest.skip("no C compiler to build the kernels with")
+    out = tmp_path_factory.mktemp("kernels")
+    target = out / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [
+        *ldshared,
+        *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
+        *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+        "-I" + sysconfig.get_paths()["include"],
+        str(SOURCE),
+        "-o",
+        str(target),
+    ]
+    proc = subprocess.run(
+        cmd, capture_output=True, text=True, env=dict(os.environ, TMPDIR=str(out))
+    )
+    assert proc.returncode == 0 and not proc.stderr.strip(), proc.stderr
+    spec = importlib.util.spec_from_file_location("permpart._kernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["compiled", "pure-python"])
+def backend(request):
+    if request.param == "compiled":
+        return request.getfixturevalue("compiled")
+    return _kernels_py
 
 
 def test_backend_reports_a_known_name():
     assert _backend.kernel_backend() in ("compiled", "pure-python")
 
 
-def test_both_backends_export_the_same_surface():
+def test_both_backends_export_the_same_surface(compiled):
     for name in KERNELS:
         assert callable(getattr(compiled, name))
         assert callable(getattr(_kernels_py, name))
@@ -45,7 +99,58 @@ def test_pure_env_var_forces_fallback():
     assert out.stdout.strip() == "pure-python"
 
 
-def test_perm_kernels_parity_exhaustive():
+def test_compiled_module_stays_out_of_sys_modules(compiled):
+    assert sys.modules.get("permpart._kernels") is not compiled
+
+
+def test_arguments_by_keyword(backend):
+    text, pattern = (2, 3, 1, 4), (1, 2)
+    assert backend.perm_count(pattern=pattern, text=text, cancel=None) == 4
+    assert backend.perm_find(text, pattern=pattern) == (1, 2)
+    with pytest.raises(TypeError):
+        backend.perm_find(text)
+    with pytest.raises(TypeError):
+        backend.perm_find(text, pattern, None, None)
+    with pytest.raises(TypeError):
+        backend.perm_find(text, pattern, text=text)
+
+
+@pytest.mark.parametrize("name", ["part_find", "part_count", "rgf_find", "rgf_count"])
+@pytest.mark.parametrize("text, pattern", [((1, 0), (1,)), ((1, 2), (0,)), ((1, -3, 2), (1, 1))])
+def test_compiled_word_letters_below_one_are_rejected(compiled, name, text, pattern):
+    # The C kernels index arrays by letter: a letter below 1 must be refused
+    # before it is used, not read or written out of bounds.
+    with pytest.raises(ValueError, match="at least 1"):
+        getattr(compiled, name)(text, pattern)
+
+
+@pytest.mark.parametrize("name, text, pattern", LONG_SEARCHES[1::2])
+def test_count_cancels_on_the_second_poll(backend, name, text, pattern):
+    calls = []
+
+    def cancel():
+        calls.append(None)
+        return len(calls) == 2
+
+    with pytest.raises(SearchCancelled):
+        getattr(backend, name)(text, pattern, cancel)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, text, pattern", LONG_SEARCHES)
+def test_both_backends_poll_equally_often(compiled, name, text, pattern):
+    # The number of polls is the number of search steps over the poll
+    # interval, so equal numbers mean both backends took as many steps.
+    seen = []
+    for module in (compiled, _kernels_py):
+        calls = []
+        result = getattr(module, name)(text, pattern, lambda: calls.append(None))
+        seen.append((result, len(calls)))
+    assert seen[0] == seen[1]
+    assert seen[0][1] > 0
+
+
+def test_perm_kernels_parity_exhaustive(compiled):
     for n in range(6):
         for k in range(5):
             for text in perms_of(n):
@@ -58,7 +163,7 @@ def test_perm_kernels_parity_exhaustive():
                     )
 
 
-def test_partition_and_word_kernels_parity_exhaustive():
+def test_partition_and_word_kernels_parity_exhaustive(compiled):
     words = {
         n: [rgf_of(sigma).letters for sigma in partitions_of(n)] for n in range(6)
     }
@@ -95,9 +200,20 @@ def rgf_letters(draw, max_len=12):
 
 @settings(max_examples=200, deadline=None)
 @given(rgf_letters(), rgf_letters(max_len=5))
-def test_word_kernels_parity_random(text, pattern):
+def test_word_kernels_parity_random(compiled, text, pattern):
     assert compiled.part_find(text, pattern) == _kernels_py.part_find(text, pattern)
     assert compiled.part_count(text, pattern) == _kernels_py.part_count(text, pattern)
+    assert compiled.rgf_find(text, pattern) == _kernels_py.rgf_find(text, pattern)
+    assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(text, pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), max_size=12).map(tuple),
+    rgf_letters(max_len=5),
+)
+def test_rgf_kernels_parity_on_general_text_words(compiled, text, pattern):
+    # Word containment takes any word of positive letters as its text.
     assert compiled.rgf_find(text, pattern) == _kernels_py.rgf_find(text, pattern)
     assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(text, pattern)
 
@@ -107,7 +223,7 @@ def test_word_kernels_parity_random(text, pattern):
     st.permutations(list(range(1, 10))),
     st.permutations(list(range(1, 5))),
 )
-def test_perm_kernels_parity_random(text, pattern):
+def test_perm_kernels_parity_random(compiled, text, pattern):
     text = tuple(text)
     pattern = tuple(pattern)
     assert compiled.perm_find(text, pattern) == _kernels_py.perm_find(text, pattern)
