@@ -10,8 +10,8 @@ The library exposes:
   notions, with deterministic lexicographically least witnesses;
 - reduction: the matchstick map permutation -> partition and the two-way
   transport between occurrences and restriction witnesses;
-- fastpaths: linear-time containment for all-singleton and single-block
-  patterns, plus a dispatcher;
+- fastpaths: dispatch_contains, which answers all-singleton and
+  single-block patterns in linear time and sends the rest to matchers;
 - oracle: naive brute-force references, exhaustive enumerators, census,
   and the verification gates that check the engines and the reduction
   against the references at desk scale;
@@ -33,14 +33,7 @@ from .core import (
     value_standardize,
 )
 from .errors import BoundExceeded, SearchCancelled
-from .fastpaths import (
-    PatternShape,
-    ShapeTag,
-    classify_pattern,
-    contains_all_singletons,
-    contains_single_block,
-    dispatch_contains,
-)
+from .fastpaths import dispatch_contains
 from .matchers import (
     MatchResult,
     OccurrenceIndices,
@@ -81,21 +74,16 @@ __all__ = [
     "MatchResult",
     "Mismatch",
     "OccurrenceIndices",
-    "PatternShape",
     "Permutation",
     "RGFWord",
     "SearchCancelled",
     "SetPartition",
-    "ShapeTag",
     "SubsetWitness",
     "VerificationReport",
     "bell_number",
     "brute_partition_contains",
     "brute_partition_count",
     "census",
-    "classify_pattern",
-    "contains_all_singletons",
-    "contains_single_block",
     "dispatch_contains",
     "enumerate_partitions",
     "enumerate_permutations",

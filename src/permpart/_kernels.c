@@ -5,6 +5,9 @@
  * identical), with the loops in C.  Each notion has one search loop; its find
  * entry stops at the first complete match and returns the witness, its count
  * entry counts every match.  See the pure module for the algorithm notes.
+ * The kernels only search: past the trivial answers for an empty pattern or
+ * one longer than its text, they rule out no match before searching; the
+ * block-size and letter-count rejections live in permpart.matchers.
  * Plain CPython API: build it with any C compiler against the interpreter's
  * headers.
  */
@@ -51,9 +54,9 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames
 }
 
 /* The scratch arrays of one search, freed together; no search takes more
- * than ten. */
+ * than eight. */
 typedef struct {
-    void *block[12];
+    void *block[8];
     int used;
 } Arena;
 
@@ -141,11 +144,6 @@ static int *suffix_table(Arena *a, const int *word, Py_ssize_t n, int width) {
     return table;
 }
 
-static int by_size_desc(const void *a, const void *b) {
-    int x = *(const int *)a, y = *(const int *)b;
-    return (x < y) - (x > y);
-}
-
 /* What the two word searches share: both words and their largest letters,
  * the suffix-count tables (avail stays NULL past TABLE_LIMIT), the
  * pattern's first occurrences and the chosen positions. */
@@ -154,49 +152,22 @@ typedef struct {
     Py_ssize_t *chosen;
 } Words;
 
-/* Can pattern blocks inject into text blocks without shrinking?  1 iff the
- * descending-sorted text block sizes dominate the pattern's, 0 if not, -1 on
- * error.  Zero letter counts sort last. */
-static int sizes_dominate(Arena *a, const Words *w, Py_ssize_t n, Py_ssize_t k) {
-    int *tc, *pc;
-    if ((tc = take(a, w->nt, sizeof(int))) == NULL || (pc = take(a, w->np, sizeof(int))) == NULL)
-        return -1;
-    for (Py_ssize_t i = 0; i < n; i++)
-        tc[w->tw[i] - 1]++;
-    for (Py_ssize_t j = 0; j < k; j++)
-        pc[w->pw[j] - 1]++;
-    qsort(tc, w->nt, sizeof(int), by_size_desc);
-    qsort(pc, w->np, sizeof(int), by_size_desc);
-    for (int b = 0; b < w->np && pc[b]; b++)
-        if (b >= w->nt || pc[b] > tc[b])
-            return 0;
-    return 1;
-}
-
-/* Read both words, check block-size dominance if asked, build the tables.
- * *ready becomes 1 when the words are ready, 0 when the block sizes rule
- * out a match, -1 on error.  Returned by value, so that the search loops can
- * keep its fields in registers. */
-static Words load_words(Arena *a, const Call *c, int dominance, int *ready) {
+/* Read both words and build the tables.  On error chosen, taken last, stays
+ * NULL with an exception set.  Returned by value, so that the search loops
+ * can keep its fields in registers. */
+static Words load_words(Arena *a, const Call *c) {
     Py_ssize_t n = c->n, k = c->k;
     Words w = {0};
     int peak = 0;
-    *ready = -1;
-    if ((w.tw = read_ints(a, c->text, n, &w.nt)) == NULL || (w.pw = read_ints(a, c->pattern, k, &w.np)) == NULL)
-        return w;
-    if (dominance && (*ready = sizes_dominate(a, &w, n, k)) <= 0)
-        return w;
-    if (((n + 1) * w.nt <= TABLE_LIMIT && (w.avail = suffix_table(a, w.tw, n, w.nt)) == NULL) ||
+    if ((w.tw = read_ints(a, c->text, n, &w.nt)) == NULL || (w.pw = read_ints(a, c->pattern, k, &w.np)) == NULL ||
+        ((n + 1) * w.nt <= TABLE_LIMIT && (w.avail = suffix_table(a, w.tw, n, w.nt)) == NULL) ||
         (w.need = suffix_table(a, w.pw, k, w.np)) == NULL || (w.is_new = take(a, k, sizeof(int))) == NULL ||
-        (w.chosen = take(a, k, sizeof(Py_ssize_t))) == NULL) {
-        *ready = -1;
+        (w.chosen = take(a, k, sizeof(Py_ssize_t))) == NULL)
         return w;
-    }
     for (Py_ssize_t j = 0; j < k; j++) {
         w.is_new[j] = w.pw[j] > peak;
         peak = w.pw[j] > peak ? w.pw[j] : peak;
     }
-    *ready = 1;
     return w;
 }
 
@@ -250,13 +221,11 @@ static PyObject *part_search(const Call *c, Arena *a, int find) {
     Py_ssize_t n = c->n, k = c->k, i = 0, j = 0, ticks = 0;
     /* assigned: pattern block -> text block, 0 = unassigned; used: text
      * blocks taken. */
-    int *assigned, *used, ready;
-    const Words w = load_words(a, c, 1, &ready);
+    int *assigned, *used;
+    const Words w = load_words(a, c);
     unsigned long long count = 0;
 
-    if (ready == 0)
-        return answer(find, 0, NULL, k);
-    if (ready < 0 || (assigned = take(a, w.np + 1, sizeof(int))) == NULL ||
+    if (w.chosen == NULL || (assigned = take(a, w.np + 1, sizeof(int))) == NULL ||
         (used = take(a, w.nt + 1, sizeof(int))) == NULL)
         return NULL;
     for (; !(find && count); i++) {
@@ -304,11 +273,11 @@ static int between_bounds(const int *bound, int rank, int m, int t) {
 
 static PyObject *rgf_search(const Call *c, Arena *a, int find) {
     Py_ssize_t n = c->n, k = c->k, i = 0, j = 0, ticks = 0;
-    int *bound, ready; /* bound: pattern rank -> text letter, 0 = unbound */
-    const Words w = load_words(a, c, 0, &ready);
+    int *bound; /* bound: pattern rank -> text letter, 0 = unbound */
+    const Words w = load_words(a, c);
     unsigned long long count = 0;
 
-    if (ready < 0 || (bound = take(a, w.np + 1, sizeof(int))) == NULL)
+    if (w.chosen == NULL || (bound = take(a, w.np + 1, sizeof(int))) == NULL)
         return NULL;
     for (; !(find && count); i++) {
         if (poll(c->cancel, ++ticks) < 0)

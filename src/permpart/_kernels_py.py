@@ -20,7 +20,13 @@ Kernel conventions:
 - every slot of the search picks positions left to right in increasing
   order, so the first complete match found is the lexicographically least;
 - ``cancel`` is an optional zero-argument callable polled every few thousand
-  search steps; returning True aborts the search with SearchCancelled.
+  search steps; returning True aborts the search with SearchCancelled;
+- word letters below 1 raise ValueError.
+
+The kernels only search.  Past the trivial answers for an empty pattern or
+one longer than its text, they rule out no match before searching: the
+block-size and letter-count rejections are made by the callers in
+permpart.matchers.
 """
 
 from __future__ import annotations
@@ -128,23 +134,6 @@ def _suffix_counts(word: Sequence[int], width: int) -> list[int]:
     return table
 
 
-def _letter_counts(word: Sequence[int], width: int) -> list[int]:
-    counts = [0] * (width + 1)
-    for letter in word:
-        counts[letter] += 1
-    return counts
-
-
-def _sizes_dominate(text_counts: list[int], pattern_counts: list[int]) -> bool:
-    """Can pattern blocks inject into text blocks without shrinking?  True iff
-    the descending-sorted text block sizes dominate the pattern's."""
-    ts = sorted((c for c in text_counts if c), reverse=True)
-    ps = sorted((c for c in pattern_counts if c), reverse=True)
-    if len(ps) > len(ts):
-        return False
-    return all(p <= t for p, t in zip(ps, ts))
-
-
 def _first_occurrences(word: Sequence[int]) -> list[bool]:
     # For a restricted growth word, letter growth marks first occurrences.
     peak = 0
@@ -165,10 +154,10 @@ def _part_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
+    if min(text) < 1 or min(pattern) < 1:
+        raise ValueError("word letters must be at least 1")
     nb = max(text)
     npat = max(pattern)
-    if not _sizes_dominate(_letter_counts(text, nb), _letter_counts(pattern, npat)):
-        return _trivial(find, False)
     avail = _suffix_counts(text, nb) if (n + 1) * nb <= _TABLE_LIMIT else None
     need = _suffix_counts(pattern, npat)
     is_new = _first_occurrences(pattern)
@@ -249,6 +238,8 @@ def _rgf_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel:
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
+    if min(text) < 1 or min(pattern) < 1:
+        raise ValueError("word letters must be at least 1")
     m = max(pattern)
     maxt = max(text)
     avail = _suffix_counts(text, maxt) if (n + 1) * maxt <= _TABLE_LIMIT else None

@@ -329,15 +329,15 @@ def _report_output(gate: str, report: VerificationReport, fmt: str) -> None:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     gates = ["reduction", "rgf"] if ns.gate == "all" else [ns.gate]
     failed = False
+    # Bounds not given fall to each gate's own defaults.
+    bounds = {
+        name: value
+        for name, value in (("max_n", ns.max_n), ("max_k", ns.max_k))
+        if value is not None
+    }
     for gate in gates:
-        if gate == "reduction":
-            max_n = ns.max_n if ns.max_n is not None else 6
-            max_k = ns.max_k if ns.max_k is not None else 4
-            report = verify_reduction(max_n, max_k, force=ns.force, jobs=ns.jobs)
-        else:
-            max_n = ns.max_n if ns.max_n is not None else 5
-            max_k = ns.max_k if ns.max_k is not None else 3
-            report = verify_rgf_coincidence(max_n, max_k, force=ns.force, jobs=ns.jobs)
+        run = verify_reduction if gate == "reduction" else verify_rgf_coincidence
+        report = run(**bounds, force=ns.force, jobs=ns.jobs)
         _report_output(gate, report, ns.format)
         failed = failed or not report.ok
     return 3 if failed else 0

@@ -1,74 +1,36 @@
 """Linear-time containment for the two polynomially easy pattern shapes.
 
-A pattern with no block of size 2 or more is a row of singletons
-{{1}, ..., {k}}; a text contains it iff the text has at least k blocks.
-A pattern with a single block {{1, ..., k}} is contained iff some text
-block has at least k elements.  dispatch_contains routes these shapes to
-the linear checks and everything else to the general backtracking matcher,
-returning exactly what the general matcher would, witness included.
+A pattern of size k with k blocks is a row of singletons {{1}, ..., {k}};
+a text contains it iff the text has at least k blocks.  A pattern with a
+single block {{1, ..., k}} is contained iff some text block has at least k
+elements.  dispatch_contains answers these shapes directly and routes
+everything else to the general backtracking matcher, returning exactly what
+the general matcher would, witness included.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 from .core import SetPartition
 from .matchers import MatchResult, partition_contains
 
 
-class ShapeTag(Enum):
-    ALL_SINGLETONS = "all-singletons"
-    SINGLE_BLOCK = "single-block"
-    GENERAL = "general"
-
-
-@dataclass(frozen=True)
-class PatternShape:
-    tag: ShapeTag
-    size: int
-
-
-def classify_pattern(pattern: SetPartition) -> PatternShape:
-    """Shape of a pattern partition.
-
-    The size-1 pattern {{1}} fits both special shapes; it classifies as
-    ALL_SINGLETONS (both fast paths answer identically for it).  The empty
-    pattern is vacuously all singletons.
-    """
-    k = pattern.n
-    if all(len(block) == 1 for block in pattern.blocks):
-        return PatternShape(ShapeTag.ALL_SINGLETONS, k)
-    if len(pattern.blocks) == 1:
-        return PatternShape(ShapeTag.SINGLE_BLOCK, k)
-    return PatternShape(ShapeTag.GENERAL, k)
-
-
-def contains_all_singletons(sigma: SetPartition, k: int) -> bool:
-    """Does sigma contain the all-singleton pattern of size k?  Picking one
-    element from each of k blocks restricts to it, so: at least k blocks."""
-    return len(sigma.blocks) >= k
-
-
-def contains_single_block(sigma: SetPartition, k: int) -> bool:
-    """Does sigma contain the single-block pattern of size k?  True iff some
-    block has at least k elements (vacuously for k = 0)."""
-    return k == 0 or any(len(block) >= k for block in sigma.blocks)
-
-
 def dispatch_contains(sigma: SetPartition, pattern: SetPartition) -> MatchResult:
     """Containment with fast-path routing; agrees with partition_contains on
     every input, including the witness."""
-    shape = classify_pattern(pattern)
-    if shape.tag is ShapeTag.ALL_SINGLETONS:
-        if not contains_all_singletons(sigma, shape.size):
+    k = pattern.n
+    blocks = len(pattern.blocks)
+    if blocks == k:
+        # All singletons, the empty pattern and {{1}} included.  Block minima
+        # ascend with the canonical order, so the first k minima form the
+        # lexicographically least witness.
+        if len(sigma.blocks) < k:
             return MatchResult(False)
-        # Block minima ascend with the canonical order, so the first k minima
-        # form the lexicographically least witness.
-        return MatchResult(True, tuple(block[0] for block in sigma.blocks[: shape.size]))
-    if shape.tag is ShapeTag.SINGLE_BLOCK:
-        if not contains_single_block(sigma, shape.size):
-            return MatchResult(False)
-        block = next(b for b in sigma.blocks if len(b) >= shape.size)
-        return MatchResult(True, block[: shape.size])
+        return MatchResult(True, tuple(block[0] for block in sigma.blocks[:k]))
+    if blocks == 1:
+        # The first block with k elements holds the least witness: its first
+        # k elements.
+        for block in sigma.blocks:
+            if len(block) >= k:
+                return MatchResult(True, block[:k])
+        return MatchResult(False)
     return partition_contains(sigma, pattern)

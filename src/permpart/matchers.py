@@ -10,9 +10,12 @@ Three notions of containment are implemented:
   to the pattern.
 
 Each engine is a pruned backtracking search (permpart._kernels_py documents
-the algorithms; a compiled twin is preferred when built).  Witnesses are
-deterministic: always the lexicographically least index or element sequence.
-A pattern longer than its text is simply not contained, never an error.
+the algorithms; a compiled twin is preferred when built).  The kernels only
+search; the answers that need no search are given here first: partitions
+whose block sizes cannot hold the pattern's, and words with fewer distinct
+letters than the pattern.  Witnesses are deterministic: always the
+lexicographically least index or element sequence.  A pattern longer than
+its text is simply not contained, never an error.
 
 The subset-enumeration references these engines are validated against live
 in permpart.oracle and share no search code with them.
@@ -60,12 +63,24 @@ def perm_count(text: Permutation, pattern: Permutation, *, cancel: Cancel = None
     return _K.perm_count(text.values, pattern.values, cancel)
 
 
+def _blocks_fit(text: SetPartition, pattern: SetPartition) -> bool:
+    """Can the pattern's blocks go into distinct text blocks, none larger
+    than its host?  A restriction keeps blocks apart and never grows one, so
+    containment needs the text's descending block sizes to dominate the
+    pattern's; a pattern longer than its text never fits."""
+    hosts = sorted(map(len, text.blocks), reverse=True)
+    sizes = sorted(map(len, pattern.blocks), reverse=True)
+    return len(sizes) <= len(hosts) and all(s <= h for s, h in zip(sizes, hosts))
+
+
 def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult:
     """Does the text partition contain the pattern partition?
 
     On success the witness is the lexicographically least subset of the
     ground set whose restriction equals the pattern.
     """
+    if not _blocks_fit(text, pattern):
+        return MatchResult(False)
     hit = _K.part_find(text.word, pattern.word)
     return MatchResult(hit is not None, hit)
 
@@ -74,6 +89,8 @@ def partition_count(
     text: SetPartition, pattern: SetPartition, *, cancel: Cancel = None
 ) -> int:
     """Number of subsets whose restriction equals the pattern partition."""
+    if not _blocks_fit(text, pattern):
+        return 0
     return _K.part_count(text.word, pattern.word, cancel)
 
 

@@ -169,23 +169,26 @@ def _sorted_mismatches(mismatches: Iterable[Mismatch]) -> tuple[Mismatch, ...]:
     )
 
 
-def _chunks(items: list, jobs: int) -> list[list]:
-    per = max(1, (len(items) + jobs - 1) // jobs)
-    return [items[i : i + per] for i in range(0, len(items), per)]
+def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
+    """worker((chunk, *args)) for each chunk of the items, in chunk order:
+    one chunk of all the items run here when jobs is 1 or there is at most
+    one item, else one chunk per job in a process pool."""
+    if jobs <= 1 or len(items) < 2:
+        return [worker((items, *args))]
+    per = (len(items) + jobs - 1) // jobs
+    payloads = [(items[i : i + per], *args) for i in range(0, len(items), per)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, payloads))
 
 
-def _run_chunked(worker, texts: list, args: tuple, jobs: int) -> tuple[int, list[Mismatch]]:
-    pairs = 0
-    mismatches: list[Mismatch] = []
-    if jobs <= 1 or len(texts) < 2:
-        pairs, mismatches = worker((texts, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = [(chunk, *args) for chunk in _chunks(texts, jobs)]
-            for chunk_pairs, chunk_mismatches in pool.map(worker, payloads):
-                pairs += chunk_pairs
-                mismatches.extend(chunk_mismatches)
-    return pairs, mismatches
+def _verify_texts(worker, max_n: int, max_k: int, jobs: int) -> tuple[int, list[Mismatch]]:
+    """Run a gate's worker over every permutation text of size 1..max_n and
+    merge the pair counts and mismatches of its chunks."""
+    texts = [
+        perm.values for n in range(1, max_n + 1) for perm in enumerate_permutations(n)
+    ]
+    results = _map_chunks(worker, texts, (max_k,), jobs)
+    return sum(pairs for pairs, _ in results), [m for _, chunk in results for m in chunk]
 
 
 def _reduction_patterns(max_k: int) -> list[tuple[Permutation, SetPartition]]:
@@ -263,10 +266,7 @@ def verify_reduction(
     """
     _check_verify_bounds(max_n, max_k, force)
     start = time.perf_counter()
-    texts = [
-        perm.values for n in range(1, max_n + 1) for perm in enumerate_permutations(n)
-    ]
-    pairs, mismatches = _run_chunked(_verify_reduction_chunk, texts, (max_k,), jobs)
+    pairs, mismatches = _verify_texts(_verify_reduction_chunk, max_n, max_k, jobs)
     return VerificationReport(
         max_n, max_k, pairs, _sorted_mismatches(mismatches), time.perf_counter() - start
     )
@@ -314,10 +314,7 @@ def verify_rgf_coincidence(
     """
     _check_verify_bounds(max_n, max_k, force)
     start = time.perf_counter()
-    texts = [
-        perm.values for n in range(1, max_n + 1) for perm in enumerate_permutations(n)
-    ]
-    pairs, mismatches = _run_chunked(_verify_rgf_chunk, texts, (max_k,), jobs)
+    pairs, mismatches = _verify_texts(_verify_rgf_chunk, max_n, max_k, jobs)
 
     word_answer = rgf_contains(RGFWord(SEPARATION_TEXT), RGFWord(SEPARATION_PATTERN)).contains
     partition_answer = brute_partition_contains(
@@ -420,10 +417,5 @@ def census(
 
     pattern_word = pattern.word if isinstance(pattern, SetPartition) else pattern.letters
     words = _rgf_words(n)
-    if jobs <= 1 or len(words) < 2:
-        hits = _census_chunk((words, pattern_word, notion))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            payloads = [(chunk, pattern_word, notion) for chunk in _chunks(words, jobs)]
-            hits = sum(pool.map(_census_chunk, payloads))
+    hits = sum(_map_chunks(_census_chunk, words, (pattern_word, notion), jobs))
     return CensusRow(n, pattern, notion, len(words) - hits, hits)

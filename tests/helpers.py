@@ -14,7 +14,7 @@ from permpart import (
     enumerate_partitions,
     enumerate_permutations,
 )
-from permpart.core import restrict, rgf_of
+from permpart.core import rgf_of
 
 
 @lru_cache(maxsize=None)
@@ -61,15 +61,24 @@ def perm_occurrences(text, pattern):
     return hits
 
 
-def partition_witnesses(text, pattern):
-    """All restriction witnesses, in lexicographic order, by full subset
-    enumeration."""
-    k = pattern.n
-    return [
-        subset
-        for subset in itertools.combinations(range(1, text.n + 1), k)
-        if restrict(text, subset) == pattern
-    ]
+def witnesses_by_restriction(text, sizes):
+    """Every subset of the text's ground set with one of the given sizes,
+    grouped by the restriction of the text to it: one full subset scan
+    answers every pattern of those sizes.
+
+    A group's key is the restriction's block-index word, read off the text's
+    blocks (its blocks numbered by first appearance in the subset), so look
+    a pattern up with ``groups.get(pattern.word, [])``.  Each group lists its
+    witnesses in lexicographic order.
+    """
+    owner = {e: b for b, block in enumerate(text.blocks) for e in block}
+    groups = {}
+    for k in sizes:
+        for subset in itertools.combinations(range(1, text.n + 1), k):
+            labels = {}
+            key = tuple(labels.setdefault(owner[e], len(labels) + 1) for e in subset)
+            groups.setdefault(key, []).append(subset)
+    return groups
 
 
 def rgf_positions(text, pattern):

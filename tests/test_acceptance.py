@@ -8,14 +8,14 @@ identical CLI output.
 import json
 
 from permpart import (
+    MatchResult,
     Permutation,
     RGFWord,
     SetPartition,
     bell_number,
     brute_partition_contains,
     brute_partition_count,
-    contains_all_singletons,
-    contains_single_block,
+    dispatch_contains,
     enumerate_partitions,
     enumerate_permutations,
     partition_count,
@@ -32,11 +32,11 @@ from permpart.cli import format_partition, format_permutation, run_command
 from permpart.core import restrict, rgf_of
 from helpers import (
     bell_by_triangle,
-    partition_witnesses,
     partitions_of,
     perm_occurrences,
     perms_of,
     rgf_words_of,
+    witnesses_by_restriction,
 )
 
 
@@ -82,12 +82,13 @@ def test_criterion_3_witness_transport_bijection():
     for n in range(1, 6):
         for perm in perms_of(n):
             reduced_text = reduce_perm(perm)
+            groups = witnesses_by_restriction(reduced_text, (2, 4, 6))
             for k in range(1, 4):
                 for pattern in perms_of(k):
                     pairs += 1
                     reduced_pattern = reduce_perm(pattern)
                     occurrences = perm_occurrences(perm.values, pattern.values)
-                    witnesses = partition_witnesses(reduced_text, reduced_pattern)
+                    witnesses = groups.get(reduced_pattern.word, [])
                     transported = [
                         transport_occurrence(perm, occ) for occ in occurrences
                     ]
@@ -138,25 +139,24 @@ def test_criterion_5_fast_paths_match_brute_force():
     def block_pattern(k):
         return SetPartition((tuple(range(1, k + 1)),) if k else ())
 
+    # dispatch_contains, witness included, against one subset scan per text
     checks = 0
     mismatches = 0
     for n in range(9):
         for sigma in enumerate_partitions(n):
+            groups = witnesses_by_restriction(sigma, range(n + 1))
             for k in range(n + 2):
-                checks += 2
-                if contains_all_singletons(sigma, k) != brute_partition_contains(
-                    sigma, singleton_pattern(k)
-                ):
-                    mismatches += 1
-                if contains_single_block(sigma, k) != brute_partition_contains(
-                    sigma, block_pattern(k)
-                ):
-                    mismatches += 1
+                for pattern in (singleton_pattern(k), block_pattern(k)):
+                    checks += 1
+                    hits = groups.get(pattern.word, [])
+                    expected = MatchResult(True, hits[0]) if hits else MatchResult(False)
+                    if dispatch_contains(sigma, pattern) != expected:
+                        mismatches += 1
     # this run also adjudicates the block-count criterion: "at least k"
     # blocks is the correct reading, and sigma with exactly k blocks of size
     # one contains the size-k all-singleton pattern
     exact = SetPartition(tuple((i,) for i in range(1, 4)))
-    assert contains_all_singletons(exact, 3)
+    assert dispatch_contains(exact, exact).contains
     report(5, mismatches == 0, f"{checks} checks, {mismatches} mismatches")
 
 

@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from permpart import SetPartition, brute_partition_contains, dispatch_contains
+from permpart import (
+    SetPartition,
+    VerificationReport,
+    brute_partition_contains,
+    dispatch_contains,
+)
+from permpart import cli
 from permpart.cli import (
     ParseError,
     format_partition,
@@ -291,6 +297,33 @@ class TestCommands:
         assert code == 0
         assert "gate=reduction" in out and "gate=rgf" in out
         assert out.count(" ok") == 2
+
+    def test_verify_passes_only_given_bounds(self, capsys, monkeypatch):
+        # the gates' own signature defaults apply when no bound is given
+        calls = []
+
+        def recorder(gate):
+            def fake(**kwargs):
+                calls.append((gate, kwargs))
+                return VerificationReport(0, 0, 0, (), 0.0)
+
+            return fake
+
+        monkeypatch.setattr(cli, "verify_reduction", recorder("reduction"))
+        monkeypatch.setattr(cli, "verify_rgf_coincidence", recorder("rgf"))
+        for argv, bounds in (
+            ([], {}),
+            (["--max-n", "3"], {"max_n": 3}),
+            (["--max-k", "2"], {"max_k": 2}),
+            (["--max-n", "7", "--max-k", "0", "--force"], {"max_n": 7, "max_k": 0}),
+        ):
+            calls.clear()
+            code, out, err = run(capsys, ["verify", *argv, "--jobs", "2"])
+            assert code == 0
+            force = "--force" in argv
+            assert calls == [
+                (gate, {**bounds, "force": force, "jobs": 2}) for gate in ("reduction", "rgf")
+            ]
 
     def test_verify_bound_refusal(self, capsys):
         code, out, err = run(capsys, ["verify", "reduction", "--max-n", "8"])

@@ -1,14 +1,4 @@
-from permpart import (
-    PatternShape,
-    SetPartition,
-    ShapeTag,
-    brute_partition_contains,
-    classify_pattern,
-    contains_all_singletons,
-    contains_single_block,
-    dispatch_contains,
-    partition_contains,
-)
+from permpart import MatchResult, SetPartition, dispatch_contains, partition_contains
 from permpart.core import restrict
 from helpers import partitions_of
 
@@ -21,51 +11,6 @@ def block_pattern(k):
     return SetPartition((tuple(range(1, k + 1)),) if k else ())
 
 
-class TestClassify:
-    def test_examples(self):
-        assert classify_pattern(singleton_pattern(3)) == PatternShape(
-            ShapeTag.ALL_SINGLETONS, 3
-        )
-        assert classify_pattern(block_pattern(3)) == PatternShape(ShapeTag.SINGLE_BLOCK, 3)
-        assert classify_pattern(SetPartition(((1, 3), (2,)))) == PatternShape(
-            ShapeTag.GENERAL, 3
-        )
-
-    def test_tie_breaks(self):
-        # {{1}} fits both special shapes and lands on ALL_SINGLETONS
-        assert classify_pattern(SetPartition(((1,),))).tag is ShapeTag.ALL_SINGLETONS
-        assert classify_pattern(SetPartition(())).tag is ShapeTag.ALL_SINGLETONS
-
-
-class TestLinearChecks:
-    def test_examples(self):
-        sigma = SetPartition(((1, 3), (2, 4)))
-        assert contains_all_singletons(sigma, 2)
-        assert not contains_all_singletons(sigma, 3)
-        assert contains_all_singletons(singleton_pattern(3), 3)
-        assert contains_single_block(sigma, 2)
-        assert not contains_single_block(sigma, 3)
-        assert contains_single_block(SetPartition(((1, 2, 3), (4,))), 3)
-
-    def test_empty_pattern_contained(self):
-        assert contains_all_singletons(SetPartition(()), 0)
-        assert contains_single_block(SetPartition(()), 0)
-
-    def test_agreement_with_brute_force(self):
-        # both linear checks against subset enumeration, every partition of
-        # [n] for n <= 6 and every k <= n + 1 (the full n <= 8 range runs in
-        # the acceptance suite)
-        for n in range(7):
-            for sigma in partitions_of(n):
-                for k in range(n + 2):
-                    assert contains_all_singletons(sigma, k) == brute_partition_contains(
-                        sigma, singleton_pattern(k)
-                    )
-                    assert contains_single_block(sigma, k) == brute_partition_contains(
-                        sigma, block_pattern(k)
-                    )
-
-
 class TestDispatch:
     def test_examples(self):
         sigma = SetPartition(((1, 3), (2, 4)))
@@ -74,6 +19,19 @@ class TestDispatch:
         result = dispatch_contains(sigma, block_pattern(2))
         assert result.contains and result.witness == (1, 3)
         assert not dispatch_contains(singleton_pattern(2), block_pattern(2)).contains
+        assert not dispatch_contains(sigma, singleton_pattern(3)).contains
+        assert not dispatch_contains(sigma, block_pattern(3)).contains
+        result = dispatch_contains(SetPartition(((1, 2, 3), (4,))), block_pattern(3))
+        assert result.witness == (1, 2, 3)
+        # the empty pattern and {{1}} are both a row of singletons and a
+        # single block; every text contains the empty pattern, the empty
+        # text included, and every nonempty text contains {{1}}
+        for text in (SetPartition(()), SetPartition(((1, 3), (2,)))):
+            assert dispatch_contains(text, SetPartition(())) == MatchResult(True, ())
+        assert dispatch_contains(SetPartition(((1, 3), (2,))), block_pattern(1)) == (
+            MatchResult(True, (1,))
+        )
+        assert not dispatch_contains(SetPartition(()), block_pattern(1)).contains
 
     def test_matches_general_engine_exhaustive(self):
         # identical MatchResult (witness included) on every pair up to n = 5

@@ -88,7 +88,10 @@ def test_both_backends_export_the_same_surface(compiled):
 
 
 def test_pure_env_var_forces_fallback():
-    env = dict(os.environ, PERMPART_PURE="1")
+    # The child imports the same permpart as this suite, installed or not.
+    source_root = str(Path(_backend.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PERMPART_PURE="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", "import permpart; print(permpart.kernel_backend())"],
         capture_output=True,
@@ -115,13 +118,26 @@ def test_arguments_by_keyword(backend):
         backend.perm_find(text, pattern, text=text)
 
 
-@pytest.mark.parametrize("name", ["part_find", "part_count", "rgf_find", "rgf_count"])
-@pytest.mark.parametrize("text, pattern", [((1, 0), (1,)), ((1, 2), (0,)), ((1, -3, 2), (1, 1))])
+WORD_KERNELS = ["part_find", "part_count", "rgf_find", "rgf_count"]
+LETTERS_BELOW_ONE = [((1, 0), (1,)), ((1, 2), (0,)), ((1, -3, 2), (1, 1))]
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+@pytest.mark.parametrize("text, pattern", LETTERS_BELOW_ONE)
 def test_compiled_word_letters_below_one_are_rejected(compiled, name, text, pattern):
     # The C kernels index arrays by letter: a letter below 1 must be refused
     # before it is used, not read or written out of bounds.
     with pytest.raises(ValueError, match="at least 1"):
         getattr(compiled, name)(text, pattern)
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+@pytest.mark.parametrize("text, pattern", LETTERS_BELOW_ONE)
+def test_pure_word_letters_below_one_are_rejected(name, text, pattern):
+    # The same refusal, with the same message, instead of a plausible wrong
+    # answer or an IndexError.
+    with pytest.raises(ValueError, match="at least 1"):
+        getattr(_kernels_py, name)(text, pattern)
 
 
 @pytest.mark.parametrize("name, text, pattern", LONG_SEARCHES[1::2])

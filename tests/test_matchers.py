@@ -10,8 +10,6 @@ from permpart import (
     RGFWord,
     SearchCancelled,
     SetPartition,
-    brute_partition_contains,
-    brute_partition_count,
     partition_contains,
     partition_count,
     perm_contains,
@@ -22,12 +20,12 @@ from permpart import (
 from permpart import matchers
 from permpart.core import restrict, rgf_of, value_standardize
 from helpers import (
-    partition_witnesses,
     partitions_of,
     perm_occurrences,
     perms_of,
     rgf_positions,
     rgf_words_of,
+    witnesses_by_restriction,
 )
 
 
@@ -99,27 +97,26 @@ class TestAgainstBruteForce:
                         assert perm_count(text, pattern) == len(hits)
 
     def test_partition_engine_exhaustive(self):
-        # containment against subset enumeration for all pairs up to n = 6,
-        # counts up to n = 5
+        # containment and counts against one subset scan per text, for all
+        # pairs up to n = 6
         for n in range(7):
-            for k in range(7):
-                for text in partitions_of(n):
+            for text in partitions_of(n):
+                groups = witnesses_by_restriction(text, range(n + 1))
+                for k in range(7):
                     for pattern in partitions_of(k):
-                        reference = brute_partition_contains(text, pattern)
-                        assert partition_contains(text, pattern).contains == reference
-                        if n <= 5:
-                            assert partition_count(text, pattern) == brute_partition_count(
-                                text, pattern
-                            )
+                        hits = groups.get(pattern.word, [])
+                        assert partition_contains(text, pattern).contains == bool(hits)
+                        assert partition_count(text, pattern) == len(hits)
 
     def test_partition_witnesses_exhaustive(self):
         for n in range(6):
-            for k in range(6):
-                for text in partitions_of(n):
+            for text in partitions_of(n):
+                groups = witnesses_by_restriction(text, range(n + 1))
+                for k in range(6):
                     for pattern in partitions_of(k):
-                        hits = partition_witnesses(text, pattern)
+                        hits = groups.get(pattern.word, [])
                         result = partition_contains(text, pattern)
-                        assert result.witness == (min(hits) if hits else None)
+                        assert result.witness == (hits[0] if hits else None)
 
     def test_rgf_engine_exhaustive(self):
         for n in range(6):
@@ -131,6 +128,45 @@ class TestAgainstBruteForce:
                         assert result.contains == bool(hits)
                         assert result.witness == (min(hits) if hits else None)
                         assert rgf_count(text, pattern) == len(hits)
+
+    def test_partition_block_size_shortcut(self, monkeypatch):
+        # exactly the pairs whose block sizes cannot host the pattern's are
+        # answered before any kernel runs, on either backend; the kernels
+        # themselves rule nothing out before searching
+        real, searched = matchers._K, []
+
+        def kernel(name):
+            def call(*args):
+                searched.append(name)
+                return getattr(real, name)(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            matchers,
+            "_K",
+            types.SimpleNamespace(part_find=kernel("part_find"), part_count=kernel("part_count")),
+        )
+        shortcut = 0
+        for n in range(7):
+            for text in partitions_of(n):
+                groups = witnesses_by_restriction(text, range(n + 1))
+                hosts = sorted((len(b) for b in text.blocks), reverse=True)
+                for k in range(7):
+                    for pattern in partitions_of(k):
+                        sizes = sorted((len(b) for b in pattern.blocks), reverse=True)
+                        fits = len(sizes) <= len(hosts) and all(
+                            s <= h for s, h in zip(sizes, hosts)
+                        )
+                        searched.clear()
+                        result = partition_contains(text, pattern)
+                        count = partition_count(text, pattern)
+                        assert searched == (["part_find", "part_count"] if fits else [])
+                        if not fits:
+                            shortcut += 1
+                            assert groups.get(pattern.word, []) == []
+                            assert (result, count) == (MatchResult(False), 0)
+        assert shortcut > 50_000
 
     def test_rgf_letter_count_shortcut(self, monkeypatch):
         # a text word with fewer distinct letters than the pattern is

@@ -12,7 +12,7 @@ from permpart import (
     transport_occurrence,
 )
 from permpart.core import restrict, value_standardize
-from helpers import partition_witnesses, perm_occurrences, perms_of
+from helpers import perm_occurrences, perms_of, witnesses_by_restriction
 
 
 class TestReducePerm:
@@ -93,13 +93,14 @@ class TestWitnessTransport:
             for k in range(4):
                 for perm in perms_of(n):
                     reduced_text = reduce_perm(perm)
+                    groups = witnesses_by_restriction(reduced_text, (2 * k,))
                     for pattern in perms_of(k):
                         reduced_pattern = reduce_perm(pattern)
                         occurrences = [
                             occ
                             for occ in perm_occurrences(perm.values, pattern.values)
                         ]
-                        witnesses = partition_witnesses(reduced_text, reduced_pattern)
+                        witnesses = groups.get(reduced_pattern.word, [])
                         transported = [
                             transport_occurrence(perm, occ) for occ in occurrences
                         ]
