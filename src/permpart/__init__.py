@@ -4,8 +4,8 @@ containment to partition containment.
 
 The library exposes:
 
-- core: the structure types and primitive operations (standardization,
-  restriction, word encodings);
+- core: the structure types and primitive operations (restriction, word
+  encodings);
 - matchers: backtracking containment and counting engines for all three
   notions, with deterministic lexicographically least witnesses;
 - reduction: the matchstick map permutation -> partition and the two-way
@@ -14,7 +14,9 @@ The library exposes:
   single-block patterns in linear time and sends the rest to matchers;
 - oracle: naive brute-force references, exhaustive enumerators, census,
   and the verification gates that check the engines and the reduction
-  against the references at desk scale;
+  against the references at desk scale.  Its names load on first use, so
+  importing the package (or the CLI) for a single query does not pay for
+  the oracle;
 - cli: the ``permpart`` command.
 
 The hot search loops live in a compiled extension when built, with a pure
@@ -26,11 +28,9 @@ from .core import (
     Permutation,
     RGFWord,
     SetPartition,
-    flatten,
     partition_of_rgf,
     restrict,
     rgf_of,
-    value_standardize,
 )
 from .errors import BoundExceeded, SearchCancelled
 from .fastpaths import dispatch_contains
@@ -44,19 +44,6 @@ from .matchers import (
     perm_count,
     rgf_contains,
     rgf_count,
-)
-from .oracle import (
-    CensusRow,
-    Mismatch,
-    VerificationReport,
-    bell_number,
-    brute_partition_contains,
-    brute_partition_count,
-    census,
-    enumerate_partitions,
-    enumerate_permutations,
-    verify_reduction,
-    verify_rgf_coincidence,
 )
 from .reduction import (
     is_matchstick,
@@ -87,7 +74,6 @@ __all__ = [
     "dispatch_contains",
     "enumerate_partitions",
     "enumerate_permutations",
-    "flatten",
     "is_matchstick",
     "kernel_backend",
     "partition_contains",
@@ -103,7 +89,27 @@ __all__ = [
     "rgf_count",
     "rgf_of",
     "transport_occurrence",
-    "value_standardize",
     "verify_reduction",
     "verify_rgf_coincidence",
 ]
+
+# The oracle's public names, imported from permpart.oracle on first access.
+_ORACLE_NAMES = frozenset(
+    "CensusRow Mismatch VerificationReport bell_number brute_partition_contains "
+    "brute_partition_count census enumerate_partitions enumerate_permutations "
+    "verify_reduction verify_rgf_coincidence".split()
+)
+
+
+def __getattr__(name: str):
+    # Looked up afresh on every access, never cached here, so a name rebound
+    # on permpart.oracle is what permpart.<name> returns.
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Permutation, RGFWord, SetPartition, partition_of_rgf, rgf_of
 from .errors import BoundExceeded
@@ -39,8 +39,12 @@ from .matchers import (
     rgf_contains,
     rgf_count,
 )
-from .oracle import VerificationReport, brute_partition_contains, census, verify_reduction, verify_rgf_coincidence
 from .reduction import perm_of_matchstick, reduce_perm
+
+# The oracle (and through it the process pool) is imported by the commands
+# that use it, so the other commands start without it.
+if TYPE_CHECKING:
+    from .oracle import VerificationReport
 
 
 class ParseError(ValueError):
@@ -214,6 +218,8 @@ def _cmd_contains(ns: argparse.Namespace) -> int:
         if ns.oracle:
             if ns.witness:
                 raise ParseError("--oracle yields no witness; drop --witness")
+            from .oracle import brute_partition_contains
+
             result = MatchResult(brute_partition_contains(sigma, pattern))
         else:
             result = dispatch_contains(sigma, pattern)
@@ -267,6 +273,8 @@ def _cmd_rgf_contains(ns: argparse.Namespace) -> int:
 
 
 def _cmd_census(ns: argparse.Namespace) -> int:
+    from .oracle import census
+
     raw = _read_arg(ns.pattern)
     pattern = parse_partition(raw) if ns.notion == "partition" else parse_rgf(raw)
     row = census(ns.n, pattern, ns.notion, force=ns.force, jobs=ns.jobs)
@@ -327,6 +335,8 @@ def _report_output(gate: str, report: VerificationReport, fmt: str) -> None:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .oracle import verify_reduction, verify_rgf_coincidence
+
     gates = ["reduction", "rgf"] if ns.gate == "all" else [ns.gate]
     failed = False
     # Bounds not given fall to each gate's own defaults.

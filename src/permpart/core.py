@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -190,33 +190,3 @@ def partition_of_rgf(word: RGFWord) -> SetPartition:
     return SetPartition._from_canonical(
         tuple(tuple(block) for block in blocks.values()), len(word.letters), word.letters
     )
-
-
-def flatten(word: Sequence[int]) -> tuple[int, ...]:
-    """Relabel letters by order of first occurrence.
-
-    The output is always a valid restricted growth word.
-
-    >>> flatten((3, 1, 3))
-    (1, 2, 1)
-    """
-    relabel: dict[int, int] = {}
-    out = []
-    for letter in word:
-        if letter not in relabel:
-            relabel[letter] = len(relabel) + 1
-        out.append(relabel[letter])
-    return tuple(out)
-
-
-def value_standardize(word: Sequence[int]) -> tuple[int, ...]:
-    """Relabel letters by value rank: the smallest distinct letter becomes 1,
-    the next smallest 2, and so on.  Preserves every equality and strict
-    comparison between positions; the output need not be a restricted growth
-    word.
-
-    >>> value_standardize((3, 1, 3))
-    (2, 1, 2)
-    """
-    rank = {v: i for i, v in enumerate(sorted(set(word)), start=1)}
-    return tuple(rank[v] for v in word)

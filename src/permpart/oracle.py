@@ -18,7 +18,9 @@ Factorial and Bell growth make unbounded runs runaway jobs, so the
 verification and census entry points refuse bounds above a safety limit
 unless forced.  Verification may spread independent instances over worker
 processes; reports aggregate associatively and mismatch lists are sorted,
-so the outcome is schedule independent.
+so the outcome is schedule independent.  The process pool is imported only
+when one runs (jobs > 1 and more than one item), so a serial run does not
+import concurrent.futures or multiprocessing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -177,6 +178,8 @@ def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
         return [worker((items, *args))]
     per = (len(items) + jobs - 1) // jobs
     payloads = [(items[i : i + per], *args) for i in range(0, len(items), per)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, payloads))
 

@@ -11,7 +11,7 @@ doubles, so any partition matcher decides permutation containment.
 
 from __future__ import annotations
 
-from .core import Permutation, SetPartition, restrict
+from .core import Permutation, SetPartition
 from .matchers import OccurrenceIndices, SubsetWitness
 
 

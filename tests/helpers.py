@@ -10,11 +10,32 @@ from functools import lru_cache
 
 from permpart import (
     Permutation,
+    RGFWord,
     SetPartition,
     enumerate_partitions,
     enumerate_permutations,
 )
 from permpart.core import rgf_of
+
+
+# Avoider counts over all partitions of [n], n = 0..10, from Sagan's
+# "Pattern avoidance in set partitions" (arXiv:math/0604292): the
+# noncrossing partitions and the words avoiding 1,2,1,2 are counted by the
+# Catalan numbers, partitions whose blocks hold at most two elements by the
+# involution numbers, and partitions into at most two blocks by 2^(n-1).
+# The words 1,1,1 and 1,2,3 are contained exactly where their partitions
+# are, so they share those counts.
+CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
+INVOLUTIONS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496)
+AT_MOST_TWO_BLOCKS = (1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+SAGAN_ANCHORS = (
+    (SetPartition(((1, 3), (2, 4))), "partition", CATALAN),
+    (RGFWord((1, 2, 1, 2)), "rgf", CATALAN),
+    (SetPartition(((1, 2, 3),)), "partition", INVOLUTIONS),
+    (RGFWord((1, 1, 1)), "rgf", INVOLUTIONS),
+    (SetPartition(((1,), (2,), (3,))), "partition", AT_MOST_TWO_BLOCKS),
+    (RGFWord((1, 2, 3)), "rgf", AT_MOST_TWO_BLOCKS),
+)
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +64,22 @@ def bell_by_triangle(n):
             row.append(row[-1] + value)
         rows.append(row)
     return rows[n][0]
+
+
+def flatten(word):
+    """Relabel letters by order of first occurrence; the output is always a
+    restricted growth word.  flatten((3, 1, 3)) == (1, 2, 1)."""
+    relabel = {}
+    return tuple(relabel.setdefault(letter, len(relabel) + 1) for letter in word)
+
+
+def value_standardize(word):
+    """Relabel letters by value rank, the smallest distinct letter becoming
+    1; keeps every equality and strict comparison between positions, and need
+    not give a restricted growth word.  value_standardize((3, 1, 3)) ==
+    (2, 1, 2)."""
+    rank = {v: i for i, v in enumerate(sorted(set(word)), start=1)}
+    return tuple(rank[v] for v in word)
 
 
 def perm_occurrences(text, pattern):
@@ -83,12 +120,10 @@ def witnesses_by_restriction(text, sizes):
 
 def rgf_positions(text, pattern):
     """All position sets whose subsequence value-standardizes to the pattern
-    word, by full enumeration; rank relabeling is recomputed inline."""
+    word, by full enumeration."""
     n, k = len(text), len(pattern)
     hits = []
     for indices in itertools.combinations(range(n), k):
-        sub = tuple(text[i] for i in indices)
-        rank = {v: r for r, v in enumerate(sorted(set(sub)), start=1)}
-        if tuple(rank[v] for v in sub) == tuple(pattern):
+        if value_standardize([text[i] for i in indices]) == tuple(pattern):
             hits.append(tuple(i + 1 for i in indices))
     return hits

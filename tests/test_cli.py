@@ -10,7 +10,7 @@ from permpart import (
     brute_partition_contains,
     dispatch_contains,
 )
-from permpart import cli
+from permpart import cli, oracle
 from permpart.cli import (
     ParseError,
     format_partition,
@@ -299,7 +299,8 @@ class TestCommands:
         assert out.count(" ok") == 2
 
     def test_verify_passes_only_given_bounds(self, capsys, monkeypatch):
-        # the gates' own signature defaults apply when no bound is given
+        # the gates' own signature defaults apply when no bound is given; the
+        # CLI looks the gates up on permpart.oracle when verify runs
         calls = []
 
         def recorder(gate):
@@ -309,8 +310,8 @@ class TestCommands:
 
             return fake
 
-        monkeypatch.setattr(cli, "verify_reduction", recorder("reduction"))
-        monkeypatch.setattr(cli, "verify_rgf_coincidence", recorder("rgf"))
+        monkeypatch.setattr(oracle, "verify_reduction", recorder("reduction"))
+        monkeypatch.setattr(oracle, "verify_rgf_coincidence", recorder("rgf"))
         for argv, bounds in (
             ([], {}),
             (["--max-n", "3"], {"max_n": 3}),

@@ -10,13 +10,11 @@ from permpart import (
     Permutation,
     RGFWord,
     SetPartition,
-    flatten,
     partition_of_rgf,
     restrict,
     rgf_of,
-    value_standardize,
 )
-from helpers import partitions_of
+from helpers import flatten, partitions_of, value_standardize
 
 
 def subsets(n):

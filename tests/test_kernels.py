@@ -22,10 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpart import _backend, _kernels_py
+from permpart import _backend, _kernels_py, census, matchers
 from permpart.core import rgf_of
 from permpart.errors import SearchCancelled
-from helpers import partitions_of, perms_of
+from helpers import SAGAN_ANCHORS, partitions_of, perms_of
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "permpart" / "_kernels.c"
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
@@ -244,3 +244,11 @@ def test_perm_kernels_parity_random(compiled, text, pattern):
     pattern = tuple(pattern)
     assert compiled.perm_find(text, pattern) == _kernels_py.perm_find(text, pattern)
     assert compiled.perm_count(text, pattern) == _kernels_py.perm_count(text, pattern)
+
+
+def test_census_sagan_anchors_at_ten(compiled, monkeypatch):
+    # census reads the kernel table at call time
+    monkeypatch.setattr(matchers, "_K", compiled)
+    for pattern, notion, avoiders in SAGAN_ANCHORS:
+        row = census(10, pattern, notion)
+        assert (row.avoiders, row.total) == (avoiders[10], 115975), pattern

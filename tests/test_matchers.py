@@ -18,13 +18,14 @@ from permpart import (
     rgf_count,
 )
 from permpart import matchers
-from permpart.core import restrict, rgf_of, value_standardize
+from permpart.core import restrict, rgf_of
 from helpers import (
     partitions_of,
     perm_occurrences,
     perms_of,
     rgf_positions,
     rgf_words_of,
+    value_standardize,
     witnesses_by_restriction,
 )
 

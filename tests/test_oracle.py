@@ -21,7 +21,7 @@ from permpart import (
     verify_rgf_coincidence,
 )
 from permpart import oracle
-from helpers import bell_by_triangle, partitions_of, perms_of
+from helpers import SAGAN_ANCHORS, bell_by_triangle, partitions_of, perms_of
 
 
 class TestBellNumbers:
@@ -221,6 +221,13 @@ class TestCensus:
             assert row.total == 1 and row.containers == (pattern.n == 0)
             row = census(0, rgf_of(pattern), "rgf")
             assert row.total == 1 and row.containers == (pattern.n == 0)
+
+    def test_sagan_anchors(self):
+        # n <= 9 on the suite's backend; n = 10 runs on the compiled kernels
+        # in test_kernels.py
+        for pattern, notion, avoiders in SAGAN_ANCHORS:
+            for n in range(10):
+                assert census(n, pattern, notion).avoiders == avoiders[n], (pattern, n)
 
 
 def _per_pair_reports(max_n, max_k):

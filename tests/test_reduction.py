@@ -11,8 +11,8 @@ from permpart import (
     reduce_perm,
     transport_occurrence,
 )
-from permpart.core import restrict, value_standardize
-from helpers import perm_occurrences, perms_of, witnesses_by_restriction
+from permpart.core import restrict
+from helpers import perm_occurrences, perms_of, value_standardize, witnesses_by_restriction
 
 
 class TestReducePerm:
