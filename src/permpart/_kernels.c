@@ -2,9 +2,11 @@
  *
  * Twin of permpart._kernels_py: the same six functions, the same pruning and
  * the same search order (so witnesses, counts and cancel polls are
- * identical), with the loops in C.  Each notion has one search loop; its find
- * entry stops at the first complete match and returns the witness, its count
- * entry counts every match.  See the pure module for the algorithm notes.
+ * identical), with the loops in C.  Permutations have one search loop, and
+ * partitions and words share another that an ordered flag switches to the
+ * word rule; a find entry stops at the first complete match and returns the
+ * witness, a count entry counts every match.  See the pure module for the
+ * algorithm notes.
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
@@ -53,15 +55,21 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames
     return 0;
 }
 
-/* The scratch arrays of one search, freed together; no search takes more
- * than eight. */
+/* The scratch arrays of one search, freed together.  word_search takes the
+ * most: tw, pw, avail, need, is_new, chosen, bound and used. */
+#define ARENA_BLOCKS 8
 typedef struct {
-    void *block[8];
+    void *block[ARENA_BLOCKS];
     int used;
 } Arena;
 
 static void *take(Arena *a, Py_ssize_t count, size_t size) {
-    void *p = PyMem_Calloc(count > 0 ? (size_t)count : 1, size);
+    void *p;
+    if (a->used == ARENA_BLOCKS) {
+        PyErr_SetString(PyExc_SystemError, "kernel arena is full");
+        return NULL;
+    }
+    p = PyMem_Calloc(count > 0 ? (size_t)count : 1, size);
     return p == NULL ? PyErr_NoMemory() : (a->block[a->used++] = p);
 }
 
@@ -144,39 +152,6 @@ static int *suffix_table(Arena *a, const int *word, Py_ssize_t n, int width) {
     return table;
 }
 
-/* What the two word searches share: both words and their largest letters,
- * the suffix-count tables (avail stays NULL past TABLE_LIMIT), the
- * pattern's first occurrences and the chosen positions. */
-typedef struct {
-    int *tw, *pw, *avail, *need, *is_new, nt, np;
-    Py_ssize_t *chosen;
-} Words;
-
-/* Read both words and build the tables.  On error chosen, taken last, stays
- * NULL with an exception set.  Returned by value, so that the search loops
- * can keep its fields in registers. */
-static Words load_words(Arena *a, const Call *c) {
-    Py_ssize_t n = c->n, k = c->k;
-    Words w = {0};
-    int peak = 0;
-    if ((w.tw = read_ints(a, c->text, n, &w.nt)) == NULL || (w.pw = read_ints(a, c->pattern, k, &w.np)) == NULL ||
-        ((n + 1) * w.nt <= TABLE_LIMIT && (w.avail = suffix_table(a, w.tw, n, w.nt)) == NULL) ||
-        (w.need = suffix_table(a, w.pw, k, w.np)) == NULL || (w.is_new = take(a, k, sizeof(int))) == NULL ||
-        (w.chosen = take(a, k, sizeof(Py_ssize_t))) == NULL)
-        return w;
-    for (Py_ssize_t j = 0; j < k; j++) {
-        w.is_new[j] = w.pw[j] > peak;
-        peak = w.pw[j] > peak ? w.pw[j] : peak;
-    }
-    return w;
-}
-
-/* Does the text after position i hold at least as many copies of letter t
- * as the pattern after slot j holds of letter p? */
-static inline int enough_left(const Words *w, Py_ssize_t i, int t, Py_ssize_t j, int p) {
-    return w->avail == NULL || w->avail[(i + 1) * w->nt + t - 1] >= w->need[(j + 1) * w->np + p - 1];
-}
-
 static PyObject *perm_search(const Call *c, Arena *a, int find) {
     Py_ssize_t n = c->n, k = c->k, i = 0, j, ticks = 0, *lo, *hi, *chosen;
     int *tv, *pv;
@@ -217,118 +192,80 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     return answer(find, count, chosen, k);
 }
 
-static PyObject *part_search(const Call *c, Arena *a, int find) {
-    Py_ssize_t n = c->n, k = c->k, i = 0, j = 0, ticks = 0;
-    /* assigned: pattern block -> text block, 0 = unassigned; used: text
-     * blocks taken. */
-    int *assigned, *used;
-    const Words w = load_words(a, c);
+/* Partitions and words: see _word_search in the pure module.  A new
+ * pattern letter p takes a text block no other letter holds (partitions) or,
+ * when ordered (words), a text letter above the one bound to p - 1. */
+static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
+    Py_ssize_t n = c->n, k = c->k, i = 0, j, ticks = 0, *chosen;
+    /* bound: pattern letter -> text letter, 0 = unbound; used: text letters
+     * bound; avail, the text's suffix counts, stays NULL past TABLE_LIMIT. */
+    int *tw, *pw, *avail = NULL, *need, *is_new, *bound, *used, nt = 0, np = 0, peak = 0;
     unsigned long long count = 0;
 
-    if (w.chosen == NULL || (assigned = take(a, w.np + 1, sizeof(int))) == NULL ||
-        (used = take(a, w.nt + 1, sizeof(int))) == NULL)
+    if ((tw = read_ints(a, c->text, n, &nt)) == NULL || (pw = read_ints(a, c->pattern, k, &np)) == NULL ||
+        ((n + 1) * nt <= TABLE_LIMIT && (avail = suffix_table(a, tw, n, nt)) == NULL) ||
+        (need = suffix_table(a, pw, k, np)) == NULL || (is_new = take(a, k, sizeof(int))) == NULL ||
+        (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL || (bound = take(a, np + 1, sizeof(int))) == NULL ||
+        (used = take(a, nt + 1, sizeof(int))) == NULL)
         return NULL;
-    for (; !(find && count); i++) {
+    for (j = 0; j < k; j++) {
+        is_new[j] = pw[j] > peak;
+        peak = pw[j] > peak ? pw[j] : peak;
+    }
+    for (j = 0; !(find && count); i++) {
         if (poll(c->cancel, ++ticks) < 0)
             return NULL;
         if (i > n - (k - j)) {
             if (j == 0)
                 break;
-            i = w.chosen[--j];
-            if (w.is_new[j]) {
-                used[assigned[w.pw[j]]] = 0;
-                assigned[w.pw[j]] = 0;
+            i = chosen[--j];
+            if (is_new[j]) {
+                used[bound[pw[j]]] = 0;
+                bound[pw[j]] = 0;
             }
             continue;
         }
-        int t = w.tw[i], block = w.pw[j];
-        if ((w.is_new[j] ? !used[t] : t == assigned[block]) && enough_left(&w, i, t, j, block)) {
-            w.chosen[j] = i;
+        int t = tw[i], p = pw[j];
+        if ((is_new[j] ? (ordered ? t > bound[p - 1] : !used[t]) : t == bound[p]) &&
+            (avail == NULL || avail[(i + 1) * nt + t - 1] >= need[(j + 1) * np + p - 1])) {
+            chosen[j] = i;
             if (j == k - 1) {
                 count++;
             } else {
-                if (w.is_new[j]) {
-                    assigned[block] = t;
+                if (is_new[j]) {
+                    bound[p] = t;
                     used[t] = 1;
                 }
                 j++;
             }
         }
     }
-    return answer(find, count, w.chosen, k);
-}
-
-/* May text letter t be bound to this rank?  It must sit strictly between
- * the letters bound to the nearest lower and higher ranks. */
-static int between_bounds(const int *bound, int rank, int m, int t) {
-    int r = rank - 1, s = rank + 1;
-    while (r > 0 && !bound[r])
-        r--;
-    if (r > 0 && t <= bound[r])
-        return 0;
-    while (s <= m && !bound[s])
-        s++;
-    return s > m || t < bound[s];
-}
-
-static PyObject *rgf_search(const Call *c, Arena *a, int find) {
-    Py_ssize_t n = c->n, k = c->k, i = 0, j = 0, ticks = 0;
-    int *bound; /* bound: pattern rank -> text letter, 0 = unbound */
-    const Words w = load_words(a, c);
-    unsigned long long count = 0;
-
-    if (w.chosen == NULL || (bound = take(a, w.np + 1, sizeof(int))) == NULL)
-        return NULL;
-    for (; !(find && count); i++) {
-        if (poll(c->cancel, ++ticks) < 0)
-            return NULL;
-        if (i > n - (k - j)) {
-            if (j == 0)
-                break;
-            i = w.chosen[--j];
-            if (w.is_new[j])
-                bound[w.pw[j]] = 0;
-            continue;
-        }
-        int t = w.tw[i], rank = w.pw[j];
-        if ((w.is_new[j] ? between_bounds(bound, rank, w.np, t) : t == bound[rank]) &&
-            enough_left(&w, i, t, j, rank)) {
-            w.chosen[j] = i;
-            if (j == k - 1) {
-                count++;
-            } else {
-                if (w.is_new[j])
-                    bound[rank] = t;
-                j++;
-            }
-        }
-    }
-    return answer(find, count, w.chosen, k);
+    return answer(find, count, chosen, k);
 }
 
 /* The six entries: the empty pattern occurs once, at no positions; a
  * pattern longer than its text never occurs. */
-#define ENTRY(name, search, find)                                                          \
-    static PyObject *name(PyObject *self, PyObject *const *args, Py_ssize_t nargs,         \
-                          PyObject *kwnames) {                                             \
-        Call c;                                                                            \
-        Arena a = {0};                                                                     \
-        PyObject *result;                                                                  \
-        if (parse_call(args, nargs, kwnames, &c) < 0)                                      \
-            return NULL;                                                                   \
-        if (c.k == 0 || c.k > c.n)                                                         \
-            return answer(find, c.k == 0, NULL, 0);                                        \
-        result = search(&c, &a, find);                                                     \
-        release(&a);                                                                       \
-        return result;                                                                     \
+#define ENTRY(name, find, search)                                                  \
+    static PyObject *name(PyObject *self, PyObject *const *args, Py_ssize_t nargs, \
+                          PyObject *kwnames) {                                     \
+        Call c;                                                                    \
+        Arena a = {0};                                                             \
+        PyObject *result;                                                          \
+        if (parse_call(args, nargs, kwnames, &c) < 0)                              \
+            return NULL;                                                           \
+        if (c.k == 0 || c.k > c.n)                                                 \
+            return answer(find, c.k == 0, NULL, 0);                                \
+        result = search;                                                           \
+        release(&a);                                                               \
+        return result;                                                             \
     }
 
-ENTRY(perm_find, perm_search, 1)
-ENTRY(perm_count, perm_search, 0)
-ENTRY(part_find, part_search, 1)
-ENTRY(part_count, part_search, 0)
-ENTRY(rgf_find, rgf_search, 1)
-ENTRY(rgf_count, rgf_search, 0)
+ENTRY(perm_find, 1, perm_search(&c, &a, 1))
+ENTRY(perm_count, 0, perm_search(&c, &a, 0))
+ENTRY(part_find, 1, word_search(&c, &a, 0, 1))
+ENTRY(part_count, 0, word_search(&c, &a, 0, 0))
+ENTRY(rgf_find, 1, word_search(&c, &a, 1, 1))
+ENTRY(rgf_count, 0, word_search(&c, &a, 1, 0))
 
 #define DEF(name, doc)                                                         \
     {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL | METH_KEYWORDS, \

@@ -5,16 +5,18 @@ The compiled extension permpart._kernels implements the same six functions
 with identical semantics and identical search order; permpart._backend picks
 whichever is available at import time.
 
-Each notion (permutations, partitions, words) has one search loop with a
-``find`` flag: find returns the witness at the first complete match, count
-counts every match.  The six public functions are thin entries to these
-three loops.
+Two search loops serve the three notions: one for permutations, and one
+for partitions and words, whose ``ordered`` flag picks the word rule.  Each
+takes a ``find`` flag: find returns the witness at the first complete match,
+count counts every match.  The six public functions are thin entries to
+these two loops.
 
 Kernel conventions:
 
 - inputs are plain tuples of ints; permutations come as their value words,
   set partitions as their block-index words (a restricted growth word whose
-  i-th letter names the block containing i);
+  i-th letter names the block containing i); a word pattern is a restricted
+  growth word, a word text any word;
 - returned witnesses are 1-based position tuples, always the
   lexicographically least solution, or None;
 - every slot of the search picks positions left to right in increasing
@@ -145,24 +147,34 @@ def _first_occurrences(word: Sequence[int]) -> list[bool]:
     return new
 
 
-def _part_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
-    """Both partitions arrive as block-index words.  The restriction of the
-    text to positions T equals the pattern iff the text word's subsequence
-    at T flattens (first-occurrence relabeling) to the pattern word, so the
-    search assigns pattern blocks to distinct text blocks left to right.
+def _word_search(
+    text: Sequence[int], pattern: Sequence[int], ordered: bool, find: bool, cancel: Cancel
+):
+    """Both words arrive as letter tuples and the pattern is a restricted
+    growth word, so its letters 1..m first occur in that order.  The search
+    binds each pattern letter to a text letter at its first occurrence, and
+    every later copy must match its binding.
+
+    The notions differ only in which text letter a new pattern letter p may
+    take.  Partitions (block-index words): the restriction of the text to
+    positions T equals the pattern iff the subsequence at T flattens to the
+    pattern word, so p takes a text block no other letter holds.  Words
+    (``ordered``): the subsequence must value-standardize to the pattern, so
+    the binding increases with the letter; as letters above p are not yet
+    bound, p needs only a text letter above the one bound to p - 1.
     """
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
     if min(text) < 1 or min(pattern) < 1:
         raise ValueError("word letters must be at least 1")
-    nb = max(text)
+    nt = max(text)
     npat = max(pattern)
-    avail = _suffix_counts(text, nb) if (n + 1) * nb <= _TABLE_LIMIT else None
+    avail = _suffix_counts(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
     need = _suffix_counts(pattern, npat)
     is_new = _first_occurrences(pattern)
-    assigned = [0] * (npat + 1)  # pattern block -> text block, 0 = unassigned
-    used = [False] * (nb + 1)
+    bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
+    used = [False] * (nt + 1)  # text letters bound to some pattern letter
     chosen = [0] * k
     count = j = i = ticks = 0
     while True:
@@ -172,26 +184,29 @@ def _part_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
             if j == 0:
                 return None if find else count
             j -= 1
-            block = pattern[j]
             if is_new[j]:
-                used[assigned[block]] = False
-                assigned[block] = 0
+                p = pattern[j]
+                used[bound[p]] = False
+                bound[p] = 0
             i = chosen[j] + 1
             continue
         t = text[i]
-        block = pattern[j]
-        ok = (not used[t]) if is_new[j] else (t == assigned[block])
+        p = pattern[j]
+        if is_new[j]:
+            ok = t > bound[p - 1] if ordered else not used[t]
+        else:
+            ok = t == bound[p]
         if (
             ok
             and avail is not None
-            and avail[(i + 1) * nb + t - 1] < need[(j + 1) * npat + block - 1]
+            and avail[(i + 1) * nt + t - 1] < need[(j + 1) * npat + p - 1]
         ):
             ok = False
         if ok:
             chosen[j] = i
             if j < k - 1:
                 if is_new[j]:
-                    assigned[block] = t
+                    bound[p] = t
                     used[t] = True
                 j += 1
             elif find:
@@ -206,82 +221,12 @@ def part_find(
 ) -> tuple[int, ...] | None:
     """Lexicographically least subset T of the text partition's ground set
     whose restriction equals the pattern partition, or None."""
-    return _part_search(text, pattern, True, cancel)
+    return _word_search(text, pattern, False, True, cancel)
 
 
 def part_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
     """Exact number of subsets whose restriction equals the pattern."""
-    return _part_search(text, pattern, False, cancel)
-
-
-def _between_bounds(bound: list[int], rank: int, m: int, t: int) -> bool:
-    """May text letter t be bound to this rank?  It must sit strictly between
-    the letters bound to the nearest lower and higher ranks."""
-    for r in range(rank - 1, 0, -1):
-        if bound[r]:
-            if t <= bound[r]:
-                return False
-            break
-    for r in range(rank + 1, m + 1):
-        if bound[r]:
-            if t >= bound[r]:
-                return False
-            break
-    return True
-
-
-def _rgf_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
-    """The pattern is a restricted growth word, so its letters are exactly
-    the value ranks 1..m; the search binds each rank to a text letter,
-    keeping the binding strictly increasing in the rank.
-    """
-    n, k = len(text), len(pattern)
-    if k == 0 or k > n:
-        return _trivial(find, k == 0)
-    if min(text) < 1 or min(pattern) < 1:
-        raise ValueError("word letters must be at least 1")
-    m = max(pattern)
-    maxt = max(text)
-    avail = _suffix_counts(text, maxt) if (n + 1) * maxt <= _TABLE_LIMIT else None
-    need = _suffix_counts(pattern, m)
-    is_new = _first_occurrences(pattern)
-    bound = [0] * (m + 1)  # rank -> text letter, 0 = unbound
-    chosen = [0] * k
-    count = j = i = ticks = 0
-    while True:
-        ticks += 1
-        _poll(cancel, ticks)
-        if i > n - (k - j):
-            if j == 0:
-                return None if find else count
-            j -= 1
-            if is_new[j]:
-                bound[pattern[j]] = 0
-            i = chosen[j] + 1
-            continue
-        t = text[i]
-        rank = pattern[j]
-        if is_new[j]:
-            ok = _between_bounds(bound, rank, m, t)
-        else:
-            ok = t == bound[rank]
-        if (
-            ok
-            and avail is not None
-            and avail[(i + 1) * maxt + t - 1] < need[(j + 1) * m + rank - 1]
-        ):
-            ok = False
-        if ok:
-            chosen[j] = i
-            if j < k - 1:
-                if is_new[j]:
-                    bound[rank] = t
-                j += 1
-            elif find:
-                return tuple(c + 1 for c in chosen)
-            else:
-                count += 1
-        i += 1
+    return _word_search(text, pattern, False, False, cancel)
 
 
 def rgf_find(
@@ -289,10 +234,10 @@ def rgf_find(
 ) -> tuple[int, ...] | None:
     """Lexicographically least position set at which the text word's
     subsequence value-standardizes to the pattern word, or None."""
-    return _rgf_search(text, pattern, True, cancel)
+    return _word_search(text, pattern, True, True, cancel)
 
 
 def rgf_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
     """Exact number of position sets whose subsequence value-standardizes to
     the pattern word."""
-    return _rgf_search(text, pattern, False, cancel)
+    return _word_search(text, pattern, True, False, cancel)

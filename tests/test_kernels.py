@@ -10,6 +10,7 @@ suite keeps whichever backend permpart picked at import.
 """
 
 import importlib.util
+import itertools
 import os
 import shlex
 import shutil
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from permpart import _backend, _kernels_py, census, matchers
 from permpart.core import rgf_of
 from permpart.errors import SearchCancelled
-from helpers import SAGAN_ANCHORS, partitions_of, perms_of
+from helpers import SAGAN_ANCHORS, partitions_of, perms_of, rgf_positions, rgf_words_of
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "permpart" / "_kernels.c"
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
@@ -39,6 +40,7 @@ LONG_SEARCHES = [
     ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
     ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
     ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4)),
+    ("rgf_count", tuple(range(1, 41)) * 2, (1, 2, 1, 2)),
 ]
 
 
@@ -140,7 +142,9 @@ def test_pure_word_letters_below_one_are_rejected(name, text, pattern):
         getattr(_kernels_py, name)(text, pattern)
 
 
-@pytest.mark.parametrize("name, text, pattern", LONG_SEARCHES[1::2])
+@pytest.mark.parametrize(
+    "name, text, pattern", [s for s in LONG_SEARCHES if s[0].endswith("_count")]
+)
 def test_count_cancels_on_the_second_poll(backend, name, text, pattern):
     calls = []
 
@@ -232,6 +236,18 @@ def test_rgf_kernels_parity_on_general_text_words(compiled, text, pattern):
     # Word containment takes any word of positive letters as its text.
     assert compiled.rgf_find(text, pattern) == _kernels_py.rgf_find(text, pattern)
     assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(text, pattern)
+
+
+def test_rgf_kernels_match_brute_force_on_general_text_words(backend):
+    # Every word over the letters 1..3 up to length 6, so a fault shared by
+    # both backends shows too.
+    patterns = [word.letters for k in range(5) for word in rgf_words_of(k)]
+    for n in range(7):
+        for text in itertools.product((1, 2, 3), repeat=n):
+            for pattern in patterns:
+                hits = rgf_positions(text, pattern)
+                assert backend.rgf_find(text, pattern) == (hits[0] if hits else None)
+                assert backend.rgf_count(text, pattern) == len(hits)
 
 
 @settings(max_examples=200, deadline=None)
