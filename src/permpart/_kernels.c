@@ -6,7 +6,7 @@
  * partitions and words share another that an ordered flag switches to the
  * word rule; a find entry stops at the first complete match and returns the
  * witness, a count entry counts every match.  See the pure module for the
- * algorithm notes.
+ * algorithm notes, the order lookahead of the word search included.
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
@@ -18,8 +18,8 @@
 #include <Python.h>
 
 #define POLL_MASK ((1 << 14) - 1)
-/* Text-side suffix-count tables are skipped above this many entries; the
- * search stays correct, only less pruned. */
+/* The text's next-position table is skipped above this many entries, and
+ * with it the order lookahead; the search stays correct, only less pruned. */
 #define TABLE_LIMIT 4000000
 
 static PyObject *SearchCancelled;
@@ -56,7 +56,7 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames
 }
 
 /* The scratch arrays of one search, freed together.  word_search takes the
- * most: tw, pw, avail, need, is_new, chosen, bound and used. */
+ * most: tw, pw, nxt, is_new, ahead, chosen, bound and used. */
 #define ARENA_BLOCKS 8
 typedef struct {
     void *block[ARENA_BLOCKS];
@@ -98,9 +98,11 @@ static PyObject *answer(int find, unsigned long long count, const Py_ssize_t *ch
 }
 
 /* Copy a sequence of n ints.  For a word (peak given), letters below 1 are
- * rejected and the largest letter is stored in *peak.  The items are read
- * from a tuple snapshot, which an item's __index__ cannot shrink. */
-static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak) {
+ * rejected and the largest letter is stored in *peak; for a pattern word
+ * (growth), so is a letter above the running peak + 1, which a restricted
+ * growth word never has.  The items are read from a tuple snapshot, which an
+ * item's __index__ cannot shrink. */
+static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, int growth) {
     PyObject *items = PySequence_Tuple(seq);
     int *out = NULL;
     if (items != NULL && PyTuple_GET_SIZE(items) != n)
@@ -116,6 +118,9 @@ static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak) {
             out = NULL;
         } else if (peak != NULL && v < 1) {
             PyErr_SetString(PyExc_ValueError, "word letters must be at least 1");
+            out = NULL;
+        } else if (growth && v - 1 > *peak) {
+            PyErr_SetString(PyExc_ValueError, "a word pattern must be a restricted growth word");
             out = NULL;
         } else {
             out[i] = (int)v;
@@ -139,15 +144,17 @@ static int poll(PyObject *cancel, Py_ssize_t ticks) {
     return stop ? -1 : 0;
 }
 
-/* Flat (n+1) x width table: entry [i*width + t-1] counts letter t among
- * word[i:]. */
-static int *suffix_table(Arena *a, const int *word, Py_ssize_t n, int width) {
+/* Flat (n+1) x width table: entry [i*width + t-1] is the first position at
+ * or after i that holds letter t, or n. */
+static int *next_table(Arena *a, const int *word, Py_ssize_t n, int width) {
     int *table = take(a, (n + 1) * width, sizeof(int));
+    for (int t = 0; table != NULL && t < width; t++)
+        table[n * width + t] = (int)n;
     for (Py_ssize_t i = n - 1; table != NULL && i >= 0; i--) {
         int *row = table + i * width;
         for (int t = 0; t < width; t++)
             row[t] = row[width + t];
-        row[word[i] - 1]++;
+        row[word[i] - 1] = (int)i;
     }
     return table;
 }
@@ -157,7 +164,8 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     int *tv, *pv;
     unsigned long long count = 0;
 
-    if ((tv = read_ints(a, c->text, n, NULL)) == NULL || (pv = read_ints(a, c->pattern, k, NULL)) == NULL ||
+    if ((tv = read_ints(a, c->text, n, NULL, 0)) == NULL ||
+        (pv = read_ints(a, c->pattern, k, NULL, 0)) == NULL ||
         (lo = take(a, k, sizeof(Py_ssize_t))) == NULL || (hi = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL)
         return NULL;
@@ -192,26 +200,55 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     return answer(find, count, chosen, k);
 }
 
+/* The order lookahead of _word_search: slot j takes text position i, with
+ * text letter t for pattern letter p.  Can slots j+1..last still take
+ * positions in order?  A slot whose letter is bound jumps to the next
+ * occurrence of its text letter, any other slot to the next position, and
+ * slot s fails past n - k + s, where too few positions are left after it.
+ * Kept out of line: most accepted slots never call it. */
+Py_NO_INLINE static int fits_ahead(const int *nxt, int nt, Py_ssize_t n, Py_ssize_t k, const int *pw,
+                                   const int *bound, Py_ssize_t j, Py_ssize_t last, Py_ssize_t i, int p,
+                                   int t) {
+    for (Py_ssize_t s = j + 1, pos = i; s <= last; s++) {
+        int b = pw[s] == p ? t : bound[pw[s]];
+        pos = b ? nxt[(pos + 1) * nt + b - 1] : pos + 1;
+        if (pos > n - k + s)
+            return 0;
+    }
+    return 1;
+}
+
 /* Partitions and words: see _word_search in the pure module.  A new
  * pattern letter p takes a text block no other letter holds (partitions) or,
  * when ordered (words), a text letter above the one bound to p - 1. */
 static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
-    Py_ssize_t n = c->n, k = c->k, i = 0, j, ticks = 0, *chosen;
+    Py_ssize_t n = c->n, k = c->k, i = 0, j, last = 0, ticks = 0, *ahead, *chosen;
     /* bound: pattern letter -> text letter, 0 = unbound; used: text letters
-     * bound; avail, the text's suffix counts, stays NULL past TABLE_LIMIT. */
-    int *tw, *pw, *avail = NULL, *need, *is_new, *bound, *used, nt = 0, np = 0, peak = 0;
+     * bound; nxt, the text's next positions, stays NULL past TABLE_LIMIT. */
+    int *tw, *pw, *nxt = NULL, *is_new, *bound, *used, nt = 0, np = 0, peak = 0;
     unsigned long long count = 0;
 
-    if ((tw = read_ints(a, c->text, n, &nt)) == NULL || (pw = read_ints(a, c->pattern, k, &np)) == NULL ||
-        ((n + 1) * nt <= TABLE_LIMIT && (avail = suffix_table(a, tw, n, nt)) == NULL) ||
-        (need = suffix_table(a, pw, k, np)) == NULL || (is_new = take(a, k, sizeof(int))) == NULL ||
+    if ((tw = read_ints(a, c->text, n, &nt, 0)) == NULL ||
+        (pw = read_ints(a, c->pattern, k, &np, 1)) == NULL ||
+        ((n + 1) * nt <= TABLE_LIMIT && (nxt = next_table(a, tw, n, nt)) == NULL) ||
+        (is_new = take(a, k, sizeof(int))) == NULL || (ahead = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL || (bound = take(a, np + 1, sizeof(int))) == NULL ||
         (used = take(a, nt + 1, sizeof(int))) == NULL)
         return NULL;
+    /* ahead[j]: the last slot whose letter is bound once slot j is taken,
+     * or j if none is (or there is no table).  Until the search starts,
+     * bound[q] holds the last slot of letter q. */
+    for (j = 0; j < k; j++)
+        bound[pw[j]] = (int)j;
     for (j = 0; j < k; j++) {
         is_new[j] = pw[j] > peak;
-        peak = pw[j] > peak ? pw[j] : peak;
+        if (is_new[j]) {
+            peak = pw[j];
+            last = bound[peak] > last ? bound[peak] : last;
+        }
+        ahead[j] = nxt != NULL && last > j ? last : j;
     }
+    memset(bound, 0, (size_t)(np + 1) * sizeof(int));
     for (j = 0; !(find && count); i++) {
         if (poll(c->cancel, ++ticks) < 0)
             return NULL;
@@ -227,7 +264,7 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
         }
         int t = tw[i], p = pw[j];
         if ((is_new[j] ? (ordered ? t > bound[p - 1] : !used[t]) : t == bound[p]) &&
-            (avail == NULL || avail[(i + 1) * nt + t - 1] >= need[(j + 1) * np + p - 1])) {
+            (ahead[j] == j || fits_ahead(nxt, nt, n, k, pw, bound, j, ahead[j], i, p, t))) {
             chosen[j] = i;
             if (j == k - 1) {
                 count++;

@@ -23,7 +23,8 @@ Kernel conventions:
   order, so the first complete match found is the lexicographically least;
 - ``cancel`` is an optional zero-argument callable polled every few thousand
   search steps; returning True aborts the search with SearchCancelled;
-- word letters below 1 raise ValueError.
+- word letters below 1 raise ValueError, and so does a word pattern that is
+  not a restricted growth word.
 
 The kernels only search.  Past the trivial answers for an empty pattern or
 one longer than its text, they rule out no match before searching: the
@@ -39,8 +40,8 @@ from .errors import SearchCancelled
 
 _POLL_MASK = (1 << 14) - 1
 
-# Text-side suffix-count tables are skipped above this size (entries); the
-# search stays correct, only less pruned.
+# The text's next-position table is skipped above this size (entries), and
+# with it the order lookahead; the search stays correct, only less pruned.
 _TABLE_LIMIT = 4_000_000
 
 Cancel = Callable[[], bool] | None
@@ -122,29 +123,36 @@ def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = Non
     return _perm_search(text, pattern, False, cancel)
 
 
-def _suffix_counts(word: Sequence[int], width: int) -> list[int]:
-    """Flat (len+1) x width table: entry [i*width + t-1] counts letter t among
-    word[i:]."""
+def _next_positions(word: Sequence[int], width: int) -> list[int]:
+    """Flat (len+1) x width table: entry [i*width + t-1] is the first
+    position at or after i that holds letter t, or len(word)."""
     n = len(word)
-    table = [0] * ((n + 1) * width)
+    table = [n] * ((n + 1) * width)
     for i in range(n - 1, -1, -1):
         base = i * width
-        nxt = base + width
-        for t in range(width):
-            table[base + t] = table[nxt + t]
-        table[base + word[i] - 1] += 1
+        table[base : base + width] = table[base + width : base + 2 * width]
+        table[base + word[i] - 1] = i
     return table
 
 
-def _first_occurrences(word: Sequence[int]) -> list[bool]:
-    # For a restricted growth word, letter growth marks first occurrences.
-    peak = 0
-    new = []
-    for letter in word:
-        new.append(letter > peak)
+def _pattern_slots(pattern: Sequence[int], lookahead: bool) -> tuple[list[bool], list[int]]:
+    """For each slot j: is its letter new, and ahead[j], the last slot whose
+    letter is bound once slot j is taken (j if none is, or if not
+    lookahead).  Raises ValueError unless the pattern is a restricted growth
+    word, whose letters 1..m first occur in that order."""
+    last_slot = {letter: j for j, letter in enumerate(pattern)}
+    is_new = []
+    ahead = []
+    peak = last = 0
+    for j, letter in enumerate(pattern):
+        if letter > peak + 1:
+            raise ValueError("a word pattern must be a restricted growth word")
+        is_new.append(letter > peak)
         if letter > peak:
             peak = letter
-    return new
+            last = max(last, last_slot[letter])
+        ahead.append(last if lookahead and last > j else j)
+    return is_new, ahead
 
 
 def _word_search(
@@ -162,6 +170,18 @@ def _word_search(
     (``ordered``): the subsequence must value-standardize to the pattern, so
     the binding increases with the letter; as letters above p are not yet
     bound, p needs only a text letter above the one bound to p - 1.
+
+    Order lookahead, for both notions: once slot j is taken, the letters up
+    to the running peak are bound, and every later slot holding one of them
+    needs a later copy of its text letter, in order.  Greedily placing each
+    such slot at the next copy of its text letter, and each other slot at
+    the next position, gives the least position every later slot can take;
+    a slot placed where too few positions follow it rules the choice out.
+    The check is necessary, so the search order, the witnesses and the
+    counts stay those of the unpruned search.  It is at least as strong as
+    counting, per bound letter, the copies left ahead in text and pattern.
+    On a matchstick pair (the image of two permutations under the
+    reduction) it is the order check of the permutation search.
     """
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
@@ -170,9 +190,8 @@ def _word_search(
         raise ValueError("word letters must be at least 1")
     nt = max(text)
     npat = max(pattern)
-    avail = _suffix_counts(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
-    need = _suffix_counts(pattern, npat)
-    is_new = _first_occurrences(pattern)
+    text_next = _next_positions(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
+    is_new, ahead = _pattern_slots(pattern, text_next is not None)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
     used = [False] * (nt + 1)  # text letters bound to some pattern letter
     chosen = [0] * k
@@ -196,12 +215,20 @@ def _word_search(
             ok = t > bound[p - 1] if ordered else not used[t]
         else:
             ok = t == bound[p]
-        if (
-            ok
-            and avail is not None
-            and avail[(i + 1) * nt + t - 1] < need[(j + 1) * npat + p - 1]
-        ):
-            ok = False
+        if ok and ahead[j] != j:
+            # The order lookahead, inline: can slots j+1..ahead[j] still
+            # take positions in order after i?  A slot whose letter is
+            # bound jumps to the next copy of its text letter, any other to
+            # the next position, and slot s fails past n - k + s.
+            pos = i
+            room = n - k + j
+            for q in pattern[j + 1 : ahead[j] + 1]:
+                room += 1
+                b = t if q == p else bound[q]
+                pos = text_next[(pos + 1) * nt + b - 1] if b else pos + 1
+                if pos > room:
+                    ok = False
+                    break
         if ok:
             chosen[j] = i
             if j < k - 1:

@@ -23,13 +23,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpart import _backend, _kernels_py, census, matchers
+from permpart import Permutation, _backend, _kernels_py, census, matchers, reduce_perm
 from permpart.core import rgf_of
 from permpart.errors import SearchCancelled
 from helpers import SAGAN_ANCHORS, partitions_of, perms_of, rgf_positions, rgf_words_of
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "permpart" / "_kernels.c"
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
+
+
+def matchstick_word(values):
+    return rgf_of(reduce_perm(Permutation(values))).letters
+
+
+# 2, 4, ..., 36, 1, 3, ..., 35, whose matchstick image the order lookahead
+# prunes hard: the word kernels take about a fifth of the steps they would
+# without it, and still reach the poll six times.
+TWO_ROWS = matchstick_word(tuple(range(2, 37, 2)) + tuple(range(1, 36, 2)))
 
 # Searches long enough to reach the poll several times: full counts, and
 # exhaustive searches for patterns the text avoids.
@@ -41,6 +51,8 @@ LONG_SEARCHES = [
     ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
     ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4)),
     ("rgf_count", tuple(range(1, 41)) * 2, (1, 2, 1, 2)),
+    ("part_count", TWO_ROWS, matchstick_word((1, 3, 2))),
+    ("rgf_count", TWO_ROWS, matchstick_word((3, 1, 2))),
 ]
 
 
@@ -140,6 +152,20 @@ def test_pure_word_letters_below_one_are_rejected(name, text, pattern):
     # answer or an IndexError.
     with pytest.raises(ValueError, match="at least 1"):
         getattr(_kernels_py, name)(text, pattern)
+
+
+NOT_RESTRICTED_GROWTH = [((1, 1, 2), (1, 1, 3)), ((1, 2, 1), (1, 3)), ((1, 2, 3), (2, 1))]
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+@pytest.mark.parametrize("text, pattern", NOT_RESTRICTED_GROWTH)
+def test_word_patterns_must_be_restricted_growth_words(backend, name, text, pattern):
+    # The search binds pattern letters in the order 1, 2, ..., and its
+    # lookahead takes every letter up to the running peak as bound.  A
+    # letter above the running peak + 1 breaks both silently: without the
+    # check, (1, 1, 3) would occur once in (1, 1, 2).
+    with pytest.raises(ValueError, match="restricted growth word"):
+        getattr(backend, name)(text, pattern)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpart import (
     Permutation,
     SetPartition,
     brute_partition_contains,
     is_matchstick,
+    partition_contains,
+    partition_count,
     perm_contains,
+    perm_count,
     perm_of_matchstick,
     recover_occurrence,
     reduce_perm,
+    rgf_count,
+    rgf_of,
     transport_occurrence,
 )
 from permpart.core import restrict
@@ -137,3 +144,23 @@ class TestEquivalence:
                         assert perm_contains(perm, pattern).contains == (
                             brute_partition_contains(reduced_text, reduce_perm(pattern))
                         )
+
+
+def perms_up_to(size):
+    return st.integers(1, size).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(perms_up_to(20), perms_up_to(6))
+def test_reduction_is_parsimonious_past_brute_force(text_values, pattern_values):
+    # The paper's theorem as a metamorphic relation, on texts far past the
+    # brute-force range: the three counts agree, and the least partition
+    # witness is the transported least occurrence.
+    text, pattern = Permutation(tuple(text_values)), Permutation(tuple(pattern_values))
+    reduced_text, reduced_pattern = reduce_perm(text), reduce_perm(pattern)
+    count = perm_count(text, pattern)
+    assert partition_count(reduced_text, reduced_pattern) == count
+    assert rgf_count(rgf_of(reduced_text), rgf_of(reduced_pattern)) == count
+    hit = perm_contains(text, pattern)
+    witness = partition_contains(reduced_text, reduced_pattern).witness
+    assert witness == (transport_occurrence(text, hit.witness) if hit.contains else None)
