@@ -10,6 +10,8 @@
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
+ * Arguments are positional only, (text, pattern[, cancel]), and word
+ * letters run from 1 to 2**31 - 2.
  * Plain CPython API: build it with any C compiler against the interpreter's
  * headers.
  */
@@ -24,32 +26,20 @@
 
 static PyObject *SearchCancelled;
 
-/* One call's arguments, (text, pattern, cancel=None), and the two lengths. */
+/* One call's arguments, (text, pattern[, cancel]), and the two lengths. */
 typedef struct {
     PyObject *text, *pattern, *cancel;
     Py_ssize_t n, k;
 } Call;
 
-static int parse_call(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames, Call *c) {
-    static const char *names[3] = {"text", "pattern", "cancel"};
-    PyObject *slot[3] = {NULL, NULL, NULL};
-    Py_ssize_t i, total = nargs + (kwnames != NULL ? PyTuple_GET_SIZE(kwnames) : 0);
-    for (i = 0; i < total; i++) {
-        int s = i < nargs ? (int)i : 0;
-        while (i >= nargs && s < 3 &&
-               PyUnicode_CompareWithASCIIString(PyTuple_GET_ITEM(kwnames, i - nargs), names[s]) != 0)
-            s++;
-        if (s >= 3 || slot[s] != NULL)
-            break;
-        slot[s] = args[i];
-    }
-    if (i < total || slot[0] == NULL || slot[1] == NULL) {
-        PyErr_SetString(PyExc_TypeError, "kernels take (text, pattern, cancel=None)");
+static int parse_call(PyObject *const *args, Py_ssize_t nargs, Call *c) {
+    if (nargs < 2 || nargs > 3) {
+        PyErr_SetString(PyExc_TypeError, "kernels take (text, pattern, cancel=None, /)");
         return -1;
     }
-    c->text = slot[0];
-    c->pattern = slot[1];
-    c->cancel = slot[2] != NULL ? slot[2] : Py_None;
+    c->text = args[0];
+    c->pattern = args[1];
+    c->cancel = nargs == 3 ? args[2] : Py_None;
     if ((c->n = PyObject_Length(c->text)) < 0 || (c->k = PyObject_Length(c->pattern)) < 0)
         return -1;
     return 0;
@@ -97,7 +87,8 @@ static PyObject *answer(int find, unsigned long long count, const Py_ssize_t *ch
     return result;
 }
 
-/* Copy a sequence of n ints.  For a word (peak given), letters below 1 are
+/* Copy a sequence of n ints.  For a word (peak given), letters below 1 or
+ * at least INT_MAX (the search allocates the largest letter + 1 entries) are
  * rejected and the largest letter is stored in *peak; for a pattern word
  * (growth), so is a letter above the running peak + 1, which a restricted
  * growth word never has.  The items are read from a tuple snapshot, which an
@@ -115,6 +106,9 @@ static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, int grow
             out = NULL;
         } else if (v < INT_MIN || v > INT_MAX) {
             PyErr_SetString(PyExc_OverflowError, "kernel input does not fit a C int");
+            out = NULL;
+        } else if (peak != NULL && v == INT_MAX) {
+            PyErr_SetString(PyExc_OverflowError, "word letters must be below 2**31 - 1");
             out = NULL;
         } else if (peak != NULL && v < 1) {
             PyErr_SetString(PyExc_ValueError, "word letters must be at least 1");
@@ -282,19 +276,18 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
 
 /* The six entries: the empty pattern occurs once, at no positions; a
  * pattern longer than its text never occurs. */
-#define ENTRY(name, find, search)                                                  \
-    static PyObject *name(PyObject *self, PyObject *const *args, Py_ssize_t nargs, \
-                          PyObject *kwnames) {                                     \
-        Call c;                                                                    \
-        Arena a = {0};                                                             \
-        PyObject *result;                                                          \
-        if (parse_call(args, nargs, kwnames, &c) < 0)                              \
-            return NULL;                                                           \
-        if (c.k == 0 || c.k > c.n)                                                 \
-            return answer(find, c.k == 0, NULL, 0);                                \
-        result = search;                                                           \
-        release(&a);                                                               \
-        return result;                                                             \
+#define ENTRY(name, find, search)                                                    \
+    static PyObject *name(PyObject *self, PyObject *const *args, Py_ssize_t nargs) { \
+        Call c;                                                                      \
+        Arena a = {0};                                                               \
+        PyObject *result;                                                            \
+        if (parse_call(args, nargs, &c) < 0)                                         \
+            return NULL;                                                             \
+        if (c.k == 0 || c.k > c.n)                                                   \
+            return answer(find, c.k == 0, NULL, 0);                                  \
+        result = search;                                                             \
+        release(&a);                                                                 \
+        return result;                                                               \
     }
 
 ENTRY(perm_find, 1, perm_search(&c, &a, 1))
@@ -304,9 +297,9 @@ ENTRY(part_count, 0, word_search(&c, &a, 0, 0))
 ENTRY(rgf_find, 1, word_search(&c, &a, 1, 1))
 ENTRY(rgf_count, 0, word_search(&c, &a, 1, 0))
 
-#define DEF(name, doc)                                                         \
-    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL | METH_KEYWORDS, \
-     #name "($module, /, text, pattern, cancel=None)\n--\n\n" doc}
+#define DEF(name, doc)                                        \
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, \
+     #name "($module, text, pattern, cancel=None, /)\n--\n\n" doc}
 
 static PyMethodDef kernel_methods[] = {
     DEF(perm_find, "Lexicographically least occurrence of the pattern permutation, or None."),

@@ -23,8 +23,10 @@ Kernel conventions:
   order, so the first complete match found is the lexicographically least;
 - ``cancel`` is an optional zero-argument callable polled every few thousand
   search steps; returning True aborts the search with SearchCancelled;
+- arguments are positional only: ``(text, pattern[, cancel])``;
 - word letters below 1 raise ValueError, and so does a word pattern that is
-  not a restricted growth word.
+  not a restricted growth word; word letters of 2**31 - 1 or more raise
+  OverflowError.
 
 The kernels only search.  Past the trivial answers for an empty pattern or
 one longer than its text, they rule out no match before searching: the
@@ -43,6 +45,9 @@ _POLL_MASK = (1 << 14) - 1
 # The text's next-position table is skipped above this size (entries), and
 # with it the order lookahead; the search stays correct, only less pruned.
 _TABLE_LIMIT = 4_000_000
+
+# Word letters stay below this, as the compiled kernels' C ints need.
+_LETTER_LIMIT = 2**31 - 1
 
 Cancel = Callable[[], bool] | None
 
@@ -111,14 +116,14 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
 
 
 def perm_find(
-    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
+    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None, /
 ) -> tuple[int, ...] | None:
     """Lexicographically least occurrence of the pattern permutation in the
     text permutation, as 1-based index tuple, or None."""
     return _perm_search(text, pattern, True, cancel)
 
 
-def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
+def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None, /) -> int:
     """Exact number of occurrences of the pattern permutation in the text."""
     return _perm_search(text, pattern, False, cancel)
 
@@ -190,6 +195,8 @@ def _word_search(
         raise ValueError("word letters must be at least 1")
     nt = max(text)
     npat = max(pattern)
+    if max(nt, npat) >= _LETTER_LIMIT:
+        raise OverflowError("word letters must be below 2**31 - 1")
     text_next = _next_positions(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
     is_new, ahead = _pattern_slots(pattern, text_next is not None)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
@@ -244,27 +251,27 @@ def _word_search(
 
 
 def part_find(
-    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
+    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None, /
 ) -> tuple[int, ...] | None:
     """Lexicographically least subset T of the text partition's ground set
     whose restriction equals the pattern partition, or None."""
     return _word_search(text, pattern, False, True, cancel)
 
 
-def part_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
+def part_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None, /) -> int:
     """Exact number of subsets whose restriction equals the pattern."""
     return _word_search(text, pattern, False, False, cancel)
 
 
 def rgf_find(
-    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
+    text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None, /
 ) -> tuple[int, ...] | None:
     """Lexicographically least position set at which the text word's
     subsequence value-standardizes to the pattern word, or None."""
     return _word_search(text, pattern, True, True, cancel)
 
 
-def rgf_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None) -> int:
+def rgf_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None, /) -> int:
     """Exact number of position sets whose subsequence value-standardizes to
     the pattern word."""
     return _word_search(text, pattern, True, False, cancel)

@@ -26,10 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .core import Permutation, RGFWord, SetPartition, partition_of_rgf, rgf_of
-from .errors import BoundExceeded
 from .fastpaths import dispatch_contains
 from .matchers import (
     MatchResult,
@@ -168,15 +167,28 @@ def format_rgf(word: RGFWord) -> str:
     return ",".join(map(str, word.letters))
 
 
-def _read_arg(value: str) -> str:
-    return sys.stdin.read().strip() if value == "-" else value
+class _Kind(NamedTuple):
+    """How the CLI serves one structure kind."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    contains: Callable[[Any, Any], MatchResult]
+    count: Callable[[Any, Any], int]
+
+
+# Keyed by the values of --kind and --notion.
+_KINDS = {
+    "perm": _Kind(parse_permutation, format_permutation, perm_contains, perm_count),
+    "partition": _Kind(parse_partition, format_partition, dispatch_contains, partition_count),
+    "rgf": _Kind(parse_rgf, format_rgf, rgf_contains, rgf_count),
+}
 
 
 def _read_args(*values: str) -> list[str]:
     # stdin holds one value: a second "-" would read it empty.
     if values.count("-") > 1:
         raise ParseError("at most one argument may be '-' (stdin)")
-    return [_read_arg(value) for value in values]
+    return [sys.stdin.read().strip() if value == "-" else value for value in values]
 
 
 def positive_int(text: str) -> int:
@@ -194,144 +206,110 @@ def _emit(fmt: str, record: dict, plain_lines: list[str]) -> None:
             print(line)
 
 
-def _match_output(
-    command: str, result: MatchResult, want_witness: bool, fmt: str
-) -> int:
-    record: dict = {"command": command, "contains": result.contains}
+def _cmd_contains(ns: argparse.Namespace) -> int:
+    """contains, and rgf-contains as kind "rgf"."""
+    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
+    if ns.oracle and ns.kind != "partition":
+        raise ParseError("--oracle applies only to --kind partition")
+    kind = _KINDS[ns.kind]
+    text, pattern = kind.parse(text_raw), kind.parse(pattern_raw)
+    if ns.oracle:
+        if ns.witness:
+            raise ParseError("--oracle yields no witness; drop --witness")
+        from .oracle import brute_partition_contains
+
+        result = MatchResult(brute_partition_contains(text, pattern))
+    else:
+        result = kind.contains(text, pattern)
+    record: dict = {"command": ns.command, "contains": result.contains}
     lines = ["true" if result.contains else "false"]
-    if want_witness and result.witness is not None:
+    if ns.witness and result.witness is not None:
         record["witness"] = list(result.witness)
         lines.append(",".join(map(str, result.witness)))
-    _emit(fmt, record, lines)
+    _emit(ns.format, record, lines)
     return 0 if result.contains else 1
 
 
-def _cmd_contains(ns: argparse.Namespace) -> int:
-    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
-    if ns.kind == "perm":
-        if ns.oracle:
-            raise ParseError("--oracle applies only to --kind partition")
-        result = perm_contains(parse_permutation(text_raw), parse_permutation(pattern_raw))
-    else:
-        sigma = parse_partition(text_raw)
-        pattern = parse_partition(pattern_raw)
-        if ns.oracle:
-            if ns.witness:
-                raise ParseError("--oracle yields no witness; drop --witness")
-            from .oracle import brute_partition_contains
-
-            result = MatchResult(brute_partition_contains(sigma, pattern))
-        else:
-            result = dispatch_contains(sigma, pattern)
-    return _match_output("contains", result, ns.witness, ns.format)
-
-
 def _cmd_count(ns: argparse.Namespace) -> int:
-    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
-    if ns.kind == "perm":
-        value = perm_count(parse_permutation(text_raw), parse_permutation(pattern_raw))
-    elif ns.kind == "partition":
-        value = partition_count(parse_partition(text_raw), parse_partition(pattern_raw))
-    else:
-        value = rgf_count(parse_rgf(text_raw), parse_rgf(pattern_raw))
-    _emit(ns.format, {"command": "count", "count": value}, [str(value)])
+    kind = _KINDS[ns.kind]
+    text, pattern = map(kind.parse, _read_args(ns.text, ns.pattern))
+    value = kind.count(text, pattern)
+    _emit(ns.format, {"command": ns.command, "count": value}, [str(value)])
+    return 0
+
+
+def _emit_result(ns: argparse.Namespace, text: str) -> int:
+    """The output of reduce, invert-reduce and rgf."""
+    _emit(ns.format, {"command": ns.command, "result": text}, [text])
     return 0
 
 
 def _cmd_reduce(ns: argparse.Namespace) -> int:
-    reduced = reduce_perm(parse_permutation(_read_arg(ns.perm)))
-    text = format_partition(reduced)
-    _emit(ns.format, {"command": "reduce", "result": text}, [text])
-    return 0
+    (raw,) = _read_args(ns.perm)
+    return _emit_result(ns, format_partition(reduce_perm(parse_permutation(raw))))
 
 
 def _cmd_invert_reduce(ns: argparse.Namespace) -> int:
-    sigma = parse_partition(_read_arg(ns.partition))
-    try:
-        perm = perm_of_matchstick(sigma)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    text = format_permutation(perm)
-    _emit(ns.format, {"command": "invert-reduce", "result": text}, [text])
-    return 0
+    (raw,) = _read_args(ns.partition)
+    return _emit_result(ns, format_permutation(perm_of_matchstick(parse_partition(raw))))
 
 
 def _cmd_rgf(ns: argparse.Namespace) -> int:
-    raw = _read_arg(ns.value)
+    (raw,) = _read_args(ns.value)
     if ns.invert:
-        text = format_partition(partition_of_rgf(parse_rgf(raw)))
-    else:
-        text = format_rgf(rgf_of(parse_partition(raw)))
-    _emit(ns.format, {"command": "rgf", "result": text}, [text])
-    return 0
-
-
-def _cmd_rgf_contains(ns: argparse.Namespace) -> int:
-    text_raw, pattern_raw = _read_args(ns.text, ns.pattern)
-    result = rgf_contains(parse_rgf(text_raw), parse_rgf(pattern_raw))
-    return _match_output("rgf-contains", result, ns.witness, ns.format)
+        return _emit_result(ns, format_partition(partition_of_rgf(parse_rgf(raw))))
+    return _emit_result(ns, format_rgf(rgf_of(parse_partition(raw))))
 
 
 def _cmd_census(ns: argparse.Namespace) -> int:
     from .oracle import census
 
-    raw = _read_arg(ns.pattern)
-    pattern = parse_partition(raw) if ns.notion == "partition" else parse_rgf(raw)
-    row = census(ns.n, pattern, ns.notion, force=ns.force, jobs=ns.jobs)
-    pattern_text = (
-        format_partition(row.pattern)
-        if isinstance(row.pattern, SetPartition)
-        else format_rgf(row.pattern)
-    )
+    kind = _KINDS[ns.notion]
+    (raw,) = _read_args(ns.pattern)
+    row = census(ns.n, kind.parse(raw), ns.notion, force=ns.force, jobs=ns.jobs)
     record = {
-        "command": "census",
+        "command": ns.command,
         "n": row.n,
-        "pattern": pattern_text,
+        "pattern": kind.format(row.pattern),
         "notion": row.notion,
         "avoiders": row.avoiders,
         "containers": row.containers,
     }
-    plain = (
-        f"n={row.n} pattern={pattern_text} notion={row.notion} "
-        f"avoiders={row.avoiders} containers={row.containers}"
-    )
+    plain = " ".join(f"{key}={value}" for key, value in record.items() if key != "command")
     _emit(ns.format, record, [plain])
     return 0
 
 
 def _report_output(gate: str, report: VerificationReport, fmt: str) -> None:
-    if fmt == "json":
-        # elapsed is omitted so identical runs emit identical bytes.
-        record = {
-            "command": "verify",
-            "gate": gate,
-            "max_n": report.max_n,
-            "max_k": report.max_k,
-            "pairs_checked": report.pairs_checked,
-            "mismatches": [
-                {
-                    "check": m.check,
-                    "text": list(m.text),
-                    "pattern": list(m.pattern),
-                    "engine": m.engine,
-                    "oracle": m.oracle,
-                }
-                for m in report.mismatches
-            ],
-        }
-        print(json.dumps(record, separators=(",", ":")))
-        return
-    status = "ok" if report.ok else "FAIL"
-    print(
+    # elapsed is left out of JSON so identical runs emit identical bytes.
+    record = {
+        "command": "verify",
+        "gate": gate,
+        "max_n": report.max_n,
+        "max_k": report.max_k,
+        "pairs_checked": report.pairs_checked,
+        "mismatches": [
+            {
+                "check": m.check,
+                "text": list(m.text),
+                "pattern": list(m.pattern),
+                "engine": m.engine,
+                "oracle": m.oracle,
+            }
+            for m in report.mismatches
+        ],
+    }
+    lines = [
         f"gate={gate} max_n={report.max_n} max_k={report.max_k} "
         f"pairs={report.pairs_checked} mismatches={len(report.mismatches)} "
-        f"elapsed={report.elapsed:.2f}s {status}"
-    )
-    for m in report.mismatches:
-        print(
-            f"  MISMATCH check={m.check} text={m.text} pattern={m.pattern} "
-            f"engine={m.engine} oracle={m.oracle}"
-        )
+        f"elapsed={report.elapsed:.2f}s {'ok' if report.ok else 'FAIL'}"
+    ]
+    lines += [
+        f"  MISMATCH check={m.check} text={m.text} pattern={m.pattern} "
+        f"engine={m.engine} oracle={m.oracle}"
+        for m in report.mismatches
+    ]
+    _emit(fmt, record, lines)
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
@@ -340,11 +318,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     gates = ["reduction", "rgf"] if ns.gate == "all" else [ns.gate]
     failed = False
     # Bounds not given fall to each gate's own defaults.
-    bounds = {
-        name: value
-        for name, value in (("max_n", ns.max_n), ("max_k", ns.max_k))
-        if value is not None
-    }
+    given = (("max_n", ns.max_n), ("max_k", ns.max_k))
+    bounds = {name: value for name, value in given if value is not None}
     for gate in gates:
         run = verify_reduction if gate == "reduction" else verify_rgf_coincidence
         report = run(**bounds, force=ns.force, jobs=ns.jobs)
@@ -408,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("text")
     p.add_argument("pattern")
     p.add_argument("--witness", action="store_true", help="also print a witness")
-    p.set_defaults(handler=_cmd_rgf_contains)
+    p.set_defaults(handler=_cmd_contains, kind="rgf", oracle=False)
 
     p = sub.add_parser(
         "census", parents=[common], help="count avoiders/containers of a pattern over [n]"
@@ -440,7 +415,7 @@ def run_command(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return ns.handler(ns)
-    except (ParseError, BoundExceeded, ValueError) as exc:
+    except ValueError as exc:  # ParseError and BoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

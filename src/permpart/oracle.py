@@ -173,14 +173,16 @@ def _sorted_mismatches(mismatches: Iterable[Mismatch]) -> tuple[Mismatch, ...]:
 def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
     """worker((chunk, *args)) for each chunk of the items, in chunk order:
     one chunk of all the items run here when jobs is 1 or there is at most
-    one item, else one chunk per job in a process pool."""
+    one item, else at most one chunk per job, each in a worker process of a
+    pool sized to the chunks (the fork start method starts every worker the
+    pool may have, needed or not)."""
     if jobs <= 1 or len(items) < 2:
         return [worker((items, *args))]
     per = (len(items) + jobs - 1) // jobs
     payloads = [(items[i : i + per], *args) for i in range(0, len(items), per)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
         return list(pool.map(worker, payloads))
 
 

@@ -10,6 +10,7 @@ suite keeps whichever backend permpart picked at import.
 """
 
 import importlib.util
+import inspect
 import itertools
 import os
 import shlex
@@ -120,16 +121,26 @@ def test_compiled_module_stays_out_of_sys_modules(compiled):
     assert sys.modules.get("permpart._kernels") is not compiled
 
 
-def test_arguments_by_keyword(backend):
-    text, pattern = (2, 3, 1, 4), (1, 2)
-    assert backend.perm_count(pattern=pattern, text=text, cancel=None) == 4
-    assert backend.perm_find(text, pattern=pattern) == (1, 2)
+@pytest.mark.parametrize("name", KERNELS)
+def test_arguments_are_positional_only(backend, name):
+    kernel = getattr(backend, name)
+    text, pattern = (1, 2, 1, 2), (1, 2)
+    assert kernel(text, pattern, None) == kernel(text, pattern)
+    assert [(p.name, p.kind) for p in inspect.signature(kernel).parameters.values()] == [
+        ("text", inspect.Parameter.POSITIONAL_ONLY),
+        ("pattern", inspect.Parameter.POSITIONAL_ONLY),
+        ("cancel", inspect.Parameter.POSITIONAL_ONLY),
+    ]
     with pytest.raises(TypeError):
-        backend.perm_find(text)
+        kernel(pattern=pattern, text=text)
     with pytest.raises(TypeError):
-        backend.perm_find(text, pattern, None, None)
+        kernel(text, pattern=pattern)
     with pytest.raises(TypeError):
-        backend.perm_find(text, pattern, text=text)
+        kernel(text, pattern, cancel=None)
+    with pytest.raises(TypeError):
+        kernel(text)
+    with pytest.raises(TypeError):
+        kernel(text, pattern, None, None)
 
 
 WORD_KERNELS = ["part_find", "part_count", "rgf_find", "rgf_count"]
@@ -152,6 +163,18 @@ def test_pure_word_letters_below_one_are_rejected(name, text, pattern):
     # answer or an IndexError.
     with pytest.raises(ValueError, match="at least 1"):
         getattr(_kernels_py, name)(text, pattern)
+
+
+# The C search allocates the largest text letter + 1 entries, which wraps
+# for a letter of INT_MAX.
+LETTERS_AT_INT_MAX = [((2**31 - 1,) * 2, (1, 1)), ((2**31 - 1, 5), (1, 2))]
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+@pytest.mark.parametrize("text, pattern", LETTERS_AT_INT_MAX)
+def test_word_letters_at_int_max_are_rejected(backend, name, text, pattern):
+    with pytest.raises(OverflowError, match="below 2"):
+        getattr(backend, name)(text, pattern)
 
 
 NOT_RESTRICTED_GROWTH = [((1, 1, 2), (1, 1, 3)), ((1, 2, 1), (1, 3)), ((1, 2, 3), (2, 1))]
@@ -229,6 +252,28 @@ def test_partition_and_word_kernels_parity_exhaustive(compiled):
                     assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(
                         text, pattern
                     )
+
+
+def test_compiled_word_kernels_without_the_table(compiled):
+    # (n + 1) * letters = 2002 * 2001 passes TABLE_LIMIT, so the search runs
+    # with no next-position table and no order lookahead.
+    text = tuple(range(1, 2002))
+    assert compiled.part_count(text, (1, 2)) == 2001 * 2000 // 2
+    assert compiled.rgf_count(text, (1, 2)) == 2001 * 2000 // 2
+    assert compiled.part_find(text, (1, 1)) is None
+    assert compiled.rgf_find(text, (1, 1)) is None
+
+
+def test_pure_word_kernels_without_the_table(monkeypatch):
+    words = [w.letters for n in range(6) for w in rgf_words_of(n)]
+    pairs = list(itertools.product(words, repeat=2))
+
+    def answers():
+        return [getattr(_kernels_py, name)(*pair) for name in WORD_KERNELS for pair in pairs]
+
+    with_table = answers()
+    monkeypatch.setattr(_kernels_py, "_TABLE_LIMIT", 0)
+    assert answers() == with_table
 
 
 @st.composite

@@ -324,6 +324,40 @@ def test_parallel_reports_and_rows_match_serial():
         assert census(6, pattern, notion, jobs=2) == census(6, pattern, notion, jobs=1)
 
 
+def test_pool_starts_one_worker_per_chunk(monkeypatch):
+    # Under the fork start method a pool starts every worker it may have at
+    # the first task, so the pool must not outnumber the chunks.  An
+    # in-process stand-in records the size instead of forking.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, payloads):
+            return map(worker, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    pattern = SetPartition(((1,), (2,)))
+    # The 5 words of [3] make 5 chunks of one.
+    assert census(3, pattern, jobs=8) == census(3, pattern, jobs=1)
+    # The 3 permutation texts of size 1..2 make 3 chunks of one.
+    serial, parallel = verify_reduction(2, 2, jobs=1), verify_reduction(2, 2, jobs=5)
+    assert (parallel.pairs_checked, parallel.mismatches) == (
+        serial.pairs_checked,
+        serial.mismatches,
+    )
+    assert sizes == [5, 3]
+
+
 def test_mismatch_free_reports_survive_permutation_identity():
     # identity pairs must always verify: quick guard that the harness wiring
     # reports pairs faithfully
