@@ -10,8 +10,12 @@
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
- * Arguments are positional only, (text, pattern[, cancel]), and word
- * letters run from 1 to 2**31 - 2.
+ * Arguments are positional only, (text, pattern[, cancel]).  Permutation
+ * values must fit a C int (OverflowError; the pure kernels assume it).  Word
+ * letters run from 1 to 2**31 - 2, and the first bad letter, reading the
+ * text and then the pattern in order, names the fault: below 1 ValueError,
+ * 2**31 - 1 or more OverflowError, a pattern letter above the running peak
+ * + 1 ValueError (no restricted growth word).
  * Plain CPython API: build it with any C compiler against the interpreter's
  * headers.
  */
@@ -87,36 +91,40 @@ static PyObject *answer(int find, unsigned long long count, const Py_ssize_t *ch
     return result;
 }
 
-/* Copy a sequence of n ints.  For a word (peak given), letters below 1 or
- * at least INT_MAX (the search allocates the largest letter + 1 entries) are
- * rejected and the largest letter is stored in *peak; for a pattern word
- * (growth), so is a letter above the running peak + 1, which a restricted
- * growth word never has.  The items are read from a tuple snapshot, which an
- * item's __index__ cannot shrink. */
+static void *fail(PyObject *type, const char *message) {
+    PyErr_SetString(type, message);
+    return NULL;
+}
+
+/* Copy a sequence of n ints.  For a word (peak given), the largest letter is
+ * stored in *peak, and the first bad letter decides the error: below 1 (past
+ * a C long too), at least INT_MAX (the search allocates the largest letter +
+ * 1 entries), or, for a pattern word (growth), above the running peak + 1,
+ * which a restricted growth word never has.  A permutation value must fit a
+ * C int.  The items are read from a tuple snapshot, which an item's
+ * __index__ cannot shrink. */
 static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, int growth) {
     PyObject *items = PySequence_Tuple(seq);
-    int *out = NULL;
+    int *out = NULL, over;
     if (items != NULL && PyTuple_GET_SIZE(items) != n)
         PyErr_SetString(PyExc_ValueError, "kernel input changed length");
     else if (items != NULL)
         out = take(a, n, sizeof(int));
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        long v = PyLong_AsLong(PyTuple_GET_ITEM(items, i));
-        if (v == -1 && PyErr_Occurred()) {
+        long v = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(items, i), &over);
+        if (over != 0)
+            v = over < 0 ? LONG_MIN : LONG_MAX;
+        if (v == -1 && PyErr_Occurred())
             out = NULL;
-        } else if (v < INT_MIN || v > INT_MAX) {
-            PyErr_SetString(PyExc_OverflowError, "kernel input does not fit a C int");
-            out = NULL;
-        } else if (peak != NULL && v == INT_MAX) {
-            PyErr_SetString(PyExc_OverflowError, "word letters must be below 2**31 - 1");
-            out = NULL;
-        } else if (peak != NULL && v < 1) {
-            PyErr_SetString(PyExc_ValueError, "word letters must be at least 1");
-            out = NULL;
-        } else if (growth && v - 1 > *peak) {
-            PyErr_SetString(PyExc_ValueError, "a word pattern must be a restricted growth word");
-            out = NULL;
-        } else {
+        else if (peak == NULL && (v < INT_MIN || v > INT_MAX))
+            out = fail(PyExc_OverflowError, "kernel input does not fit a C int");
+        else if (peak != NULL && v < 1)
+            out = fail(PyExc_ValueError, "word letters must be at least 1");
+        else if (peak != NULL && v >= INT_MAX)
+            out = fail(PyExc_OverflowError, "word letters must be below 2**31 - 1");
+        else if (growth && v - 1 > *peak)
+            out = fail(PyExc_ValueError, "a word pattern must be a restricted growth word");
+        else {
             out[i] = (int)v;
             if (peak != NULL && v > *peak)
                 *peak = (int)v;

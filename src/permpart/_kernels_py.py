@@ -24,9 +24,13 @@ Kernel conventions:
 - ``cancel`` is an optional zero-argument callable polled every few thousand
   search steps; returning True aborts the search with SearchCancelled;
 - arguments are positional only: ``(text, pattern[, cancel])``;
-- word letters below 1 raise ValueError, and so does a word pattern that is
-  not a restricted growth word; word letters of 2**31 - 1 or more raise
-  OverflowError.
+- permutation values are assumed to fit a C int: these kernels do not
+  check, the compiled ones raise OverflowError;
+- bad word letters are named by the first one, reading the text's letters
+  and then the pattern's in order: a letter below 1 raises ValueError("word
+  letters must be at least 1"), one of 2**31 - 1 or more OverflowError("word
+  letters must be below 2**31 - 1"), and a pattern letter above the running
+  peak + 1 ValueError, as the pattern is no restricted growth word.
 
 The kernels only search.  Past the trivial answers for an empty pattern or
 one longer than its text, they rule out no match before searching: the
@@ -48,6 +52,7 @@ _TABLE_LIMIT = 4_000_000
 
 # Word letters stay below this, as the compiled kernels' C ints need.
 _LETTER_LIMIT = 2**31 - 1
+_NOT_GROWTH = "a word pattern must be a restricted growth word"
 
 Cancel = Callable[[], bool] | None
 
@@ -140,6 +145,21 @@ def _next_positions(word: Sequence[int], width: int) -> list[int]:
     return table
 
 
+def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
+    """Raise for the first bad letter, reading the text and then the
+    pattern in order (see the module notes)."""
+    for word, growth in ((text, False), (pattern, True)):
+        peak = 0
+        for letter in word:
+            if letter < 1:
+                raise ValueError("word letters must be at least 1")
+            if letter >= _LETTER_LIMIT:
+                raise OverflowError("word letters must be below 2**31 - 1")
+            if growth and letter > peak + 1:
+                raise ValueError(_NOT_GROWTH)
+            peak = max(peak, letter)
+
+
 def _pattern_slots(pattern: Sequence[int], lookahead: bool) -> tuple[list[bool], list[int]]:
     """For each slot j: is its letter new, and ahead[j], the last slot whose
     letter is bound once slot j is taken (j if none is, or if not
@@ -151,7 +171,7 @@ def _pattern_slots(pattern: Sequence[int], lookahead: bool) -> tuple[list[bool],
     peak = last = 0
     for j, letter in enumerate(pattern):
         if letter > peak + 1:
-            raise ValueError("a word pattern must be a restricted growth word")
+            raise ValueError(_NOT_GROWTH)
         is_new.append(letter > peak)
         if letter > peak:
             peak = letter
@@ -191,12 +211,10 @@ def _word_search(
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
-    if min(text) < 1 or min(pattern) < 1:
-        raise ValueError("word letters must be at least 1")
     nt = max(text)
     npat = max(pattern)
-    if max(nt, npat) >= _LETTER_LIMIT:
-        raise OverflowError("word letters must be below 2**31 - 1")
+    if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT:
+        _reject_letters(text, pattern)
     text_next = _next_positions(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
     is_new, ahead = _pattern_slots(pattern, text_next is not None)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound

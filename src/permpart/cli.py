@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .core import Permutation, RGFWord, SetPartition, partition_of_rgf, rgf_of
@@ -288,16 +289,7 @@ def _report_output(gate: str, report: VerificationReport, fmt: str) -> None:
         "max_n": report.max_n,
         "max_k": report.max_k,
         "pairs_checked": report.pairs_checked,
-        "mismatches": [
-            {
-                "check": m.check,
-                "text": list(m.text),
-                "pattern": list(m.pattern),
-                "engine": m.engine,
-                "oracle": m.oracle,
-            }
-            for m in report.mismatches
-        ],
+        "mismatches": [asdict(m) for m in report.mismatches],
     }
     lines = [
         f"gate={gate} max_n={report.max_n} max_k={report.max_k} "

@@ -2,13 +2,20 @@
 
 The references here are deliberately naive transcriptions of the
 definitions: partition containment scans every subset of the right size and
-compares restrictions.  They share no search code with the engines in
-permpart.matchers, which is the point; verify_reduction and
-verify_rgf_coincidence judge the engines (and the permutation-to-partition
-reduction itself) against them over every instance up to the given bounds.
-The gates tally each text's restrictions once per subset size and answer
-every pattern of that size from the tally, so each subset is restricted
-once per text rather than once per pattern.
+compares restrictions.  One subset scan serves brute_partition_contains,
+brute_partition_count and the gates' restriction tally.  The references
+share no search code with the engines in permpart.matchers, which is the
+point; verify_reduction and verify_rgf_coincidence judge the engines (and
+the permutation-to-partition reduction itself) against them over every
+instance up to the given bounds.
+
+Both gates run one gate loop and differ only in their per-pair check.  A
+chunk worker encodes each pattern once per chunk and each text once (the
+permutation, its reduced partition and that partition's word), tallies the
+text's restrictions once per subset size, and hands every pair with its
+witness count to the check; so each subset is restricted once per text
+rather than once per pattern.  One runner checks the bounds, times the run,
+merges the chunks and sorts the report.
 
 Enumeration orders are fixed so runs reproduce byte for byte:
 permutations stream in lexicographic order of their value words, partitions
@@ -107,24 +114,22 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     yield from parts
 
 
+def _restrictions(text: SetPartition, k: int) -> Iterator[SetPartition]:
+    """The text's restrictions to its k-subsets, subsets in lexicographic
+    order: the one subset scan behind every brute-force reference."""
+    for subset in itertools.combinations(range(1, text.n + 1), k):
+        yield restrict(text, subset)
+
+
 def brute_partition_contains(text: SetPartition, pattern: SetPartition) -> bool:
     """Literal containment definition: does any subset of the text's ground
     set, of the pattern's size, restrict the text to the pattern?"""
-    k = pattern.n
-    for subset in itertools.combinations(range(1, text.n + 1), k):
-        if restrict(text, subset) == pattern:
-            return True
-    return False
+    return any(r == pattern for r in _restrictions(text, pattern.n))
 
 
 def brute_partition_count(text: SetPartition, pattern: SetPartition) -> int:
     """Number of witnesses, by full subset enumeration."""
-    k = pattern.n
-    return sum(
-        1
-        for subset in itertools.combinations(range(1, text.n + 1), k)
-        if restrict(text, subset) == pattern
-    )
+    return sum(r == pattern for r in _restrictions(text, pattern.n))
 
 
 @dataclass(frozen=True)
@@ -149,16 +154,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-
-def _check_verify_bounds(max_n: int, max_k: int, force: bool) -> None:
-    if max_n < 0 or max_k < 0:
-        raise ValueError("bounds must be nonnegative")
-    if not force and (max_n > VERIFY_BOUND or max_k > VERIFY_BOUND):
-        raise BoundExceeded(
-            f"refusing max_n={max_n}, max_k={max_k}: factorial growth past "
-            f"{VERIFY_BOUND} is a runaway job (pass force=True / --force to override)"
-        )
 
 
 def _sorted_mismatches(mismatches: Iterable[Mismatch]) -> tuple[Mismatch, ...]:
@@ -186,24 +181,6 @@ def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
         return list(pool.map(worker, payloads))
 
 
-def _verify_texts(worker, max_n: int, max_k: int, jobs: int) -> tuple[int, list[Mismatch]]:
-    """Run a gate's worker over every permutation text of size 1..max_n and
-    merge the pair counts and mismatches of its chunks."""
-    texts = [
-        perm.values for n in range(1, max_n + 1) for perm in enumerate_permutations(n)
-    ]
-    results = _map_chunks(worker, texts, (max_k,), jobs)
-    return sum(pairs for pairs, _ in results), [m for _, chunk in results for m in chunk]
-
-
-def _reduction_patterns(max_k: int) -> list[tuple[Permutation, SetPartition]]:
-    return [
-        (tau, reduce_perm(tau))
-        for k in range(1, max_k + 1)
-        for tau in enumerate_permutations(k)
-    ]
-
-
 def _restriction_tally(text: SetPartition, sizes: Iterable[int]) -> Counter[SetPartition]:
     """Restrictions of the text to every subset of each given size, tallied.
 
@@ -212,49 +189,69 @@ def _restriction_tally(text: SetPartition, sizes: Iterable[int]) -> Counter[SetP
     is brute_partition_count(text, pattern), by the same subset scan.
     """
     tally: Counter[SetPartition] = Counter()
-    ground = range(1, text.n + 1)
     for k in sizes:
-        tally.update(restrict(text, subset) for subset in itertools.combinations(ground, k))
+        tally.update(_restrictions(text, k))
     return tally
 
 
-def _verify_reduction_chunk(payload) -> tuple[int, list[Mismatch]]:
-    perm_values, max_k = payload
-    patterns = _reduction_patterns(max_k)
-    sizes = sorted({reduced.n for _, reduced in patterns})
-    pairs = 0
-    mismatches = []
-    for values in perm_values:
-        perm = Permutation(values)
-        reduced_text = reduce_perm(perm)
-        tally = _restriction_tally(reduced_text, sizes)
-        for tau, reduced_pattern in patterns:
-            pairs += 1
-            witnesses = tally[reduced_pattern]
-            engine = perm_contains(perm, tau).contains
-            reference = witnesses > 0
-            if engine != reference:
-                mismatches.append(
-                    Mismatch("containment", values, tau.values, engine, reference)
-                )
-            if perm.n <= 5 and tau.n <= 3:
-                occurrences = perm_count(perm, tau)
-                if occurrences != witnesses:
-                    mismatches.append(
-                        Mismatch("parsimony", values, tau.values, occurrences, witnesses)
-                    )
-                engine_witnesses = partition_count(reduced_text, reduced_pattern)
-                if engine_witnesses != witnesses:
-                    mismatches.append(
-                        Mismatch(
-                            "count-agreement",
-                            values,
-                            tau.values,
-                            engine_witnesses,
-                            witnesses,
-                        )
-                    )
-    return pairs, mismatches
+# A gate's view of one permutation: the permutation, its reduced partition
+# and that partition's word.
+Encoded = tuple[Permutation, SetPartition, RGFWord]
+
+
+def _encode(perm: Permutation) -> Encoded:
+    reduced = reduce_perm(perm)
+    return perm, reduced, rgf_of(reduced)
+
+
+def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
+    """check(text, pattern, witnesses) for every text of the chunk and every
+    pattern of size 1..max_k, the witnesses read from the text's tally."""
+    texts, max_k, check = payload
+    patterns = [_encode(tau) for k in range(1, max_k + 1) for tau in enumerate_permutations(k)]
+    sizes = sorted({reduced.n for _, reduced, _ in patterns})
+    mismatches: list[Mismatch] = []
+    for values in texts:
+        text = _encode(Permutation(values))
+        tally = _restriction_tally(text[1], sizes)
+        for pattern in patterns:
+            mismatches.extend(check(text, pattern, tally[pattern[1]]))
+    return len(texts) * len(patterns), mismatches
+
+
+def _run_gate(check, max_n: int, max_k: int, force: bool, jobs: int, extra=tuple):
+    """The gate loop over permutation texts of size 1..max_n, plus the
+    mismatches extra() returns, as a sorted and timed report."""
+    if max_n < 0 or max_k < 0:
+        raise ValueError("bounds must be nonnegative")
+    if not force and (max_n > VERIFY_BOUND or max_k > VERIFY_BOUND):
+        raise BoundExceeded(
+            f"refusing max_n={max_n}, max_k={max_k}: factorial growth past "
+            f"{VERIFY_BOUND} is a runaway job (pass force=True / --force to override)"
+        )
+    start = time.perf_counter()
+    texts = [p.values for n in range(1, max_n + 1) for p in enumerate_permutations(n)]
+    results = _map_chunks(_verify_chunk, texts, (max_k, check), jobs)
+    mismatches = [m for _, chunk in results for m in chunk] + list(extra())
+    pairs = sum(pairs for pairs, _ in results)
+    return VerificationReport(
+        max_n, max_k, pairs, _sorted_mismatches(mismatches), time.perf_counter() - start
+    )
+
+
+def _reduction_check(text: Encoded, pattern: Encoded, witnesses: int) -> Iterator[Mismatch]:
+    (perm, reduced_text, _), (tau, reduced_pattern, _) = text, pattern
+    pair = (perm.values, tau.values)
+    engine = perm_contains(perm, tau).contains
+    if engine != (witnesses > 0):
+        yield Mismatch("containment", *pair, engine, witnesses > 0)
+    if perm.n <= 5 and tau.n <= 3:
+        occurrences = perm_count(perm, tau)
+        if occurrences != witnesses:
+            yield Mismatch("parsimony", *pair, occurrences, witnesses)
+        engine_witnesses = partition_count(reduced_text, reduced_pattern)
+        if engine_witnesses != witnesses:
+            yield Mismatch("count-agreement", *pair, engine_witnesses, witnesses)
 
 
 def verify_reduction(
@@ -270,38 +267,26 @@ def verify_reduction(
     backtracking count routes.  The defaults check all 133,569 pairs with
     texts to 6 and patterns to 5.
     """
-    _check_verify_bounds(max_n, max_k, force)
-    start = time.perf_counter()
-    pairs, mismatches = _verify_texts(_verify_reduction_chunk, max_n, max_k, jobs)
-    return VerificationReport(
-        max_n, max_k, pairs, _sorted_mismatches(mismatches), time.perf_counter() - start
+    return _run_gate(_reduction_check, max_n, max_k, force, jobs)
+
+
+def _rgf_check(text: Encoded, pattern: Encoded, witnesses: int) -> Iterator[Mismatch]:
+    (perm, _, text_word), (tau, _, pattern_word) = text, pattern
+    word_answer = rgf_contains(text_word, pattern_word).contains
+    if word_answer != (witnesses > 0):
+        yield Mismatch("rgf-coincidence", perm.values, tau.values, word_answer, witnesses > 0)
+
+
+def _separation_check() -> Iterator[Mismatch]:
+    word_answer = rgf_contains(RGFWord(SEPARATION_TEXT), RGFWord(SEPARATION_PATTERN)).contains
+    partition_answer = brute_partition_contains(
+        partition_of_rgf(RGFWord(SEPARATION_TEXT)),
+        partition_of_rgf(RGFWord(SEPARATION_PATTERN)),
     )
-
-
-def _verify_rgf_chunk(payload) -> tuple[int, list[Mismatch]]:
-    perm_values, max_k = payload
-    patterns = [
-        (tau.values, reduced, rgf_of(reduced)) for tau, reduced in _reduction_patterns(max_k)
-    ]
-    sizes = sorted({reduced.n for _, reduced, _ in patterns})
-    pairs = 0
-    mismatches = []
-    for values in perm_values:
-        perm = Permutation(values)
-        reduced_text = reduce_perm(perm)
-        text_word = rgf_of(reduced_text)
-        tally = _restriction_tally(reduced_text, sizes)
-        for tau_values, reduced_pattern, pattern_word in patterns:
-            pairs += 1
-            word_answer = rgf_contains(text_word, pattern_word).contains
-            partition_answer = tally[reduced_pattern] > 0
-            if word_answer != partition_answer:
-                mismatches.append(
-                    Mismatch(
-                        "rgf-coincidence", values, tau_values, word_answer, partition_answer
-                    )
-                )
-    return pairs, mismatches
+    if word_answer is not False or partition_answer is not True:
+        yield Mismatch(
+            "rgf-separation", SEPARATION_TEXT, SEPARATION_PATTERN, word_answer, partition_answer
+        )
 
 
 def verify_rgf_coincidence(
@@ -316,28 +301,7 @@ def verify_rgf_coincidence(
     partitions, pinning down that the coincidence is special to reduced
     instances.
     """
-    _check_verify_bounds(max_n, max_k, force)
-    start = time.perf_counter()
-    pairs, mismatches = _verify_texts(_verify_rgf_chunk, max_n, max_k, jobs)
-
-    word_answer = rgf_contains(RGFWord(SEPARATION_TEXT), RGFWord(SEPARATION_PATTERN)).contains
-    partition_answer = brute_partition_contains(
-        partition_of_rgf(RGFWord(SEPARATION_TEXT)),
-        partition_of_rgf(RGFWord(SEPARATION_PATTERN)),
-    )
-    if word_answer is not False or partition_answer is not True:
-        mismatches.append(
-            Mismatch(
-                "rgf-separation",
-                SEPARATION_TEXT,
-                SEPARATION_PATTERN,
-                word_answer,
-                partition_answer,
-            )
-        )
-    return VerificationReport(
-        max_n, max_k, pairs, _sorted_mismatches(mismatches), time.perf_counter() - start
-    )
+    return _run_gate(_rgf_check, max_n, max_k, force, jobs, _separation_check)
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,34 @@ def test_word_letters_at_int_max_are_rejected(backend, name, text, pattern):
         getattr(backend, name)(text, pattern)
 
 
+AT_LEAST_ONE = (ValueError, "word letters must be at least 1")
+BELOW_INT_MAX = (OverflowError, "word letters must be below 2**31 - 1")
+NOT_GROWTH = (ValueError, "a word pattern must be a restricted growth word")
+# The text's letters, then the pattern's, in order: the first bad one names
+# the fault, whatever its size and whatever letters follow it.
+FIRST_BAD_LETTER = [
+    ((2**31 - 1, 0), (1, 1), BELOW_INT_MAX),
+    ((-(2**40), 1), (1, 1), AT_LEAST_ONE),
+    ((-(2**70), 1), (1, 1), AT_LEAST_ONE),
+    ((2**40, 1), (1, 1), BELOW_INT_MAX),
+    ((2**70, 1), (1, 1), BELOW_INT_MAX),
+    ((1, 2), (1, 2**40), BELOW_INT_MAX),
+    ((1, 2), (1, -(2**70)), AT_LEAST_ONE),
+    ((1, 2**40), (1, 0), BELOW_INT_MAX),
+    ((1, 2, 3), (1, 3, 0), NOT_GROWTH),
+    ((1, 2, 3), (1, 3, 2**40), NOT_GROWTH),
+]
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+@pytest.mark.parametrize("text, pattern, fault", FIRST_BAD_LETTER)
+def test_first_bad_letter_names_the_fault(backend, name, text, pattern, fault):
+    error, message = fault
+    with pytest.raises(error) as raised:
+        getattr(backend, name)(text, pattern)
+    assert str(raised.value) == message
+
+
 NOT_RESTRICTED_GROWTH = [((1, 1, 2), (1, 1, 3)), ((1, 2, 1), (1, 3)), ((1, 2, 3), (2, 1))]
 
 

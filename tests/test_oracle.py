@@ -21,6 +21,7 @@ from permpart import (
     verify_rgf_coincidence,
 )
 from permpart import oracle
+from permpart.cli import run_command
 from helpers import SAGAN_ANCHORS, bell_by_triangle, partitions_of, perms_of
 
 
@@ -298,7 +299,12 @@ class TestRestrictionTally:
         report = verify_rgf_coincidence(4, 3)
         assert report.pairs_checked == 33 * 9 and report.mismatches == words
 
-    def test_restrictions_made_once_per_subset(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "gate, restrictions",
+        [(verify_reduction, 3249), (verify_rgf_coincidence, 3253)],
+        ids=["reduction", "rgf"],
+    )
+    def test_restrictions_made_once_per_subset(self, monkeypatch, gate, restrictions):
         calls = []
         real_restrict = oracle.restrict
 
@@ -307,9 +313,31 @@ class TestRestrictionTally:
             return real_restrict(sigma, subset)
 
         monkeypatch.setattr(oracle, "restrict", counted)
-        assert verify_reduction(4, 4).ok
-        # texts of [2n], n = 1..4, each restricted to its subsets of sizes 2, 4, 6, 8
-        assert len(calls) == 1 * 1 + 2 * 7 + 6 * 31 + 24 * 127 == 3249
+        assert gate(4, 4).ok
+        # texts of [2n], n = 1..4, each restricted to its subsets of sizes
+        # 2, 4, 6, 8: 1 * 1 + 2 * 7 + 6 * 31 + 24 * 127 = 3249; the rgf
+        # gate's separation pair adds 4, its scan of the 3-subsets of [4]
+        # stopping at the last, its one witness
+        assert len(calls) == restrictions
+
+
+def test_broken_separation_pair_is_reported(monkeypatch, capsys):
+    # an rgf_contains that wrongly finds the pattern on the separation pair;
+    # reduced patterns have even size, so no gate pair reaches the fault
+    real = oracle.rgf_contains
+    separation = (oracle.SEPARATION_TEXT, oracle.SEPARATION_PATTERN)
+
+    def rgf_contains(text, pattern):
+        if (text.letters, pattern.letters) == separation:
+            return MatchResult(True)
+        return real(text, pattern)
+
+    monkeypatch.setattr(oracle, "rgf_contains", rgf_contains)
+    assert verify_rgf_coincidence(2, 2).mismatches == (
+        Mismatch("rgf-separation", (1, 2, 2, 1), (1, 1, 2), True, True),
+    )
+    assert run_command(["verify", "rgf", "--max-n", "2", "--max-k", "2"]) == 3
+    assert "MISMATCH check=rgf-separation" in capsys.readouterr().out
 
 
 def test_parallel_reports_and_rows_match_serial():
