@@ -8,10 +8,10 @@ The library exposes:
   encodings);
 - matchers: backtracking containment and counting engines for all three
   notions, with deterministic lexicographically least witnesses;
+  partition_contains answers all-singleton and single-block patterns in
+  linear time, and dispatch_contains is another name for it;
 - reduction: the matchstick map permutation -> partition and the two-way
   transport between occurrences and restriction witnesses;
-- fastpaths: dispatch_contains, which answers all-singleton and
-  single-block patterns in linear time and sends the rest to matchers;
 - oracle: naive brute-force references, exhaustive enumerators, census,
   and the verification gates that check the engines and the reduction
   against the references at desk scale.  Its names load on first use, so
@@ -33,7 +33,7 @@ from .core import (
     rgf_of,
 )
 from .errors import BoundExceeded, SearchCancelled
-from .fastpaths import dispatch_contains
+from .matchers import partition_contains as dispatch_contains
 from .matchers import (
     MatchResult,
     OccurrenceIndices,

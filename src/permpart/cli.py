@@ -30,9 +30,9 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .core import Permutation, RGFWord, SetPartition, partition_of_rgf, rgf_of
-from .fastpaths import dispatch_contains
 from .matchers import (
     MatchResult,
+    partition_contains,
     partition_count,
     perm_contains,
     perm_count,
@@ -180,7 +180,7 @@ class _Kind(NamedTuple):
 # Keyed by the values of --kind and --notion.
 _KINDS = {
     "perm": _Kind(parse_permutation, format_permutation, perm_contains, perm_count),
-    "partition": _Kind(parse_partition, format_partition, dispatch_contains, partition_count),
+    "partition": _Kind(parse_partition, format_partition, partition_contains, partition_count),
     "rgf": _Kind(parse_rgf, format_rgf, rgf_contains, rgf_count),
 }
 

@@ -11,8 +11,9 @@ Three notions of containment are implemented:
 
 Each engine is a pruned backtracking search (permpart._kernels_py documents
 the algorithms; a compiled twin is preferred when built).  The kernels only
-search; the answers that need no search are given here first: partitions
-whose block sizes cannot hold the pattern's, and words with fewer distinct
+search; the answers that need no search are given here first: the two
+linear partition shapes (k singletons, one block of k), partitions whose
+block sizes cannot hold the pattern's, and words with fewer distinct
 letters than the pattern.  Witnesses are deterministic: always the
 lexicographically least index or element sequence.  A pattern longer than
 its text is simply not contained, never an error.
@@ -77,8 +78,31 @@ def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult
     """Does the text partition contain the pattern partition?
 
     On success the witness is the lexicographically least subset of the
-    ground set whose restriction equals the pattern.
+    ground set whose restriction equals the pattern.  k singletons and one
+    block of k are answered in linear time, without a search:
+
+    >>> sigma = SetPartition(((1, 3), (2, 4)))
+    >>> partition_contains(sigma, SetPartition(((1,), (2,))))
+    MatchResult(contains=True, witness=(1, 2))
+    >>> partition_contains(sigma, SetPartition(((1, 2),)))
+    MatchResult(contains=True, witness=(1, 3))
     """
+    k = pattern.n
+    blocks = len(pattern.blocks)
+    if blocks == k:
+        # All singletons, the empty pattern and {{1}} included.  Block minima
+        # ascend with the canonical order, so the first k minima form the
+        # least witness.
+        if len(text.blocks) < k:
+            return MatchResult(False)
+        return MatchResult(True, tuple(block[0] for block in text.blocks[:k]))
+    if blocks == 1:
+        # The first block with k elements holds the least witness: its first
+        # k elements.
+        for block in text.blocks:
+            if len(block) >= k:
+                return MatchResult(True, block[:k])
+        return MatchResult(False)
     if not _blocks_fit(text, pattern):
         return MatchResult(False)
     hit = _K.part_find(text.word, pattern.word)

@@ -325,8 +325,11 @@ def _census_chunk(payload) -> int:
     The words are restricted growth words, read as partitions (their
     block-index words) or as words by notion; the pattern is a restricted
     growth word too.  Its two linear shapes are decided from the letters,
-    with the same answers under both notions; any other pattern goes to the
-    kernel, looked up here so that a substituted kernel table is used.
+    with the same answers under both notions: these letter tests are the
+    word form of the shape rules in matchers.partition_contains, kept here
+    because a census needs only a bool, never a witness or a structure.  Any
+    other pattern goes to the kernel, looked up here so that a substituted
+    kernel table is used.
     """
     words, pattern, notion = payload
     k = len(pattern)
@@ -363,9 +366,10 @@ def census(
     The partition notion takes a SetPartition pattern and the word notion
     an RGFWord pattern.  Both run over the block-index words of all
     partitions of [n] with the pattern encoded once: all-singleton and
-    single-block patterns are decided from letter counts, as in
-    permpart.fastpaths, and any other pattern by the partition or the word
-    kernel.  No structure is built per text.
+    single-block patterns are decided from letter counts, as
+    permpart.matchers.partition_contains decides them from blocks, and any
+    other pattern by the partition or the word kernel.  No structure is
+    built per text.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -18,7 +18,14 @@ import pytest
 import permpart
 from permpart import oracle
 
-HEAVY = ["permpart.oracle", "concurrent.futures", "concurrent.futures.process", "multiprocessing"]
+# permpart.fastpaths is an alias module that only the layer tracer imports.
+HEAVY = [
+    "permpart.oracle",
+    "permpart.fastpaths",
+    "concurrent.futures",
+    "concurrent.futures.process",
+    "multiprocessing",
+]
 
 # Prints {stage: loaded heavy modules} as JSON, for the heavy module names
 # and the command lists given as JSON arguments.

@@ -3,21 +3,18 @@ contract both must keep.
 
 The two implementations must agree bit for bit: same answers, same
 lexicographically least witnesses, same counts, same cancellation polls.
-The compiled module is built here from src/permpart/_kernels.c with the
-interpreter's own compiler flags, so these tests run whenever a C compiler
-is present; it is loaded without entering sys.modules, so the rest of the
-suite keeps whichever backend permpart picked at import.
+The compiled module comes from the `compiled` fixture in conftest.py, which
+builds src/permpart/_kernels.c with the interpreter's own compiler flags,
+so these tests run whenever a C compiler is present; it is loaded without
+entering sys.modules, so the rest of the suite keeps whichever backend
+permpart picked at import.
 """
 
-import importlib.util
 import inspect
 import itertools
 import os
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import pytest
@@ -29,7 +26,6 @@ from permpart.core import rgf_of
 from permpart.errors import SearchCancelled
 from helpers import SAGAN_ANCHORS, partitions_of, perms_of, rgf_positions, rgf_words_of
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "permpart" / "_kernels.c"
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
 
 
@@ -55,34 +51,6 @@ LONG_SEARCHES = [
     ("part_count", TWO_ROWS, matchstick_word((1, 3, 2))),
     ("rgf_count", TWO_ROWS, matchstick_word((3, 1, 2))),
 ]
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernels, built into a temporary directory.  Skips only
-    when the compiler is missing; a build that warns fails."""
-    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    if not ldshared or shutil.which(ldshared[0]) is None:
-        pytest.skip("no C compiler to build the kernels with")
-    out = tmp_path_factory.mktemp("kernels")
-    target = out / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [
-        *ldshared,
-        *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
-        *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-        "-I" + sysconfig.get_paths()["include"],
-        str(SOURCE),
-        "-o",
-        str(target),
-    ]
-    proc = subprocess.run(
-        cmd, capture_output=True, text=True, env=dict(os.environ, TMPDIR=str(out))
-    )
-    assert proc.returncode == 0 and not proc.stderr.strip(), proc.stderr
-    spec = importlib.util.spec_from_file_location("permpart._kernels", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(params=["compiled", "pure-python"])

@@ -119,6 +119,20 @@ class TestAgainstBruteForce:
                         result = partition_contains(text, pattern)
                         assert result.witness == (hits[0] if hits else None)
 
+    def test_partition_witnesses_compiled(self, compiled, monkeypatch):
+        # the same entry on the compiled kernels, which the rest of this
+        # module runs only when permpart picked them at import: answer and
+        # least witness for all pairs up to n = 6
+        monkeypatch.setattr(matchers, "_K", compiled)
+        for n in range(7):
+            for text in partitions_of(n):
+                groups = witnesses_by_restriction(text, range(n + 1))
+                for k in range(7):
+                    for pattern in partitions_of(k):
+                        hits = groups.get(pattern.word)
+                        expected = MatchResult(True, hits[0]) if hits else MatchResult(False)
+                        assert partition_contains(text, pattern) == expected
+
     def test_rgf_engine_exhaustive(self):
         for n in range(6):
             for k in range(6):
@@ -133,7 +147,9 @@ class TestAgainstBruteForce:
     def test_partition_block_size_shortcut(self, monkeypatch):
         # exactly the pairs whose block sizes cannot host the pattern's are
         # answered before any kernel runs, on either backend; the kernels
-        # themselves rule nothing out before searching
+        # themselves rule nothing out before searching.  partition_contains
+        # answers the two linear shapes (k singletons, one block of k)
+        # without a kernel too; partition_count searches every fitting pair
         real, searched = matchers._K, []
 
         def kernel(name):
@@ -159,10 +175,13 @@ class TestAgainstBruteForce:
                         fits = len(sizes) <= len(hosts) and all(
                             s <= h for s, h in zip(sizes, hosts)
                         )
+                        linear = len(sizes) in (k, 1)
                         searched.clear()
                         result = partition_contains(text, pattern)
+                        assert searched == (["part_find"] if fits and not linear else [])
+                        searched.clear()
                         count = partition_count(text, pattern)
-                        assert searched == (["part_find", "part_count"] if fits else [])
+                        assert searched == (["part_count"] if fits else [])
                         if not fits:
                             shortcut += 1
                             assert groups.get(pattern.word, []) == []
