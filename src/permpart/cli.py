@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Text grammars (all elements 1-based decimal):
+Text grammars (all elements 1-based, in ASCII decimal digits):
 
 - permutation: values separated by commas or whitespace, "2,3,1" or "2 3 1";
 - partition: blocks joined by "/", elements within a block comma-separated,
@@ -63,7 +63,7 @@ def _int_tokens(text: str, what: str) -> list[int]:
     for position, token in enumerate(tokens, start=1):
         if not token:
             raise ParseError(f"empty token at position {position}")
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(f"invalid token {token!r} at position {position}")
         value = int(token)
         if value < 1:
@@ -111,13 +111,13 @@ def parse_partition(text: str) -> SetPartition:
 
 
 def _compact_block(token: str, index: int) -> list[int]:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"invalid block {token!r} at position {index}")
     return [int(ch) for ch in token]
 
 
 def _element_block(token: str, index: int) -> list[int]:
-    if not token.isdigit() or token.startswith("0"):
+    if not (token.isascii() and token.isdigit()) or token.startswith("0"):
         raise ParseError(f"invalid element {token!r} at position {index}")
     return [int(token)]
 

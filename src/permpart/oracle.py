@@ -2,12 +2,13 @@
 
 The references here are deliberately naive transcriptions of the
 definitions: partition containment scans every subset of the right size and
-compares restrictions.  One subset scan serves brute_partition_contains,
-brute_partition_count and the gates' restriction tally.  The references
-share no search code with the engines in permpart.matchers, which is the
-point; verify_reduction and verify_rgf_coincidence judge the engines (and
-the permutation-to-partition reduction itself) against them over every
-instance up to the given bounds.
+compares restrictions, each read off the text's block-index word (the
+letters at the subset, renumbered by first appearance).  One subset scan
+serves brute_partition_contains, brute_partition_count and the gates'
+tally.  The references share no search code with the engines in
+permpart.matchers, which is the point; verify_reduction and
+verify_rgf_coincidence judge the engines (and the permutation-to-partition
+reduction itself) against them over every instance up to the given bounds.
 
 Both gates run one gate loop and differ only in their per-pair check.  A
 chunk worker encodes each pattern once per chunk and each text once (the
@@ -44,7 +45,6 @@ from .core import (
     RGFWord,
     SetPartition,
     partition_of_rgf,
-    restrict,
     rgf_of,
 )
 from .errors import BoundExceeded
@@ -63,7 +63,11 @@ Notion = Literal["partition", "rgf"]
 
 
 def bell_number(n: int) -> int:
-    """n-th Bell number via the Bell triangle recurrence."""
+    """n-th Bell number via the Bell triangle recurrence.
+
+    >>> [bell_number(n) for n in range(6)]
+    [1, 1, 2, 5, 15, 52]
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     row = [1]
@@ -114,22 +118,28 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     yield from parts
 
 
-def _restrictions(text: SetPartition, k: int) -> Iterator[SetPartition]:
-    """The text's restrictions to its k-subsets, subsets in lexicographic
-    order: the one subset scan behind every brute-force reference."""
-    for subset in itertools.combinations(range(1, text.n + 1), k):
-        yield restrict(text, subset)
+def _restrictions(word: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+    """The block-index words of a partition's restrictions to its k-subsets,
+    read off the partition's own word, subsets in lexicographic order: the
+    one subset scan behind every brute-force reference."""
+    for letters in itertools.combinations(word, k):
+        labels: dict[int, int] = {}
+        yield tuple([labels.setdefault(b, len(labels) + 1) for b in letters])
 
 
 def brute_partition_contains(text: SetPartition, pattern: SetPartition) -> bool:
     """Literal containment definition: does any subset of the text's ground
     set, of the pattern's size, restrict the text to the pattern?"""
-    return any(r == pattern for r in _restrictions(text, pattern.n))
+    return any(r == pattern.word for r in _restrictions(text.word, pattern.n))
 
 
 def brute_partition_count(text: SetPartition, pattern: SetPartition) -> int:
-    """Number of witnesses, by full subset enumeration."""
-    return sum(r == pattern for r in _restrictions(text, pattern.n))
+    """Number of witnesses, by full subset enumeration.
+
+    >>> brute_partition_count(SetPartition(((1, 3), (2, 4))), SetPartition(((1,), (2,))))
+    4
+    """
+    return sum(r == pattern.word for r in _restrictions(text.word, pattern.n))
 
 
 @dataclass(frozen=True)
@@ -181,19 +191,6 @@ def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
         return list(pool.map(worker, payloads))
 
 
-def _restriction_tally(text: SetPartition, sizes: Iterable[int]) -> Counter[SetPartition]:
-    """Restrictions of the text to every subset of each given size, tallied.
-
-    The brute-force reference for all patterns of those sizes at once: a
-    pattern of size k is contained iff its tally is positive, and its tally
-    is brute_partition_count(text, pattern), by the same subset scan.
-    """
-    tally: Counter[SetPartition] = Counter()
-    for k in sizes:
-        tally.update(_restrictions(text, k))
-    return tally
-
-
 # A gate's view of one permutation: the permutation, its reduced partition
 # and that partition's word.
 Encoded = tuple[Permutation, SetPartition, RGFWord]
@@ -206,16 +203,17 @@ def _encode(perm: Permutation) -> Encoded:
 
 def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
     """check(text, pattern, witnesses) for every text of the chunk and every
-    pattern of size 1..max_k, the witnesses read from the text's tally."""
+    pattern of size 1..max_k, the witnesses read from the text's tally of
+    restriction words, where each pattern finds its brute_partition_count."""
     texts, max_k, check = payload
     patterns = [_encode(tau) for k in range(1, max_k + 1) for tau in enumerate_permutations(k)]
     sizes = sorted({reduced.n for _, reduced, _ in patterns})
     mismatches: list[Mismatch] = []
     for values in texts:
         text = _encode(Permutation(values))
-        tally = _restriction_tally(text[1], sizes)
+        tally = Counter(r for k in sizes for r in _restrictions(text[1].word, k))
         for pattern in patterns:
-            mismatches.extend(check(text, pattern, tally[pattern[1]]))
+            mismatches.extend(check(text, pattern, tally[pattern[1].word]))
     return len(texts) * len(patterns), mismatches
 
 

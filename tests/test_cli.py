@@ -126,6 +126,31 @@ class TestExitCodes:
         assert "duplicate value 2" in err
         assert out == ""
 
+    def test_non_ascii_digits_are_2(self, capsys):
+        # str.isdigit passes these; int() reads the Arabic-Indic digits as
+        # 1, 2 and 10 and rejects the superscript two
+        perm, partition = ["--kind", "perm"], ["--kind", "partition"]
+        for argv, message in (
+            (["contains", "\u0661,\u0662", "1", *perm], "invalid token '\u0661' at position 1"),
+            (["contains", "1\u00b2", "1", *perm], "invalid token '1\u00b2' at position 1"),
+            (["rgf-contains", "1,\u0662", "1"], "invalid token '\u0662' at position 2"),
+            (["contains", "1/2", "1\u00b2", *partition], "invalid block '1\u00b2' at position 1"),
+            (
+                ["count", "1/2/3/4/5/6/7/8/9/\u0661\u0660", "1", *partition],
+                "invalid block '\u0661\u0660' at position 10",
+            ),
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+    def test_element_reader_takes_ascii_digits_only(self):
+        # the partition parser reports the compact reading's error, so the
+        # element reader is asked directly
+        assert cli._element_block("10", 10) == [10]
+        for token in ("\u0661\u0660", "1\u00b2", "\uff11"):
+            with pytest.raises(ParseError, match=f"invalid element '{token}' at position 10"):
+                cli._element_block(token, 10)
+
     def test_usage_error_is_2(self, capsys):
         code, out, err = run(capsys, ["contains", "1,2", "1"])  # missing --kind
         assert code == 2

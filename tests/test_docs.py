@@ -1,6 +1,6 @@
 """The documentation's examples run: the docstring examples of the core
-types, the matchers and the reduction, and the README's Library code
-block."""
+types, the matchers, the oracle and the reduction, and the README's Library
+code block."""
 
 import doctest
 import re
@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from permpart import core, matchers, reduction
+from permpart import core, matchers, oracle, reduction
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize("module", [core, matchers, reduction], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [core, matchers, oracle, reduction], ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     failed, attempted = doctest.testmod(module)
     assert attempted > 0 and failed == 0

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from permpart import (
@@ -14,7 +16,9 @@ from permpart import (
     dispatch_contains,
     enumerate_partitions,
     enumerate_permutations,
+    partition_of_rgf,
     reduce_perm,
+    restrict,
     rgf_contains,
     rgf_of,
     verify_reduction,
@@ -22,7 +26,13 @@ from permpart import (
 )
 from permpart import oracle
 from permpart.cli import run_command
-from helpers import SAGAN_ANCHORS, bell_by_triangle, partitions_of, perms_of
+from helpers import (
+    SAGAN_ANCHORS,
+    bell_by_triangle,
+    partitions_of,
+    perms_of,
+    value_standardize,
+)
 
 
 class TestBellNumbers:
@@ -305,20 +315,54 @@ class TestRestrictionTally:
         ids=["reduction", "rgf"],
     )
     def test_restrictions_made_once_per_subset(self, monkeypatch, gate, restrictions):
-        calls = []
-        real_restrict = oracle.restrict
+        words = []
+        real_restrictions = oracle._restrictions
 
-        def counted(sigma, subset):
-            calls.append(subset)
-            return real_restrict(sigma, subset)
+        def counted(word, k):
+            for restriction in real_restrictions(word, k):
+                words.append(restriction)
+                yield restriction
 
-        monkeypatch.setattr(oracle, "restrict", counted)
+        monkeypatch.setattr(oracle, "_restrictions", counted)
         assert gate(4, 4).ok
         # texts of [2n], n = 1..4, each restricted to its subsets of sizes
         # 2, 4, 6, 8: 1 * 1 + 2 * 7 + 6 * 31 + 24 * 127 = 3249; the rgf
         # gate's separation pair adds 4, its scan of the 3-subsets of [4]
         # stopping at the last, its one witness
-        assert len(calls) == restrictions
+        assert len(words) == restrictions
+
+
+def _assert_scan_restricts(restrictions, max_n):
+    """The scan's words, read back as partitions, are core.restrict's
+    restrictions to the same subsets in the same order, for every partition
+    of [n], n <= max_n, and every subset size; returns the subsets seen."""
+    seen = 0
+    for n in range(max_n + 1):
+        for sigma in partitions_of(n):
+            for k in range(n + 1):
+                scanned = [
+                    partition_of_rgf(RGFWord(w)) for w in restrictions(sigma.word, k)
+                ]
+                expected = [restrict(sigma, T) for T in combinations(range(1, n + 1), k)]
+                assert scanned == expected, (sigma, k)
+                seen += len(expected)
+    return seen
+
+
+def test_word_scan_matches_block_restriction():
+    assert _assert_scan_restricts(oracle._restrictions, 7) == 127203
+
+
+def test_value_rank_relabelling_is_caught():
+    # Numbering the letters at T by value rank numbers the blocks by their
+    # minima in the text, not in T: at 1,2,1 restricted to {2, 3} it gives
+    # 2,1, which is no block-index word.
+    def by_value_rank(word, k):
+        for letters in combinations(word, k):
+            yield value_standardize(letters)
+
+    with pytest.raises(ValueError, match="restricted growth"):
+        _assert_scan_restricts(by_value_rank, 3)
 
 
 def test_broken_separation_pair_is_reported(monkeypatch, capsys):
