@@ -12,9 +12,10 @@ Text grammars (all elements 1-based, in ASCII decimal digits):
   satisfy restricted growth.
 
 Any positional argument may be "-" to read the value from stdin, at most
-one per invocation.  ``--jobs`` takes a count of at least 1.  Results go to
-stdout, errors to stderr.  JSON output is one record per line with keys in
-the documented order.
+one per invocation.  Counts (census N, ``--max-n``, ``--max-k``,
+``--jobs``) are ASCII decimal digits with an optional "-"; ``--jobs`` takes
+a count of at least 1.  Results go to stdout, errors to stderr.  JSON
+output is one record per line with keys in the documented order.
 
 Exit codes: 0 = success, and for relational commands the relation holds;
 1 = the relation does not hold; 2 = usage or parse error; 3 = a verify run
@@ -192,8 +193,17 @@ def _read_args(*values: str) -> list[str]:
     return [sys.stdin.read().strip() if value == "-" else value for value in values]
 
 
+def ascii_int(text: str) -> int:
+    """A count argument: an optional "-" and ASCII decimal digits only, where
+    int() would also read other scripts' digits and underscores."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -380,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "census", parents=[common], help="count avoiders/containers of a pattern over [n]"
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=ascii_int)
     p.add_argument("pattern")
     p.add_argument("--notion", choices=("partition", "rgf"), default="partition")
     p.add_argument("--force", action="store_true", help="override the safety bound")
@@ -389,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the verification gates")
     p.add_argument("gate", nargs="?", choices=("reduction", "rgf", "all"), default="all")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--max-k", type=int, default=None, dest="max_k")
+    p.add_argument("--max-n", type=ascii_int, default=None, dest="max_n")
+    p.add_argument("--max-k", type=ascii_int, default=None, dest="max_k")
     p.add_argument("--force", action="store_true", help="override the safety bound")
     p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
     p.set_defaults(handler=_cmd_verify)

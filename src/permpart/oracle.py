@@ -22,18 +22,28 @@ Enumeration orders are fixed so runs reproduce byte for byte:
 permutations stream in lexicographic order of their value words, partitions
 in lexicographic order of their canonical block forms.
 
+A census walks the tree of avoiding prefixes rather than all Bell(n)
+words.  Containment is hereditary under prefixes, since a word's prefix of
+length m is its restriction to [m] (Sagan's restriction notion), so only
+avoiders are extended, a child of an avoider is tested only through its
+last position, and the containers are Bell(n) less the avoiders.  The cost
+follows the avoiders, not Bell(n).
+
 Factorial and Bell growth make unbounded runs runaway jobs, so the
 verification and census entry points refuse bounds above a safety limit
-unless forced.  Verification may spread independent instances over worker
-processes; reports aggregate associatively and mismatch lists are sorted,
-so the outcome is schedule independent.  The process pool is imported only
-when one runs (jobs > 1 and more than one item), so a serial run does not
-import concurrent.futures or multiprocessing.
+unless forced.  Both may spread independent work over worker processes:
+the gates their texts, a census the avoiding prefixes at a fixed cut
+depth.  Reports aggregate associatively and mismatch lists are sorted, and
+avoider counts add, so the outcome is schedule independent.  The process
+pool is imported only when one runs (jobs > 1 and more than one item), so
+a serial run does not import concurrent.futures or multiprocessing, and it
+is never larger than the chunks or the CPUs this process may use.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -53,6 +63,10 @@ from .reduction import reduce_perm
 
 VERIFY_BOUND = 6
 CENSUS_BOUND = 10
+# A census grows its avoiding prefixes to this length here, then hands them
+# to the chunk workers: the at most 15 prefixes of [4] are cheap to grow
+# serially and, even after pruning, enough to split over a few jobs.
+_CUT_DEPTH = 4
 
 # The two containment notions provably differ on this pair: the word text
 # avoids the word pattern, yet the corresponding partitions do contain.
@@ -175,19 +189,26 @@ def _sorted_mismatches(mismatches: Iterable[Mismatch]) -> tuple[Mismatch, ...]:
     )
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
     """worker((chunk, *args)) for each chunk of the items, in chunk order:
     one chunk of all the items run here when jobs is 1 or there is at most
-    one item, else at most one chunk per job, each in a worker process of a
-    pool sized to the chunks (the fork start method starts every worker the
-    pool may have, needed or not)."""
+    one item, else at most one chunk per job, run by a pool of worker
+    processes no larger than the chunks or the usable CPUs (the fork start
+    method starts every worker the pool may have, needed or not)."""
     if jobs <= 1 or len(items) < 2:
         return [worker((items, *args))]
     per = (len(items) + jobs - 1) // jobs
     payloads = [(items[i : i + per], *args) for i in range(0, len(items), per)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(payloads), _usable_cpus())) as pool:
         return list(pool.map(worker, payloads))
 
 
@@ -317,37 +338,65 @@ class CensusRow:
         return self.avoiders + self.containers
 
 
-def _census_chunk(payload) -> int:
-    """How many of the words contain the pattern word.
-
-    The words are restricted growth words, read as partitions (their
-    block-index words) or as words by notion; the pattern is a restricted
-    growth word too.  Its two linear shapes are decided from the letters,
-    with the same answers under both notions: these letter tests are the
-    word form of the shape rules in matchers.partition_contains, kept here
-    because a census needs only a bool, never a witness or a structure.  Any
-    other pattern goes to the kernel, looked up here so that a substituted
-    kernel table is used.
-    """
-    words, pattern, notion = payload
-    k = len(pattern)
-    if k == 0:
-        return len(words)
-    # A restricted growth word uses every letter up to its maximum, so it has
-    # at least m blocks (distinct letters) iff the letter m occurs.
+def _census_find(pattern: tuple[int, ...], notion: Notion):
+    """The kernel that decides a child, or None when the letter tests of
+    _children are exact: the two linear shapes, 1, 2, ..., k and 1, ..., 1,
+    with the same answers under both notions.  Looked up here, at call
+    time, so that a substituted kernel table is used."""
     m = max(pattern)
-    if m == k:
-        # 1, 2, ..., k: the text needs k blocks.
-        return sum(1 for word in words if k in word)
-    if m == 1:
-        # One block of k: some letter must occur k times.
-        return sum(
-            1 for word in words if any(word.count(letter) >= k for letter in set(word))
-        )
-    # Otherwise the text needs m blocks too, then a kernel search.
+    if m == len(pattern) or m == 1:
+        return None
     kernels = matchers._K
-    find = kernels.part_find if notion == "partition" else kernels.rgf_find
-    return sum(1 for word in words if m in word and find(word, pattern) is not None)
+    return kernels.part_find if notion == "partition" else kernels.rgf_find
+
+
+def _children(level, length: int, pattern: tuple[int, ...], find):
+    """The avoiding children, of the given length, of the avoiding
+    (word, peak) prefixes in level.
+
+    A child appends one of 1..peak + 1 to its parent's word.  The parent
+    avoids, so the child contains the pattern only through its last
+    position; that needs the child to have at least the pattern's largest
+    letter m (a restricted growth word has every letter up to its peak), at
+    least the pattern's length k, and at least as many copies of its last
+    letter as the pattern has of its own.  For 1, 2, ..., k (m == k) and
+    1, ..., 1 (m == 1) these tests are the whole rule: an avoiding parent
+    has fewer than k distinct letters, or fewer than k copies of each, so
+    its child contains the pattern exactly when it reaches k of them.  Any
+    other pattern asks find once per child that passes them.
+    """
+    k, m = len(pattern), max(pattern)
+    copies = pattern.count(pattern[-1])
+    for word, peak in level:
+        for letter in range(1, peak + 2):
+            child = word + (letter,)
+            top = peak if letter <= peak else letter
+            if (
+                top < m
+                or length < k
+                or child.count(letter) < copies
+                or (find is not None and find(child, pattern) is None)
+            ):
+                yield child, top
+
+
+def _avoiding(level, depth: int, n: int, pattern: tuple[int, ...], find):
+    """The avoiding (word, peak) pairs of length n that extend the avoiding
+    prefixes in level, all of length depth.  Each level's generator feeds
+    the next, so the tree is walked depth first and only one path of it is
+    held at a time."""
+    for length in range(depth + 1, n + 1):
+        level = _children(level, length, pattern, find)
+    return level
+
+
+def _census_chunk(payload) -> int:
+    """How many restricted growth words of length n extend the chunk's
+    avoiding prefixes, all of length depth, and avoid the pattern word,
+    read as partitions (their block-index words) or as words by notion."""
+    prefixes, depth, n, pattern, notion = payload
+    find = _census_find(pattern, notion)
+    return sum(1 for _ in _avoiding(prefixes, depth, n, pattern, find))
 
 
 def census(
@@ -362,12 +411,17 @@ def census(
     structures of [n], under the chosen containment notion.
 
     The partition notion takes a SetPartition pattern and the word notion
-    an RGFWord pattern.  Both run over the block-index words of all
-    partitions of [n] with the pattern encoded once: all-singleton and
-    single-block patterns are decided from letter counts, as
-    permpart.matchers.partition_contains decides them from blocks, and any
-    other pattern by the partition or the word kernel.  No structure is
-    built per text.
+    an RGFWord pattern.  Both grow the block-index words of [n] one letter
+    at a time, keeping only those that avoid the pattern word, and count
+    the avoiders of length n; the containers are Bell(n) less those.  A
+    child is tested by letter tests, which decide the all-singleton and
+    single-block patterns exactly, and for any other pattern then by the
+    partition or the word kernel.  No structure is built per text.  The
+    avoiding prefixes of length 4 (or n, if less) are grown here and, with
+    jobs > 1, split into at most jobs chunks for worker processes.
+
+    >>> census(6, SetPartition(((1, 3), (2, 4)))).avoiders
+    132
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -386,6 +440,11 @@ def census(
         raise ValueError(f"unknown notion: {notion!r}")
 
     pattern_word = pattern.word if isinstance(pattern, SetPartition) else pattern.letters
-    words = _rgf_words(n)
-    hits = sum(_map_chunks(_census_chunk, words, (pattern_word, notion), jobs))
-    return CensusRow(n, pattern, notion, len(words) - hits, hits)
+    total = bell_number(n)
+    if not pattern_word:
+        return CensusRow(n, pattern, notion, 0, total)
+    depth = min(n, _CUT_DEPTH)
+    find = _census_find(pattern_word, notion)
+    prefixes = list(_avoiding([((), 0)], 0, depth, pattern_word, find))
+    avoiders = sum(_map_chunks(_census_chunk, prefixes, (depth, n, pattern_word, notion), jobs))
+    return CensusRow(n, pattern, notion, avoiders, total - avoiders)

@@ -18,16 +18,16 @@ from permpart import (
 from permpart.core import rgf_of
 
 
-# Avoider counts over all partitions of [n], n = 0..10, from Sagan's
+# Avoider counts over all partitions of [n], n = 0..12, from Sagan's
 # "Pattern avoidance in set partitions" (arXiv:math/0604292): the
 # noncrossing partitions and the words avoiding 1,2,1,2 are counted by the
 # Catalan numbers, partitions whose blocks hold at most two elements by the
 # involution numbers, and partitions into at most two blocks by 2^(n-1).
 # The words 1,1,1 and 1,2,3 are contained exactly where their partitions
 # are, so they share those counts.
-CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
-INVOLUTIONS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496)
-AT_MOST_TWO_BLOCKS = (1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
+INVOLUTIONS = (1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152)
+AT_MOST_TWO_BLOCKS = (1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 SAGAN_ANCHORS = (
     (SetPartition(((1, 3), (2, 4))), "partition", CATALAN),
     (RGFWord((1, 2, 1, 2)), "rgf", CATALAN),

@@ -176,6 +176,31 @@ class TestExitCodes:
                 assert (code, out) == (2, "")
                 assert "--jobs" in err and "at least 1" in err
 
+    def test_counts_take_ascii_digits_only(self, capsys):
+        # int() reads the Arabic-Indic four, the fullwidth one and "1_0"
+        for token in ("\u0664", "\uff11", "1_0", "+4", " 4", "4.0", "-", "-\u0661"):
+            for argv in (
+                ["census", token, "1,2"],
+                ["verify", "reduction", "--max-n", token, "--max-k", "1"],
+                ["verify", "reduction", "--max-n", "1", "--max-k", token],
+                ["census", "4", "1,2", "--jobs", token],
+            ):
+                code, out, err = run(capsys, argv)
+                assert (code, out) == (2, ""), argv
+                assert f"invalid int value: {token!r}" in err, argv
+
+    def test_negative_counts_reach_the_bound_checks(self, capsys):
+        for argv, message in (
+            (["census", "-1", "1,2"], "error: n must be nonnegative\n"),
+            (["verify", "reduction", "--max-n", "-1"], "error: bounds must be nonnegative\n"),
+            (["verify", "reduction", "--max-k", "-2"], "error: bounds must be nonnegative\n"),
+        ):
+            assert run(capsys, argv) == (2, "", message), argv
+        assert run(capsys, ["census", "04", "1,2"])[:2] == (
+            0,
+            "n=4 pattern=1,2 notion=partition avoiders=1 containers=14\n",
+        )
+
     def test_bound_refusal_is_2(self, capsys):
         code, out, err = run(capsys, ["census", "11", "1,2"])
         assert code == 2

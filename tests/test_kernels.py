@@ -335,3 +335,11 @@ def test_census_sagan_anchors_at_ten(compiled, monkeypatch):
     for pattern, notion, avoiders in SAGAN_ANCHORS:
         row = census(10, pattern, notion)
         assert (row.avoiders, row.total) == (avoiders[10], 115975), pattern
+
+
+def test_census_sagan_anchors_past_the_bound(compiled, monkeypatch):
+    monkeypatch.setattr(matchers, "_K", compiled)
+    for n, bell in ((11, 678570), (12, 4213597)):
+        for pattern, notion, avoiders in SAGAN_ANCHORS:
+            row = census(n, pattern, notion, force=True)
+            assert (row.avoiders, row.total) == (avoiders[n], bell), (pattern, n)

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 
 import pytest
@@ -24,13 +25,14 @@ from permpart import (
     verify_reduction,
     verify_rgf_coincidence,
 )
-from permpart import oracle
+from permpart import matchers, oracle
 from permpart.cli import run_command
 from helpers import (
     SAGAN_ANCHORS,
     bell_by_triangle,
     partitions_of,
     perms_of,
+    rgf_words_of,
     value_standardize,
 )
 
@@ -173,8 +175,15 @@ class TestCensus:
         assert row.containers == 14
 
     def test_parallel_matches_serial(self):
-        pattern = SetPartition(((1, 3), (2,)))
-        assert census(5, pattern, jobs=3) == census(5, pattern, jobs=1)
+        # n on both sides of the cut depth, below which the chunks hold the
+        # census's own avoiders rather than prefixes of them
+        cut = oracle._CUT_DEPTH
+        for pattern in (SetPartition(((1, 3), (2, 4))), SetPartition(((1, 3), (2,)))):
+            for structure, notion in ((pattern, "partition"), (rgf_of(pattern), "rgf")):
+                for n in (cut - 1, cut, cut + 1):
+                    serial = census(n, structure, notion, jobs=1)
+                    for jobs in (2, 3):
+                        assert census(n, structure, notion, jobs=jobs) == serial, (structure, n)
 
     def test_rejects_mismatched_pattern_type(self):
         with pytest.raises(ValueError):
@@ -233,9 +242,27 @@ class TestCensus:
             row = census(0, rgf_of(pattern), "rgf")
             assert row.total == 1 and row.containers == (pattern.n == 0)
 
+    def test_matches_an_independent_scan(self, compiled, monkeypatch):
+        # every pattern of size <= 4 at n = 8 and 9, both notions, against
+        # a scan of all Bell(n) words that asks the compiled kernel of each
+        monkeypatch.setattr(matchers, "_K", compiled)
+        for n in (8, 9):
+            texts = [word.letters for word in rgf_words_of(n)]
+            for k in range(5):
+                for pattern in partitions_of(k):
+                    word = rgf_of(pattern)
+                    for structure, notion, find in (
+                        (pattern, "partition", compiled.part_find),
+                        (word, "rgf", compiled.rgf_find),
+                    ):
+                        hits = sum(find(text, pattern.word) is not None for text in texts)
+                        expected = (len(texts) - hits, hits)
+                        row = census(n, structure, notion)
+                        assert (row.avoiders, row.containers) == expected, (structure, n)
+
     def test_sagan_anchors(self):
-        # n <= 9 on the suite's backend; n = 10 runs on the compiled kernels
-        # in test_kernels.py
+        # n <= 9 on the suite's backend; n = 10 to 12 run on the compiled
+        # kernels in test_kernels.py
         for pattern, notion, avoiders in SAGAN_ANCHORS:
             for n in range(10):
                 assert census(n, pattern, notion).avoiders == avoiders[n], (pattern, n)
@@ -396,10 +423,10 @@ def test_parallel_reports_and_rows_match_serial():
         assert census(6, pattern, notion, jobs=2) == census(6, pattern, notion, jobs=1)
 
 
-def test_pool_starts_one_worker_per_chunk(monkeypatch):
-    # Under the fork start method a pool starts every worker it may have at
-    # the first task, so the pool must not outnumber the chunks.  An
-    # in-process stand-in records the size instead of forking.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool the oracle opens, recorded by an
+    in-process stand-in that runs the chunks here instead of forking."""
     import concurrent.futures
 
     sizes = []
@@ -418,16 +445,49 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch):
             return map(worker, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    pattern = SetPartition(((1,), (2,)))
-    # The 5 words of [3] make 5 chunks of one.
-    assert census(3, pattern, jobs=8) == census(3, pattern, jobs=1)
+    return sizes
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_pool_starts_one_worker_per_chunk(monkeypatch, pool_sizes):
+    # Under the fork start method a pool starts every worker it may have at
+    # the first task, so the pool must not outnumber the chunks.
+    _cpus(monkeypatch, 64)
+    pattern = SetPartition(((1,), (2,), (3,)))
+    # The cut level of a census of [5] holds the 8 words of [4] that avoid
+    # 1/2/3, 8 chunks of one; for 1/2 it holds 1,1,1,1 alone, one chunk
+    # that runs here.
+    prefixes = list(oracle._avoiding([((), 0)], 0, oracle._CUT_DEPTH, pattern.word, None))
+    assert len(prefixes) == 8
+    assert census(5, pattern, jobs=8) == census(5, pattern, jobs=1)
+    two = SetPartition(((1,), (2,)))
+    assert census(5, two, jobs=8) == census(5, two, jobs=1)
     # The 3 permutation texts of size 1..2 make 3 chunks of one.
     serial, parallel = verify_reduction(2, 2, jobs=1), verify_reduction(2, 2, jobs=5)
     assert (parallel.pairs_checked, parallel.mismatches) == (
         serial.pairs_checked,
         serial.mismatches,
     )
-    assert sizes == [5, 3]
+    assert pool_sizes == [8, 3]
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, pool_sizes):
+    # --jobs far above the CPUs still cuts one chunk per job, but a larger
+    # pool than the CPUs only forks idle processes.
+    _cpus(monkeypatch, 2)
+    pattern = SetPartition(((1, 3), (2, 4)))
+    assert census(6, pattern, jobs=500) == census(6, pattern, jobs=1)
+    assert verify_reduction(2, 2, jobs=500).ok
+    # without sched_getaffinity, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert census(6, pattern, jobs=500) == census(6, pattern, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert census(6, pattern, jobs=500) == census(6, pattern, jobs=1)
+    assert pool_sizes == [2, 2, 3, 1]
 
 
 def test_mismatch_free_reports_survive_permutation_identity():
