@@ -15,7 +15,8 @@
  * letters run from 1 to 2**31 - 2, and the first bad letter, reading the
  * text and then the pattern in order, names the fault: below 1 ValueError,
  * 2**31 - 1 or more OverflowError, a pattern letter above the running peak
- * + 1 ValueError (no restricted growth word).
+ * + 1 ValueError (no restricted growth word).  A word text whose largest
+ * letter exceeds its length is searched as its letters ranked densely.
  * Plain CPython API: build it with any C compiler against the interpreter's
  * headers.
  */
@@ -50,8 +51,9 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, Call *c) {
 }
 
 /* The scratch arrays of one search, freed together.  word_search takes the
- * most: tw, pw, nxt, is_new, ahead, chosen, bound and used. */
-#define ARENA_BLOCKS 8
+ * most: tw, pw, nxt, is_new, ahead, chosen, bound and used, and the sorted
+ * letters of a text with sparse letters. */
+#define ARENA_BLOCKS 9
 typedef struct {
     void *block[ARENA_BLOCKS];
     int used;
@@ -98,8 +100,8 @@ static void *fail(PyObject *type, const char *message) {
 
 /* Copy a sequence of n ints.  For a word (peak given), the largest letter is
  * stored in *peak, and the first bad letter decides the error: below 1 (past
- * a C long too), at least INT_MAX (the search allocates the largest letter +
- * 1 entries), or, for a pattern word (growth), above the running peak + 1,
+ * a C long too), at least INT_MAX (the largest letter + 1 must fit an int),
+ * or, for a pattern word (growth), above the running peak + 1,
  * which a restricted growth word never has.  A permutation value must fit a
  * C int.  The items are read from a tuple snapshot, which an item's
  * __index__ cannot shrink. */
@@ -144,6 +146,32 @@ static int poll(PyObject *cancel, Py_ssize_t ticks) {
     if (stop > 0)
         PyErr_SetString(SearchCancelled, "search aborted by cancellation signal");
     return stop ? -1 : 0;
+}
+
+static int compare_ints(const void *x, const void *y) {
+    int a = *(const int *)x, b = *(const int *)y;
+    return (a > b) - (a < b);
+}
+
+/* Rank the n letters of a word densely, in order, and store the number of
+ * distinct letters in *peak: the search reads letters only for equality and
+ * order, which ranking keeps, and sizes used and nxt by the largest. */
+static int rank_letters(Arena *a, int *word, Py_ssize_t n, int *peak) {
+    int *sorted = take(a, n, sizeof(int));
+    Py_ssize_t distinct = 0;
+    if (sorted == NULL)
+        return -1;
+    memcpy(sorted, word, (size_t)n * sizeof(int));
+    qsort(sorted, (size_t)n, sizeof(int), compare_ints);
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (distinct == 0 || sorted[i] != sorted[distinct - 1])
+            sorted[distinct++] = sorted[i];
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int *at = bsearch(&word[i], sorted, (size_t)distinct, sizeof(int), compare_ints);
+        word[i] = (int)(at - sorted) + 1;
+    }
+    *peak = (int)distinct;
+    return 0;
 }
 
 /* Flat (n+1) x width table: entry [i*width + t-1] is the first position at
@@ -225,13 +253,15 @@ Py_NO_INLINE static int fits_ahead(const int *nxt, int nt, Py_ssize_t n, Py_ssiz
  * when ordered (words), a text letter above the one bound to p - 1. */
 static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
     Py_ssize_t n = c->n, k = c->k, i = 0, j, last = 0, ticks = 0, *ahead, *chosen;
-    /* bound: pattern letter -> text letter, 0 = unbound; used: text letters
+    /* tw: the text's letters, ranked densely when the largest exceeds n;
+     * bound: pattern letter -> text letter, 0 = unbound; used: text letters
      * bound; nxt, the text's next positions, stays NULL past TABLE_LIMIT. */
     int *tw, *pw, *nxt = NULL, *is_new, *bound, *used, nt = 0, np = 0, peak = 0;
     unsigned long long count = 0;
 
     if ((tw = read_ints(a, c->text, n, &nt, 0)) == NULL ||
         (pw = read_ints(a, c->pattern, k, &np, 1)) == NULL ||
+        (nt > n && rank_letters(a, tw, n, &nt) < 0) ||
         ((n + 1) * nt <= TABLE_LIMIT && (nxt = next_table(a, tw, n, nt)) == NULL) ||
         (is_new = take(a, k, sizeof(int))) == NULL || (ahead = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL || (bound = take(a, np + 1, sizeof(int))) == NULL ||

@@ -30,7 +30,9 @@ Kernel conventions:
   and then the pattern's in order: a letter below 1 raises ValueError("word
   letters must be at least 1"), one of 2**31 - 1 or more OverflowError("word
   letters must be below 2**31 - 1"), and a pattern letter above the running
-  peak + 1 ValueError, as the pattern is no restricted growth word.
+  peak + 1 ValueError, as the pattern is no restricted growth word;
+- a word text whose largest letter exceeds its length is searched as its
+  letters ranked densely, in order, so memory follows the length.
 
 The kernels only search.  Past the trivial answers for an empty pattern or
 one longer than its text, they rule out no match before searching: the
@@ -40,6 +42,7 @@ permpart.matchers.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 from .errors import SearchCancelled
@@ -215,6 +218,16 @@ def _word_search(
     npat = max(pattern)
     if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT:
         _reject_letters(text, pattern)
+    if nt > n:
+        # Sparse letters: rank them densely, in order, so that used and the
+        # next-position table are sized by the text's length.  The search
+        # reads letters only for equality and order, which ranking keeps.
+        # operator.index refuses a non-integer letter, as the compiled
+        # kernels do.
+        letters = sorted(set(map(operator.index, text)))
+        rank = {letter: r for r, letter in enumerate(letters, start=1)}
+        text = [rank[t] for t in text]
+        nt = len(rank)
     text_next = _next_positions(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
     is_new, ahead = _pattern_slots(pattern, text_next is not None)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound

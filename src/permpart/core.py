@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 - Ground sets are [n] = {1, 2, ..., n}; every element, value, and index that
   crosses a public boundary is 1-based.
+- Constructors read every value through operator.index: any integer type is
+  stored as a plain int, and a value that only compares equal to one, such
+  as 2.0, raises TypeError.
 - A set partition is kept in canonical form: elements ascending inside each
   block, blocks ordered by their minimum element.  Equality and hashing are
   equality of canonical forms.
@@ -16,9 +19,30 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
+
+_PLAIN = frozenset((int,))
+_first = operator.itemgetter(0)
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values read through operator.index, so that any integer type
+    comes back as a plain int and anything else raises TypeError naming it.
+    A tuple of plain ints, the usual input, is returned as it is."""
+    values = tuple(values)
+    if _PLAIN.issuperset(map(type, values)):
+        return values
+    plain = []
+    for value in values:
+        try:
+            plain.append(operator.index(value))
+        except TypeError:
+            raise TypeError(f"{what} must be integers, not {value!r}") from None
+    return tuple(plain)
 
 
 @dataclass(frozen=True)
@@ -32,7 +56,7 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.values)
+        values = _integers(self.values, "permutation values")
         object.__setattr__(self, "values", values)
         n = len(values)
         if sorted(values) != list(range(1, n + 1)):
@@ -68,12 +92,20 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(tuple(sorted(block)) for block in self.blocks)
-        if any(not block for block in raw):
+        given = tuple(self.blocks)
+        try:
+            raw = tuple(tuple(sorted(block)) for block in given)
+            elements = list(chain.from_iterable(raw))
+            plain = _PLAIN.issuperset(map(type, elements))
+        except TypeError:  # unorderable elements, or a block that is no iterable
+            plain = False
+        if not plain:
+            raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in given)
+            elements = list(chain.from_iterable(raw))
+        if not all(raw):
             raise ValueError("set partition blocks must be nonempty")
-        blocks = tuple(sorted(raw, key=lambda block: block[0]))
+        blocks = tuple(sorted(raw, key=_first))
         object.__setattr__(self, "blocks", blocks)
-        elements = [e for block in blocks for e in block]
         n = len(elements)
         if sorted(elements) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition [{n}]: {blocks}")
@@ -125,7 +157,7 @@ class RGFWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+        letters = _integers(self.letters, "word letters")
         object.__setattr__(self, "letters", letters)
         peak = 0
         for position, letter in enumerate(letters, start=1):

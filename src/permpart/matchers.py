@@ -47,13 +47,18 @@ class MatchResult:
     witness: tuple[int, ...] | None = None
 
 
+# Every "no" answer: building a MatchResult costs more than a small kernel
+# call, and a frozen one can be shared.
+_ABSENT = MatchResult(False)
+
+
 def perm_contains(text: Permutation, pattern: Permutation) -> MatchResult:
     """Does the text permutation contain the pattern permutation?
 
     On success the witness is the lexicographically least occurrence.
     """
     hit = _K.perm_find(text.values, pattern.values)
-    return MatchResult(hit is not None, hit)
+    return _ABSENT if hit is None else MatchResult(True, hit)
 
 
 def perm_count(text: Permutation, pattern: Permutation, *, cancel: Cancel = None) -> int:
@@ -94,7 +99,7 @@ def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult
         # ascend with the canonical order, so the first k minima form the
         # least witness.
         if len(text.blocks) < k:
-            return MatchResult(False)
+            return _ABSENT
         return MatchResult(True, tuple(block[0] for block in text.blocks[:k]))
     if blocks == 1:
         # The first block with k elements holds the least witness: its first
@@ -102,11 +107,11 @@ def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult
         for block in text.blocks:
             if len(block) >= k:
                 return MatchResult(True, block[:k])
-        return MatchResult(False)
+        return _ABSENT
     if not _blocks_fit(text, pattern):
-        return MatchResult(False)
+        return _ABSENT
     hit = _K.part_find(text.word, pattern.word)
-    return MatchResult(hit is not None, hit)
+    return _ABSENT if hit is None else MatchResult(True, hit)
 
 
 def partition_count(
@@ -127,9 +132,9 @@ def rgf_contains(text: RGFWord, pattern: RGFWord) -> MatchResult:
     # A subsequence has no more distinct letters than its text, and a
     # restricted growth word has exactly max_letter of them.
     if pattern.max_letter > text.max_letter:
-        return MatchResult(False)
+        return _ABSENT
     hit = _K.rgf_find(text.letters, pattern.letters)
-    return MatchResult(hit is not None, hit)
+    return _ABSENT if hit is None else MatchResult(True, hit)
 
 
 def rgf_count(text: RGFWord, pattern: RGFWord, *, cancel: Cancel = None) -> int:

@@ -11,12 +11,17 @@ verify_rgf_coincidence judge the engines (and the permutation-to-partition
 reduction itself) against them over every instance up to the given bounds.
 
 Both gates run one gate loop and differ only in their per-pair check.  A
-chunk worker encodes each pattern once per chunk and each text once (the
-permutation, its reduced partition and that partition's word), tallies the
-text's restrictions once per subset size, and hands every pair with its
-witness count to the check; so each subset is restricted once per text
-rather than once per pattern.  One runner checks the bounds, times the run,
-merges the chunks and sorts the report.
+chunk worker encodes each permutation once per chunk (the permutation, its
+reduced partition and that partition's word), a text that is also a
+pattern reusing the pattern's encoding; it tallies the text's restrictions
+once per subset size, and hands every pair with its witness count to the
+check; so each subset is restricted once per text rather than once per
+pattern.  The texts share few letter tuples, so the chunk keeps one relabel
+memo: each distinct tuple is renumbered once, and the memo holds those
+tuples (51,612 for verify_reduction at its default bounds, 398 at (4, 4))
+until the chunk ends.  Nothing is kept from one call to the next.  One
+runner checks the bounds, times the run, merges the chunks and sorts the
+report.
 
 Enumeration orders are fixed so runs reproduce byte for byte:
 permutations stream in lexicographic order of their value words, partitions
@@ -132,19 +137,36 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     yield from parts
 
 
-def _restrictions(word: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+def _relabel(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters renumbered 1, 2, ... by first appearance."""
+    labels: dict[int, int] = {}
+    return tuple([labels.setdefault(b, len(labels) + 1) for b in letters])
+
+
+class _Relabelled(dict):
+    """A relabel memo: letters -> _relabel(letters), computed on first
+    lookup and kept."""
+
+    def __missing__(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        self[letters] = word = _relabel(letters)
+        return word
+
+
+def _restrictions(word: tuple[int, ...], k: int, relabel) -> Iterator[tuple[int, ...]]:
     """The block-index words of a partition's restrictions to its k-subsets,
     read off the partition's own word, subsets in lexicographic order: the
-    one subset scan behind every brute-force reference."""
-    for letters in itertools.combinations(word, k):
-        labels: dict[int, int] = {}
-        yield tuple([labels.setdefault(b, len(labels) + 1) for b in letters])
+    one subset scan behind every brute-force reference.  relabel renumbers
+    the letters at a subset by first appearance: _relabel itself, which
+    holds nothing, or a chunk's _Relabelled memo, which holds each distinct
+    letter tuple of the chunk's texts once (51,612 at the default bounds of
+    verify_reduction)."""
+    return map(relabel, itertools.combinations(word, k))
 
 
 def brute_partition_contains(text: SetPartition, pattern: SetPartition) -> bool:
     """Literal containment definition: does any subset of the text's ground
     set, of the pattern's size, restrict the text to the pattern?"""
-    return any(r == pattern.word for r in _restrictions(text.word, pattern.n))
+    return any(r == pattern.word for r in _restrictions(text.word, pattern.n, _relabel))
 
 
 def brute_partition_count(text: SetPartition, pattern: SetPartition) -> int:
@@ -153,7 +175,7 @@ def brute_partition_count(text: SetPartition, pattern: SetPartition) -> int:
     >>> brute_partition_count(SetPartition(((1, 3), (2, 4))), SetPartition(((1,), (2,))))
     4
     """
-    return sum(r == pattern.word for r in _restrictions(text.word, pattern.n))
+    return sum(r == pattern.word for r in _restrictions(text.word, pattern.n, _relabel))
 
 
 @dataclass(frozen=True)
@@ -225,16 +247,24 @@ def _encode(perm: Permutation) -> Encoded:
 def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
     """check(text, pattern, witnesses) for every text of the chunk and every
     pattern of size 1..max_k, the witnesses read from the text's tally of
-    restriction words, where each pattern finds its brute_partition_count."""
+    restriction words, where each pattern finds its brute_partition_count.
+    A text that is also a pattern reuses the pattern's encoding, and one
+    relabel memo serves the whole chunk and goes with it."""
     texts, max_k, check = payload
-    patterns = [_encode(tau) for k in range(1, max_k + 1) for tau in enumerate_permutations(k)]
+    encoded = {
+        tau.values: _encode(tau) for k in range(1, max_k + 1) for tau in enumerate_permutations(k)
+    }
+    patterns = list(encoded.values())
     sizes = sorted({reduced.n for _, reduced, _ in patterns})
+    relabel = _Relabelled().__getitem__
     mismatches: list[Mismatch] = []
     for values in texts:
-        text = _encode(Permutation(values))
-        tally = Counter(r for k in sizes for r in _restrictions(text[1].word, k))
+        text = encoded.get(values) or _encode(Permutation(values))
+        tally: Counter[tuple[int, ...]] = Counter()
+        for k in sizes:
+            tally.update(_restrictions(text[1].word, k, relabel))
         for pattern in patterns:
-            mismatches.extend(check(text, pattern, tally[pattern[1].word]))
+            mismatches.extend(check(text, pattern, tally.get(pattern[1].word, 0)))
     return len(texts) * len(patterns), mismatches
 
 

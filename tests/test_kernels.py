@@ -15,6 +15,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,46 @@ def test_rgf_kernels_match_brute_force_on_general_text_words(backend):
                 hits = rgf_positions(text, pattern)
                 assert backend.rgf_find(text, pattern) == (hits[0] if hits else None)
                 assert backend.rgf_count(text, pattern) == len(hits)
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+def test_sparse_letters_are_sized_by_the_text(backend, name):
+    # Two copies of one huge letter: the arrays the search keeps are sized
+    # by the two positions, not by the letter.
+    tracemalloc.start()
+    try:
+        answer = getattr(backend, name)((10**7, 10**7), (1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer == (1 if name.endswith("count") else (1, 2))
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("name", WORD_KERNELS)
+@pytest.mark.parametrize("letter", [5.0, 5.5])
+def test_sparse_letters_must_be_integers(backend, name, letter):
+    # Ranking must not turn a float letter into an integer one.
+    with pytest.raises(TypeError):
+        getattr(backend, name)((1, letter, 1), (1, 1))
+
+
+def dense_ranks(word):
+    rank = {letter: r for r, letter in enumerate(sorted(set(word)), start=1)}
+    return tuple(rank[letter] for letter in word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from((1, 2, 5, 9, 40, 1000, 2**31 - 2)), max_size=10).map(tuple),
+    rgf_letters(max_len=4),
+)
+def test_sparse_letters_answer_as_their_dense_ranks(compiled, text, pattern):
+    dense = dense_ranks(text)
+    for kernels in (compiled, _kernels_py):
+        for name in WORD_KERNELS:
+            kernel = getattr(kernels, name)
+            assert kernel(text, pattern) == kernel(dense, pattern), (kernels, name)
 
 
 @settings(max_examples=200, deadline=None)

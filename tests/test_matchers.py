@@ -1,4 +1,8 @@
+import dataclasses
+import pickle
+import re
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +21,9 @@ from permpart import (
     rgf_contains,
     rgf_count,
 )
-from permpart import matchers
+from permpart import _kernels_py, matchers
 from permpart.core import restrict, rgf_of
+from permpart.reduction import reduce_perm
 from helpers import (
     partitions_of,
     perm_occurrences,
@@ -28,6 +33,14 @@ from helpers import (
     value_standardize,
     witnesses_by_restriction,
 )
+
+
+@pytest.fixture(params=["compiled", "pure-python"])
+def kernels(request, monkeypatch):
+    """Each kernel backend in turn, installed as the engines' kernel table."""
+    table = request.getfixturevalue("compiled") if request.param == "compiled" else _kernels_py
+    monkeypatch.setattr(matchers, "_K", table)
+    return table
 
 
 class TestPermMatcher:
@@ -361,3 +374,69 @@ def test_rgf_engine_matches_brute_random(text, pattern):
     assert result.contains == bool(hits)
     assert result.witness == (min(hits) if hits else None)
     assert rgf_count(text, pattern) == len(hits)
+
+
+# "No" answers of each contains engine, by every route that gives one.
+NO_ANSWERS = [
+    (perm_contains, Permutation((1, 2, 3)), Permutation((2, 1))),
+    (perm_contains, Permutation((1,)), Permutation((1, 2))),
+    (partition_contains, SetPartition(((1, 2), (3,))), SetPartition(((1,), (2,), (3,)))),
+    (partition_contains, SetPartition(((1,), (2,), (3,))), SetPartition(((1, 2),))),
+    (partition_contains, SetPartition(((1, 2), (3, 4))), SetPartition(((1, 2, 3), (4,)))),
+    (partition_contains, SetPartition(((1, 3), (2, 4))), SetPartition(((1, 2), (3, 4)))),
+    (rgf_contains, RGFWord((1, 1)), RGFWord((1, 2))),
+    (rgf_contains, RGFWord((1, 2, 2, 1)), RGFWord((1, 1, 2))),
+]
+
+
+@pytest.mark.parametrize("engine, text, pattern", NO_ANSWERS)
+def test_no_answers_look_freshly_built(kernels, engine, text, pattern):
+    result = engine(text, pattern)
+    fresh = MatchResult(False)
+    assert result is matchers._ABSENT
+    for seen in (result, pickle.loads(pickle.dumps(result))):
+        assert seen == fresh and hash(seen) == hash(fresh) and repr(seen) == repr(fresh)
+
+
+def test_shared_no_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matchers._ABSENT.contains = True
+
+
+class Index:
+    """An integer type that is no int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("bad", [2.0, Fraction(2)], ids=["float", "Fraction"])
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda v: Permutation((v, 1, 3)), "permutation values"),
+        (lambda v: SetPartition(((1,), (v,))), "block elements"),
+        (lambda v: RGFWord((1, v)), "word letters"),
+    ],
+    ids=["Permutation", "SetPartition", "RGFWord"],
+)
+def test_constructors_refuse_values_equal_to_integers(kernels, build, what, bad):
+    # 2.0 and Fraction(2) compare equal to 2, and used to get through: the
+    # pure kernels then answered where the compiled ones raised TypeError.
+    with pytest.raises(TypeError, match=re.escape(f"{what} must be integers, not {bad!r}")):
+        build(bad)
+
+
+def test_integer_types_are_stored_as_plain_ints(kernels):
+    perm = Permutation((Index(2), True, Index(3)))
+    sigma = SetPartition(((Index(3), True), [Index(2)]))
+    word = RGFWord((True, Index(2), 1))
+    assert (perm.values, sigma.blocks, word.letters) == ((2, 1, 3), ((1, 3), (2,)), (1, 2, 1))
+    stored = [*perm.values, *sigma.word, *word.letters, *reduce_perm(perm).word]
+    assert {type(v) for v in stored} == {int}
+    assert perm_contains(perm, Permutation((Index(2), Index(1)))).witness == (1, 2)
+    assert partition_contains(sigma, SetPartition(((True, Index(2)),))).witness == (1, 3)
+    assert rgf_contains(word, RGFWord((1, Index(2)))).witness == (1, 2)

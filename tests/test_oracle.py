@@ -345,8 +345,8 @@ class TestRestrictionTally:
         words = []
         real_restrictions = oracle._restrictions
 
-        def counted(word, k):
-            for restriction in real_restrictions(word, k):
+        def counted(word, k, relabel):
+            for restriction in real_restrictions(word, k, relabel):
                 words.append(restriction)
                 yield restriction
 
@@ -359,16 +359,18 @@ class TestRestrictionTally:
         assert len(words) == restrictions
 
 
-def _assert_scan_restricts(restrictions, max_n):
-    """The scan's words, read back as partitions, are core.restrict's
-    restrictions to the same subsets in the same order, for every partition
-    of [n], n <= max_n, and every subset size; returns the subsets seen."""
+def _assert_scan_restricts(relabel, max_n):
+    """The scan's words, under the given relabelling and read back as
+    partitions, are core.restrict's restrictions to the same subsets in the
+    same order, for every partition of [n], n <= max_n, and every subset
+    size; returns the subsets seen."""
     seen = 0
     for n in range(max_n + 1):
         for sigma in partitions_of(n):
             for k in range(n + 1):
                 scanned = [
-                    partition_of_rgf(RGFWord(w)) for w in restrictions(sigma.word, k)
+                    partition_of_rgf(RGFWord(w))
+                    for w in oracle._restrictions(sigma.word, k, relabel)
                 ]
                 expected = [restrict(sigma, T) for T in combinations(range(1, n + 1), k)]
                 assert scanned == expected, (sigma, k)
@@ -377,19 +379,53 @@ def _assert_scan_restricts(restrictions, max_n):
 
 
 def test_word_scan_matches_block_restriction():
-    assert _assert_scan_restricts(oracle._restrictions, 7) == 127203
+    assert _assert_scan_restricts(oracle._relabel, 7) == 127203
+
+
+def test_word_scan_through_a_shared_memo_matches_block_restriction():
+    # One memo serves every partition up to [7], as a gate chunk's serves
+    # all its texts: a letter tuple met again must relabel as before.
+    assert _assert_scan_restricts(oracle._Relabelled().__getitem__, 7) == 127203
 
 
 def test_value_rank_relabelling_is_caught():
     # Numbering the letters at T by value rank numbers the blocks by their
     # minima in the text, not in T: at 1,2,1 restricted to {2, 3} it gives
     # 2,1, which is no block-index word.
-    def by_value_rank(word, k):
-        for letters in combinations(word, k):
-            yield value_standardize(letters)
-
     with pytest.raises(ValueError, match="restricted growth"):
-        _assert_scan_restricts(by_value_rank, 3)
+        _assert_scan_restricts(value_standardize, 3)
+
+
+@pytest.mark.parametrize(
+    "gate, calls",
+    [(verify_reduction, 398), (verify_rgf_coincidence, 402)],
+    ids=["reduction", "rgf"],
+)
+def test_relabel_memo_lives_for_one_call(monkeypatch, gate, calls):
+    # A memo kept across calls would make the second call relabel nothing.
+    # At (4, 4) the texts' 3,249 subsets hold 398 distinct letter tuples;
+    # the rgf gate's separation pair relabels its 4 subsets unmemoized.
+    made = []
+    real = oracle._relabel
+
+    def counted(letters):
+        made.append(letters)
+        return real(letters)
+
+    monkeypatch.setattr(oracle, "_relabel", counted)
+    for _ in range(2):
+        made.clear()
+        assert gate(4, 4).ok
+        assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "gate", [verify_reduction, verify_rgf_coincidence], ids=["reduction", "rgf"]
+)
+def test_gates_pass_on_the_compiled_kernels(compiled, monkeypatch, gate):
+    monkeypatch.setattr(matchers, "_K", compiled)
+    report = gate(4, 4)
+    assert report.ok and report.pairs_checked == 33 * 33 == 1089
 
 
 def test_broken_separation_pair_is_reported(monkeypatch, capsys):
