@@ -92,16 +92,8 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        given = tuple(self.blocks)
-        try:
-            raw = tuple(tuple(sorted(block)) for block in given)
-            elements = list(chain.from_iterable(raw))
-            plain = _PLAIN.issuperset(map(type, elements))
-        except TypeError:  # unorderable elements, or a block that is no iterable
-            plain = False
-        if not plain:
-            raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in given)
-            elements = list(chain.from_iterable(raw))
+        raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in self.blocks)
+        elements = list(chain.from_iterable(raw))
         if not all(raw):
             raise ValueError("set partition blocks must be nonempty")
         blocks = tuple(sorted(raw, key=_first))

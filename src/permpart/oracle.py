@@ -19,9 +19,11 @@ check; so each subset is restricted once per text rather than once per
 pattern.  The texts share few letter tuples, so the chunk keeps one relabel
 memo: each distinct tuple is renumbered once, and the memo holds those
 tuples (51,612 for verify_reduction at its default bounds, 398 at (4, 4))
-until the chunk ends.  Nothing is kept from one call to the next.  One
-runner checks the bounds, times the run, merges the chunks and sorts the
-report.
+until the chunk ends.  A forced run past the bounds has more, so the memo
+starts afresh whenever it reaches _RELABEL_MEMO_CAP (65,536) tuples, which
+bounds its memory whatever the run.  Nothing is kept from one call to the
+next.  One runner checks the bounds, times the run, merges the chunks and
+sorts the report.
 
 Enumeration orders are fixed so runs reproduce byte for byte:
 permutations stream in lexicographic order of their value words, partitions
@@ -72,6 +74,10 @@ CENSUS_BOUND = 10
 # to the chunk workers: the at most 15 prefixes of [4] are cheap to grow
 # serially and, even after pruning, enough to split over a few jobs.
 _CUT_DEPTH = 4
+# A gate chunk's relabel memo starts afresh once it holds this many letter
+# tuples: above the 51,612 of the default bounds, so those runs never clear
+# it, and a forced run holds at most about 16 MB of memo, whatever its size.
+_RELABEL_MEMO_CAP = 1 << 16
 
 # The two containment notions provably differ on this pair: the word text
 # avoids the word pattern, yet the corresponding partitions do contain.
@@ -145,9 +151,12 @@ def _relabel(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Relabelled(dict):
     """A relabel memo: letters -> _relabel(letters), computed on first
-    lookup and kept."""
+    lookup and kept until the memo holds _RELABEL_MEMO_CAP tuples, when it
+    starts afresh."""
 
     def __missing__(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        if len(self) >= _RELABEL_MEMO_CAP:
+            self.clear()
         self[letters] = word = _relabel(letters)
         return word
 
@@ -159,7 +168,7 @@ def _restrictions(word: tuple[int, ...], k: int, relabel) -> Iterator[tuple[int,
     the letters at a subset by first appearance: _relabel itself, which
     holds nothing, or a chunk's _Relabelled memo, which holds each distinct
     letter tuple of the chunk's texts once (51,612 at the default bounds of
-    verify_reduction)."""
+    verify_reduction), and at most _RELABEL_MEMO_CAP of them."""
     return map(relabel, itertools.combinations(word, k))
 
 

@@ -430,6 +430,15 @@ def test_constructors_refuse_values_equal_to_integers(kernels, build, what, bad)
         build(bad)
 
 
+def test_set_partition_reads_each_block_once():
+    # A block may be a one-shot iterator: it is read once, so its values
+    # are neither lost nor mistaken for an empty block.
+    sigma = SetPartition((iter([Index(2), Index(1)]), (x for x in (3,))))
+    assert sigma.blocks == ((1, 2), (3,)) and {type(v) for v in sigma.word} == {int}
+    with pytest.raises(TypeError, match=re.escape("block elements must be integers, not 1.0")):
+        SetPartition(((x for x in (1.0,)),))
+
+
 def test_integer_types_are_stored_as_plain_ints(kernels):
     perm = Permutation((Index(2), True, Index(3)))
     sigma = SetPartition(((Index(3), True), [Index(2)]))

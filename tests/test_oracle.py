@@ -388,6 +388,22 @@ def test_word_scan_through_a_shared_memo_matches_block_restriction():
     assert _assert_scan_restricts(oracle._Relabelled().__getitem__, 7) == 127203
 
 
+def test_relabel_memo_starts_afresh_at_its_cap(monkeypatch):
+    # A forced run meets more letter tuples than the memo may hold: it
+    # clears at the cap, so its size stays bounded, and relabels as before.
+    monkeypatch.setattr(oracle, "_RELABEL_MEMO_CAP", 64)
+    memo = oracle._Relabelled()
+    sizes = []
+
+    def relabel(letters):
+        word = memo[letters]
+        sizes.append(len(memo))
+        return word
+
+    assert _assert_scan_restricts(relabel, 6) == 14947
+    assert max(sizes) == 64 and sizes.count(1) > 1
+
+
 def test_value_rank_relabelling_is_caught():
     # Numbering the letters at T by value rank numbers the blocks by their
     # minima in the text, not in T: at 1,2,1 restricted to {2, 3} it gives
