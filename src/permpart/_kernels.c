@@ -6,12 +6,17 @@
  * partitions and words share another that an ordered flag switches to the
  * word rule; a find entry stops at the first complete match and returns the
  * witness, a count entry counts every match.  See the pure module for the
- * algorithm notes, the order lookahead of the word search included.
+ * algorithm notes: the order lookahead of the word search, the jumps of its
+ * bound slots to the next copy of their text letter, and the stops where
+ * too few copies of a slot's letter remain.  The word loop runs in walk,
+ * which returns at every poll, so no call into Python sits in the loop and
+ * the compiler can keep its state in registers.
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
- * Arguments are positional only, (text, pattern[, cancel]).  Permutation
- * values must fit a C int (OverflowError; the pure kernels assume it).  Word
+ * Arguments are positional only, (text, pattern[, cancel]).  A value that is
+ * not an integer raises TypeError, on both backends.  Permutation values
+ * must fit a C int (OverflowError; the pure kernels assume it).  Word
  * letters run from 1 to 2**31 - 2, and the first bad letter, reading the
  * text and then the pattern in order, names the fault: below 1 ValueError,
  * 2**31 - 1 or more OverflowError, a pattern letter above the running peak
@@ -26,7 +31,8 @@
 
 #define POLL_MASK ((1 << 14) - 1)
 /* The text's next-position table is skipped above this many entries, and
- * with it the order lookahead; the search stays correct, only less pruned. */
+ * with it the order lookahead and the jumps; the search stays correct, only
+ * less pruned. */
 #define TABLE_LIMIT 4000000
 
 static PyObject *SearchCancelled;
@@ -51,9 +57,9 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, Call *c) {
 }
 
 /* The scratch arrays of one search, freed together.  word_search takes the
- * most: tw, pw, nxt, is_new, ahead, chosen, bound and used, and the sorted
- * letters of a text with sparse letters. */
-#define ARENA_BLOCKS 9
+ * most: tw, pw, nxt, slot, chosen, bound and used, and the sorted letters of
+ * a text with sparse letters. */
+#define ARENA_BLOCKS 8
 typedef struct {
     void *block[ARENA_BLOCKS];
     int used;
@@ -230,6 +236,27 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     return answer(find, count, chosen, k);
 }
 
+/* One pattern slot of the word search.  stop: the last text position the
+ * slot may take.  ahead: the last slot the order lookahead walks to once it
+ * is taken, or the slot itself when there is none.  is_new: its letter first
+ * occurs here.  jump: its letter is bound and the table exists, so it goes
+ * straight to the next copy of its text letter. */
+typedef struct {
+    Py_ssize_t stop, ahead;
+    int is_new, jump;
+} Slot;
+
+/* A word search between two polls.  i, j, ticks and count carry over from
+ * one run of walk to the next. */
+typedef struct {
+    const int *tw, *pw, *nxt;
+    const Slot *slot;
+    int *bound, *used;
+    Py_ssize_t *chosen, n, k, i, j, ticks;
+    unsigned long long count;
+    int nt, ordered, find;
+} Walk;
+
 /* The order lookahead of _word_search: slot j takes text position i, with
  * text letter t for pattern letter p.  Can slots j+1..last still take
  * positions in order?  A slot whose letter is bound jumps to the next
@@ -248,68 +275,128 @@ Py_NO_INLINE static int fits_ahead(const int *nxt, int nt, Py_ssize_t n, Py_ssiz
     return 1;
 }
 
+/* Fill the slots of w before the search; see _pattern_slots and
+ * _slot_stops in the pure module.  np is the largest pattern letter.
+ * bound, used and chosen serve as scratch and are left zeroed or
+ * overwritten. */
+static void plan_slots(Slot *slot, const Walk *w, int np) {
+    const int *tw = w->tw, *pw = w->pw;
+    int *bound = w->bound, *used = w->used, table = w->nxt != NULL, peak = 0;
+    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, j, i, last = 0, top = 0, most = 0;
+    /* bound[q]: the last slot of letter q. */
+    for (j = 0; j < k; j++)
+        bound[pw[j]] = (int)j;
+    for (j = 0; j < k; j++) {
+        slot[j].is_new = pw[j] > peak;
+        if (slot[j].is_new) {
+            peak = pw[j];
+            last = bound[peak] > last ? bound[peak] : last;
+        }
+        slot[j].ahead = table && last > j ? last : j;
+        slot[j].jump = table && !slot[j].is_new;
+    }
+    /* slot[j].stop, for now: the copies of its letter at or after slot j,
+     * counted in bound; most: the most copies of one letter. */
+    memset(bound, 0, (size_t)(np + 1) * sizeof(int));
+    for (j = k - 1; j >= 0; j--) {
+        slot[j].stop = ++bound[pw[j]];
+        most = slot[j].stop > most ? slot[j].stop : most;
+    }
+    /* chosen[c-1], for c up to top: the last text position whose letter has
+     * c copies from there on.  used counts each letter's copies from the
+     * back; a count past top is one past it. */
+    for (i = n - 1; i >= 0 && top < most; i--)
+        if (++used[tw[i]] > top)
+            chosen[top++] = i;
+    for (j = 0; j < k; j++) {
+        Py_ssize_t reach = slot[j].stop > top ? -1 : chosen[slot[j].stop - 1];
+        slot[j].stop = reach < n - k + j ? reach : n - k + j;
+    }
+    memset(bound, 0, (size_t)(np + 1) * sizeof(int));
+    memset(used, 0, (size_t)(w->nt + 1) * sizeof(int));
+}
+
+/* Run the search until it ends (1) or the next poll is due (0).  It makes
+ * no call into Python, so the compiler can keep the loop's state in
+ * registers: with the poll inside the loop, the jumps and stops made
+ * general searches slower, not faster. */
+Py_NO_INLINE static int walk(Walk *w) {
+    const int *tw = w->tw, *pw = w->pw, *nxt = w->nxt;
+    const Slot *slot = w->slot;
+    int *bound = w->bound, *used = w->used, nt = w->nt, ordered = w->ordered, find = w->find, done = 0;
+    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
+    unsigned long long count = w->count;
+
+    do {
+        const Slot *s = &slot[j];
+        if (s->jump)
+            i = nxt[i * nt + bound[pw[j]] - 1];
+        if (i > s->stop) {
+            if (j == 0) {
+                done = 1;
+                break;
+            }
+            i = chosen[--j];
+            if (slot[j].is_new) {
+                used[bound[pw[j]]] = 0;
+                bound[pw[j]] = 0;
+            }
+        } else {
+            int t = tw[i], p = pw[j];
+            if ((s->is_new ? (ordered ? t > bound[p - 1] : !used[t]) : t == bound[p]) &&
+                (s->ahead == j || fits_ahead(nxt, nt, n, k, pw, bound, j, s->ahead, i, p, t))) {
+                chosen[j] = i;
+                if (j < k - 1) {
+                    if (s->is_new) {
+                        bound[p] = t;
+                        used[t] = 1;
+                    }
+                    j++;
+                } else {
+                    count++;
+                    if (find) {
+                        done = 1;
+                        break;
+                    }
+                }
+            }
+        }
+        i++;
+    } while ((++ticks & POLL_MASK) != 0);
+    w->i = i;
+    w->j = j;
+    w->ticks = ticks;
+    w->count = count;
+    return done;
+}
+
 /* Partitions and words: see _word_search in the pure module.  A new
  * pattern letter p takes a text block no other letter holds (partitions) or,
  * when ordered (words), a text letter above the one bound to p - 1. */
 static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
-    Py_ssize_t n = c->n, k = c->k, i = 0, j, last = 0, ticks = 0, *ahead, *chosen;
+    Py_ssize_t n = c->n, k = c->k;
     /* tw: the text's letters, ranked densely when the largest exceeds n;
      * bound: pattern letter -> text letter, 0 = unbound; used: text letters
      * bound; nxt, the text's next positions, stays NULL past TABLE_LIMIT. */
-    int *tw, *pw, *nxt = NULL, *is_new, *bound, *used, nt = 0, np = 0, peak = 0;
-    unsigned long long count = 0;
+    int *tw, *pw, *nxt = NULL, *bound, *used, nt = 0, np = 0;
+    Slot *slot;
+    Py_ssize_t *chosen;
 
     if ((tw = read_ints(a, c->text, n, &nt, 0)) == NULL ||
         (pw = read_ints(a, c->pattern, k, &np, 1)) == NULL ||
         (nt > n && rank_letters(a, tw, n, &nt) < 0) ||
         ((n + 1) * nt <= TABLE_LIMIT && (nxt = next_table(a, tw, n, nt)) == NULL) ||
-        (is_new = take(a, k, sizeof(int))) == NULL || (ahead = take(a, k, sizeof(Py_ssize_t))) == NULL ||
-        (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL || (bound = take(a, np + 1, sizeof(int))) == NULL ||
-        (used = take(a, nt + 1, sizeof(int))) == NULL)
+        (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
+        (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL)
         return NULL;
-    /* ahead[j]: the last slot whose letter is bound once slot j is taken,
-     * or j if none is (or there is no table).  Until the search starts,
-     * bound[q] holds the last slot of letter q. */
-    for (j = 0; j < k; j++)
-        bound[pw[j]] = (int)j;
-    for (j = 0; j < k; j++) {
-        is_new[j] = pw[j] > peak;
-        if (is_new[j]) {
-            peak = pw[j];
-            last = bound[peak] > last ? bound[peak] : last;
-        }
-        ahead[j] = nxt != NULL && last > j ? last : j;
-    }
-    memset(bound, 0, (size_t)(np + 1) * sizeof(int));
-    for (j = 0; !(find && count); i++) {
-        if (poll(c->cancel, ++ticks) < 0)
+    Walk w = {.tw = tw, .pw = pw, .nxt = nxt, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
+              .n = n, .k = k, .ticks = 1, .nt = nt, .ordered = ordered, .find = find};
+    plan_slots(slot, &w, np);
+    do
+        if (poll(c->cancel, w.ticks) < 0)
             return NULL;
-        if (i > n - (k - j)) {
-            if (j == 0)
-                break;
-            i = chosen[--j];
-            if (is_new[j]) {
-                used[bound[pw[j]]] = 0;
-                bound[pw[j]] = 0;
-            }
-            continue;
-        }
-        int t = tw[i], p = pw[j];
-        if ((is_new[j] ? (ordered ? t > bound[p - 1] : !used[t]) : t == bound[p]) &&
-            (ahead[j] == j || fits_ahead(nxt, nt, n, k, pw, bound, j, ahead[j], i, p, t))) {
-            chosen[j] = i;
-            if (j == k - 1) {
-                count++;
-            } else {
-                if (is_new[j]) {
-                    bound[p] = t;
-                    used[t] = 1;
-                }
-                j++;
-            }
-        }
-    }
-    return answer(find, count, chosen, k);
+    while (!walk(&w));
+    return answer(find, w.count, chosen, k);
 }
 
 /* The six entries: the empty pattern occurs once, at no positions; a

@@ -9,7 +9,9 @@ Two search loops serve the three notions: one for permutations, and one
 for partitions and words, whose ``ordered`` flag picks the word rule.  Each
 takes a ``find`` flag: find returns the witness at the first complete match,
 count counts every match.  The six public functions are thin entries to
-these two loops.
+these two loops.  The word loop skips positions no slot can take: an order
+lookahead, jumps of bound slots to the next copy of their text letter, and
+stops where too few copies of a slot's letter remain (see _word_search).
 
 Kernel conventions:
 
@@ -24,6 +26,8 @@ Kernel conventions:
 - ``cancel`` is an optional zero-argument callable polled every few thousand
   search steps; returning True aborts the search with SearchCancelled;
 - arguments are positional only: ``(text, pattern[, cancel])``;
+- a value that is not an integer raises TypeError, as in the compiled
+  kernels;
 - permutation values are assumed to fit a C int: these kernels do not
   check, the compiled ones raise OverflowError;
 - bad word letters are named by the first one, reading the text's letters
@@ -50,7 +54,8 @@ from .errors import SearchCancelled
 _POLL_MASK = (1 << 14) - 1
 
 # The text's next-position table is skipped above this size (entries), and
-# with it the order lookahead; the search stays correct, only less pruned.
+# with it the order lookahead and the jumps; the search stays correct, only
+# less pruned.
 _TABLE_LIMIT = 4_000_000
 
 # Word letters stay below this, as the compiled kernels' C ints need.
@@ -93,10 +98,26 @@ def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
+def _check_integers(*words: Sequence[int]) -> None:
+    """Raise TypeError for the first value that is not an integer, reading
+    the words in order, as the compiled kernels do.  A sum of ints is an
+    int, and a float, a Fraction or a Decimal makes it none: only then are
+    the values read one by one."""
+    for word in words:
+        try:
+            plain = type(sum(word)) is int
+        except TypeError:
+            plain = False
+        if not plain:
+            for value in word:
+                operator.index(value)
+
+
 def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
+    _check_integers(text, pattern)
     lo, hi = _order_bounds(pattern)
     chosen = [0] * k
     count = j = i = ticks = 0
@@ -153,7 +174,7 @@ def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
     pattern in order (see the module notes)."""
     for word, growth in ((text, False), (pattern, True)):
         peak = 0
-        for letter in word:
+        for letter in map(operator.index, word):
             if letter < 1:
                 raise ValueError("word letters must be at least 1")
             if letter >= _LETTER_LIMIT:
@@ -163,11 +184,12 @@ def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
             peak = max(peak, letter)
 
 
-def _pattern_slots(pattern: Sequence[int], lookahead: bool) -> tuple[list[bool], list[int]]:
-    """For each slot j: is its letter new, and ahead[j], the last slot whose
-    letter is bound once slot j is taken (j if none is, or if not
-    lookahead).  Raises ValueError unless the pattern is a restricted growth
-    word, whose letters 1..m first occur in that order."""
+def _pattern_slots(pattern: Sequence[int], table: bool) -> tuple[list[bool], list[int], list[bool]]:
+    """For each slot j: is its letter new; ahead[j], the last slot whose
+    letter is bound once slot j is taken (j if none is, or if there is no
+    table); and does it jump, as a bound slot with a table.  Raises
+    ValueError unless the pattern is a restricted growth word, whose letters
+    1..m first occur in that order."""
     last_slot = {letter: j for j, letter in enumerate(pattern)}
     is_new = []
     ahead = []
@@ -179,8 +201,38 @@ def _pattern_slots(pattern: Sequence[int], lookahead: bool) -> tuple[list[bool],
         if letter > peak:
             peak = letter
             last = max(last, last_slot[letter])
-        ahead.append(last if lookahead and last > j else j)
-    return is_new, ahead
+        ahead.append(last if table and last > j else j)
+    jump = [not new for new in is_new] if table else [False] * len(is_new)
+    return is_new, ahead, jump
+
+
+def _slot_stops(text: Sequence[int], pattern: Sequence[int], nt: int) -> list[int]:
+    """For each slot j, the last text position it may take: n - k + j, past
+    which too few positions follow, or reach[c], if earlier, where c counts
+    the copies of the slot's letter at or after j in the pattern.  reach[c]
+    is the last text position whose letter still has c copies from there
+    on, or -1 if no letter has c copies; every copy of the slot's letter
+    takes a copy of one text letter, in order."""
+    n, k = len(text), len(pattern)
+    copies = [0] * k
+    left = {}  # each pattern letter's copies from slot j on
+    for j in range(k - 1, -1, -1):
+        copies[j] = left[pattern[j]] = left.get(pattern[j], 0) + 1
+    stop = list(range(n - k, n))
+    most = max(copies)
+    if most > 1:
+        reach = [-1, n - 1]  # reach[c] for c up to len(reach) - 1
+        seen = [0] * (nt + 1)  # each text letter's copies, from the back
+        for back, t in enumerate(reversed(text)):
+            seen[t] += 1
+            if seen[t] == len(reach):
+                reach.append(n - 1 - back)
+                if len(reach) > most:
+                    break
+        for j, c in enumerate(copies):
+            if c > 1:
+                stop[j] = min(stop[j], reach[c]) if c < len(reach) else -1
+    return stop
 
 
 def _word_search(
@@ -210,10 +262,24 @@ def _word_search(
     counting, per bound letter, the copies left ahead in text and pattern.
     On a matchstick pair (the image of two permutations under the
     reduction) it is the order check of the permutation search.
+
+    Two more rules skip positions a slot can never take, so they keep the
+    search order, the witnesses and the counts too.  Jump: with the table,
+    a slot whose letter is bound goes straight to the next copy of its text
+    letter instead of scanning to it.  Stop: the c copies of a slot's letter
+    from that slot on all take copies of one text letter, in order, so the
+    slot stops at the last text position whose letter still has c copies
+    from there on, if that comes before n - k + j (see ``_slot_stops``).
+    Each step of the loop is one tick, whatever it skips, and the compiled
+    kernel counts alike, so both backends poll equally often.
     """
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
+    try:
+        _check_integers(text, pattern)
+    except TypeError:
+        _reject_letters(text, pattern)
     nt = max(text)
     npat = max(pattern)
     if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT:
@@ -222,14 +288,13 @@ def _word_search(
         # Sparse letters: rank them densely, in order, so that used and the
         # next-position table are sized by the text's length.  The search
         # reads letters only for equality and order, which ranking keeps.
-        # operator.index refuses a non-integer letter, as the compiled
-        # kernels do.
-        letters = sorted(set(map(operator.index, text)))
+        letters = sorted(set(text))
         rank = {letter: r for r, letter in enumerate(letters, start=1)}
         text = [rank[t] for t in text]
         nt = len(rank)
     text_next = _next_positions(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
-    is_new, ahead = _pattern_slots(pattern, text_next is not None)
+    is_new, ahead, jump = _pattern_slots(pattern, text_next is not None)
+    stop = _slot_stops(text, pattern, nt)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
     used = [False] * (nt + 1)  # text letters bound to some pattern letter
     chosen = [0] * k
@@ -237,7 +302,9 @@ def _word_search(
     while True:
         ticks += 1
         _poll(cancel, ticks)
-        if i > n - (k - j):
+        if jump[j]:
+            i = text_next[i * nt + bound[pattern[j]] - 1]
+        if i > stop[j]:
             if j == 0:
                 return None if find else count
             j -= 1

@@ -34,21 +34,23 @@ def matchstick_word(values):
     return rgf_of(reduce_perm(Permutation(values))).letters
 
 
-# 2, 4, ..., 36, 1, 3, ..., 35, whose matchstick image the order lookahead
-# prunes hard: the word kernels take about a fifth of the steps they would
-# without it, and still reach the poll six times.
-TWO_ROWS = matchstick_word(tuple(range(2, 37, 2)) + tuple(range(1, 36, 2)))
+# 2, 4, ..., 72, 1, 3, ..., 71, whose matchstick image the word search
+# prunes hard (the order lookahead, the jumps of bound slots and the stops):
+# the counts below still reach the poll three to five times.
+TWO_ROWS = matchstick_word(tuple(range(2, 73, 2)) + tuple(range(1, 72, 2)))
 
-# Searches long enough to reach the poll several times: full counts, and
-# exhaustive searches for patterns the text avoids.
+# Searches long enough to reach the poll at least twice: full counts, and
+# exhaustive searches for patterns the text avoids.  The text of part_find
+# is past the next-position table: with the table, the jumps settle that
+# search in about 4 steps per letter, too few to poll.
 LONG_SEARCHES = [
     ("perm_find", tuple(range(24, 0, -1)), (4, 3, 2, 1, 5)),
     ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4)),
-    ("part_find", tuple(range(1, 201)) * 2, (1, 1, 2, 2)),
+    ("part_find", tuple(range(1, 1501)) * 2, (1, 1, 2, 2)),
     ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
     ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
     ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4)),
-    ("rgf_count", tuple(range(1, 41)) * 2, (1, 2, 1, 2)),
+    ("rgf_count", tuple(range(1, 161)) * 2, (1, 2, 1, 2)),
     ("part_count", TWO_ROWS, matchstick_word((1, 3, 2))),
     ("rgf_count", TWO_ROWS, matchstick_word((3, 1, 2))),
 ]
@@ -149,6 +151,7 @@ def test_word_letters_at_int_max_are_rejected(backend, name, text, pattern):
 AT_LEAST_ONE = (ValueError, "word letters must be at least 1")
 BELOW_INT_MAX = (OverflowError, "word letters must be below 2**31 - 1")
 NOT_GROWTH = (ValueError, "a word pattern must be a restricted growth word")
+NOT_INTEGER = (TypeError, "'float' object cannot be interpreted as an integer")
 # The text's letters, then the pattern's, in order: the first bad one names
 # the fault, whatever its size and whatever letters follow it.
 FIRST_BAD_LETTER = [
@@ -162,6 +165,10 @@ FIRST_BAD_LETTER = [
     ((1, 2**40), (1, 0), BELOW_INT_MAX),
     ((1, 2, 3), (1, 3, 0), NOT_GROWTH),
     ((1, 2, 3), (1, 3, 2**40), NOT_GROWTH),
+    ((2.5, 0), (1, 1), NOT_INTEGER),
+    ((0, 2.5), (1, 1), AT_LEAST_ONE),
+    ((1, 2), (1, 2.0), NOT_INTEGER),
+    ((1, 2.0), (1, 0), NOT_INTEGER),
 ]
 
 
@@ -306,6 +313,41 @@ def test_rgf_kernels_parity_on_general_text_words(compiled, text, pattern):
     assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(text, pattern)
 
 
+@st.composite
+def reduced_pairs(draw):
+    n = draw(st.integers(min_value=24, max_value=40))
+    k = draw(st.integers(min_value=3, max_value=5))
+    text = draw(st.permutations(range(1, n + 1)))
+    pattern = draw(st.permutations(range(1, k + 1)))
+    return matchstick_word(text), matchstick_word(pattern)
+
+
+@st.composite
+def words_with_repeated_letters(draw):
+    # Few text letters and pattern letters that repeat, so bound slots jump
+    # and stop early.
+    text = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=30, max_size=40))
+    pattern = draw(rgf_letters(max_len=7).filter(lambda p: len(p) > 3 and len(set(p)) < len(p)))
+    return tuple(text), pattern
+
+
+def answer_and_polls(kernels, name, text, pattern):
+    calls = []
+    answer = getattr(kernels, name)(text, pattern, lambda: calls.append(None))
+    return answer, len(calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(reduced_pairs(), words_with_repeated_letters()))
+def test_word_kernels_poll_parity_random(compiled, pair):
+    # Equal poll counts: both backends take as many steps, so they jump and
+    # stop alike.
+    for name in WORD_KERNELS:
+        assert answer_and_polls(compiled, name, *pair) == answer_and_polls(
+            _kernels_py, name, *pair
+        ), name
+
+
 def test_rgf_kernels_match_brute_force_on_general_text_words(backend):
     # Every word over the letters 1..3 up to length 6, so a fault shared by
     # both backends shows too.
@@ -338,6 +380,16 @@ def test_sparse_letters_must_be_integers(backend, name, letter):
     # Ranking must not turn a float letter into an integer one.
     with pytest.raises(TypeError):
         getattr(backend, name)((1, letter, 1), (1, 1))
+
+
+# A float compares like an integer, so an unchecked search would answer
+# perm_find((2.0, 1.0, 3.0), (1, 2)) with (1, 3).  Word letters are checked
+# in FIRST_BAD_LETTER.
+@pytest.mark.parametrize("name", ["perm_find", "perm_count"])
+@pytest.mark.parametrize("text, pattern", [((2.0, 1.0, 3.0), (1, 2)), ((2, 1, 3), (1, 2.5))])
+def test_permutation_values_must_be_integers(backend, name, text, pattern):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        getattr(backend, name)(text, pattern)
 
 
 def dense_ranks(word):
