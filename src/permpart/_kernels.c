@@ -8,7 +8,10 @@
  * witness, a count entry counts every match.  See the pure module for the
  * algorithm notes: the order lookahead of the word search, the jumps of its
  * bound slots to the next copy of their text letter, and the stops where
- * too few copies of a slot's letter remain.  The word loop runs in walk,
+ * too few copies of a slot's letter remain.  The next copy is read from
+ * O(n) links, each position's next copy of its own letter, starting from
+ * the copy that the slot's letter last took (see next_copy).  The word loop
+ * runs in walk,
  * which returns at every poll, so no call into Python sits in the loop and
  * the compiler can keep its state in registers.
  * The kernels only search: past the trivial answers for an empty pattern or
@@ -30,10 +33,6 @@
 #include <Python.h>
 
 #define POLL_MASK ((1 << 14) - 1)
-/* The text's next-position table is skipped above this many entries, and
- * with it the order lookahead and the jumps; the search stays correct, only
- * less pruned. */
-#define TABLE_LIMIT 4000000
 
 static PyObject *SearchCancelled;
 
@@ -57,8 +56,8 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, Call *c) {
 }
 
 /* The scratch arrays of one search, freed together.  word_search takes the
- * most: tw, pw, nxt, slot, chosen, bound and used, and the sorted letters of
- * a text with sparse letters. */
+ * most: tw, pw, the next-copy links, slot, chosen, bound and used, and the
+ * sorted letters of a text with sparse letters. */
 #define ARENA_BLOCKS 8
 typedef struct {
     void *block[ARENA_BLOCKS];
@@ -161,7 +160,7 @@ static int compare_ints(const void *x, const void *y) {
 
 /* Rank the n letters of a word densely, in order, and store the number of
  * distinct letters in *peak: the search reads letters only for equality and
- * order, which ranking keeps, and sizes used and nxt by the largest. */
+ * order, which ranking keeps, and sizes used and the links by the largest. */
 static int rank_letters(Arena *a, int *word, Py_ssize_t n, int *peak) {
     int *sorted = take(a, n, sizeof(int));
     Py_ssize_t distinct = 0;
@@ -180,19 +179,29 @@ static int rank_letters(Arena *a, int *word, Py_ssize_t n, int *peak) {
     return 0;
 }
 
-/* Flat (n+1) x width table: entry [i*width + t-1] is the first position at
- * or after i that holds letter t, or n. */
-static int *next_table(Arena *a, const int *word, Py_ssize_t n, int width) {
-    int *table = take(a, (n + 1) * width, sizeof(int));
-    for (int t = 0; table != NULL && t < width; t++)
-        table[n * width + t] = (int)n;
-    for (Py_ssize_t i = n - 1; table != NULL && i >= 0; i--) {
-        int *row = table + i * width;
-        for (int t = 0; t < width; t++)
-            row[t] = row[width + t];
-        row[word[i] - 1] = (int)i;
+/* The next-copy links of a word of n letters up to width, in one block of
+ * n + width + 1 ints: succ[i], the next position after i that holds the
+ * letter at i, or n; then head[t], the first position of letter t, or n,
+ * which the backward pass fills on its way. */
+static int *next_links(Arena *a, const int *word, Py_ssize_t n, int width) {
+    int *succ = take(a, n + width + 1, sizeof(int)), *head = succ + n;
+    for (int t = 0; succ != NULL && t <= width; t++)
+        head[t] = (int)n;
+    for (Py_ssize_t i = n - 1; succ != NULL && i >= 0; i--) {
+        succ[i] = head[word[i]];
+        head[word[i]] = (int)i;
     }
-    return table;
+    return succ;
+}
+
+/* The first position at or after x that holds the letter at position from,
+ * for from < x, or n: the links from there on, and the closer from is to x,
+ * the fewer. */
+static inline Py_ssize_t next_copy(const int *succ, Py_ssize_t from, Py_ssize_t x) {
+    Py_ssize_t pos = succ[from];
+    while (pos < x)
+        pos = succ[pos];
+    return pos;
 }
 
 static PyObject *perm_search(const Call *c, Arena *a, int find) {
@@ -239,17 +248,18 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
 /* One pattern slot of the word search.  stop: the last text position the
  * slot may take.  ahead: the last slot the order lookahead walks to once it
  * is taken, or the slot itself when there is none.  is_new: its letter first
- * occurs here.  jump: its letter is bound and the table exists, so it goes
- * straight to the next copy of its text letter. */
+ * occurs here; otherwise its letter is bound, and it goes straight to the
+ * next copy of its text letter, after the copy at prev, the slot before it
+ * with the same letter. */
 typedef struct {
-    Py_ssize_t stop, ahead;
-    int is_new, jump;
+    Py_ssize_t stop, ahead, prev;
+    int is_new;
 } Slot;
 
 /* A word search between two polls.  i, j, ticks and count carry over from
  * one run of walk to the next. */
 typedef struct {
-    const int *tw, *pw, *nxt;
+    const int *tw, *pw, *succ;
     const Slot *slot;
     int *bound, *used;
     Py_ssize_t *chosen, n, k, i, j, ticks;
@@ -262,13 +272,17 @@ typedef struct {
  * positions in order?  A slot whose letter is bound jumps to the next
  * occurrence of its text letter, any other slot to the next position, and
  * slot s fails past n - k + s, where too few positions are left after it.
+ * The positions go into chosen, from j on, which the search overwrites
+ * before it reads them, so each jump starts at its prev slot's copy.
  * Kept out of line: most accepted slots never call it. */
-Py_NO_INLINE static int fits_ahead(const int *nxt, int nt, Py_ssize_t n, Py_ssize_t k, const int *pw,
-                                   const int *bound, Py_ssize_t j, Py_ssize_t last, Py_ssize_t i, int p,
-                                   int t) {
+Py_NO_INLINE static int fits_ahead(const Walk *w, Py_ssize_t j, Py_ssize_t last, Py_ssize_t i, int p, int t) {
+    const int *pw = w->pw, *bound = w->bound;
+    Py_ssize_t n = w->n, k = w->k, *at = w->chosen;
+    at[j] = i;
     for (Py_ssize_t s = j + 1, pos = i; s <= last; s++) {
         int b = pw[s] == p ? t : bound[pw[s]];
-        pos = b ? nxt[(pos + 1) * nt + b - 1] : pos + 1;
+        pos = b ? next_copy(w->succ, at[w->slot[s].prev], pos + 1) : pos + 1;
+        at[s] = pos;
         if (pos > n - k + s)
             return 0;
     }
@@ -281,19 +295,20 @@ Py_NO_INLINE static int fits_ahead(const int *nxt, int nt, Py_ssize_t n, Py_ssiz
  * overwritten. */
 static void plan_slots(Slot *slot, const Walk *w, int np) {
     const int *tw = w->tw, *pw = w->pw;
-    int *bound = w->bound, *used = w->used, table = w->nxt != NULL, peak = 0;
+    int *bound = w->bound, *used = w->used, peak = 0;
     Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, j, i, last = 0, top = 0, most = 0;
-    /* bound[q]: the last slot of letter q. */
-    for (j = 0; j < k; j++)
+    /* bound[q]: the last slot of letter q, so far. */
+    for (j = 0; j < k; j++) {
+        slot[j].prev = bound[pw[j]];
         bound[pw[j]] = (int)j;
+    }
     for (j = 0; j < k; j++) {
         slot[j].is_new = pw[j] > peak;
         if (slot[j].is_new) {
             peak = pw[j];
             last = bound[peak] > last ? bound[peak] : last;
         }
-        slot[j].ahead = table && last > j ? last : j;
-        slot[j].jump = table && !slot[j].is_new;
+        slot[j].ahead = last > j ? last : j;
     }
     /* slot[j].stop, for now: the copies of its letter at or after slot j,
      * counted in bound; most: the most copies of one letter. */
@@ -321,16 +336,18 @@ static void plan_slots(Slot *slot, const Walk *w, int np) {
  * registers: with the poll inside the loop, the jumps and stops made
  * general searches slower, not faster. */
 Py_NO_INLINE static int walk(Walk *w) {
-    const int *tw = w->tw, *pw = w->pw, *nxt = w->nxt;
+    const int *tw = w->tw, *pw = w->pw, *succ = w->succ;
     const Slot *slot = w->slot;
-    int *bound = w->bound, *used = w->used, nt = w->nt, ordered = w->ordered, find = w->find, done = 0;
-    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
+    int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, done = 0;
+    Py_ssize_t *chosen = w->chosen, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
     unsigned long long count = w->count;
 
     do {
         const Slot *s = &slot[j];
-        if (s->jump)
-            i = nxt[i * nt + bound[pw[j]] - 1];
+        /* A bound slot jumps to the next copy of its text letter: from i - 1
+         * after a rejected copy, and otherwise from its prev slot's copy. */
+        if (!s->is_new)
+            i = next_copy(succ, tw[i - 1] == bound[pw[j]] ? i - 1 : chosen[s->prev], i);
         if (i > s->stop) {
             if (j == 0) {
                 done = 1;
@@ -343,8 +360,9 @@ Py_NO_INLINE static int walk(Walk *w) {
             }
         } else {
             int t = tw[i], p = pw[j];
-            if ((s->is_new ? (ordered ? t > bound[p - 1] : !used[t]) : t == bound[p]) &&
-                (s->ahead == j || fits_ahead(nxt, nt, n, k, pw, bound, j, s->ahead, i, p, t))) {
+            /* A bound slot's jump has already found a copy of its text letter. */
+            if ((!s->is_new || (ordered ? t > bound[p - 1] : !used[t])) &&
+                (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
                 chosen[j] = i;
                 if (j < k - 1) {
                     if (s->is_new) {
@@ -377,19 +395,19 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
     Py_ssize_t n = c->n, k = c->k;
     /* tw: the text's letters, ranked densely when the largest exceeds n;
      * bound: pattern letter -> text letter, 0 = unbound; used: text letters
-     * bound; nxt, the text's next positions, stays NULL past TABLE_LIMIT. */
-    int *tw, *pw, *nxt = NULL, *bound, *used, nt = 0, np = 0;
+     * bound; succ, the text's next-copy links. */
+    int *tw, *pw, *succ, *bound, *used, nt = 0, np = 0;
     Slot *slot;
     Py_ssize_t *chosen;
 
     if ((tw = read_ints(a, c->text, n, &nt, 0)) == NULL ||
         (pw = read_ints(a, c->pattern, k, &np, 1)) == NULL ||
         (nt > n && rank_letters(a, tw, n, &nt) < 0) ||
-        ((n + 1) * nt <= TABLE_LIMIT && (nxt = next_table(a, tw, n, nt)) == NULL) ||
+        (succ = next_links(a, tw, n, nt)) == NULL ||
         (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL)
         return NULL;
-    Walk w = {.tw = tw, .pw = pw, .nxt = nxt, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
+    Walk w = {.tw = tw, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
               .n = n, .k = k, .ticks = 1, .nt = nt, .ordered = ordered, .find = find};
     plan_slots(slot, &w, np);
     do

@@ -12,6 +12,7 @@ count counts every match.  The six public functions are thin entries to
 these two loops.  The word loop skips positions no slot can take: an order
 lookahead, jumps of bound slots to the next copy of their text letter, and
 stops where too few copies of a slot's letter remain (see _word_search).
+The next copy is read from each letter's positions, O(n) in all.
 
 Kernel conventions:
 
@@ -27,7 +28,7 @@ Kernel conventions:
   search steps; returning True aborts the search with SearchCancelled;
 - arguments are positional only: ``(text, pattern[, cancel])``;
 - a value that is not an integer raises TypeError, as in the compiled
-  kernels;
+  kernels, and any other integer type is read through ``operator.index``;
 - permutation values are assumed to fit a C int: these kernels do not
   check, the compiled ones raise OverflowError;
 - bad word letters are named by the first one, reading the text's letters
@@ -47,16 +48,12 @@ permpart.matchers.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from .errors import SearchCancelled
 
 _POLL_MASK = (1 << 14) - 1
-
-# The text's next-position table is skipped above this size (entries), and
-# with it the order lookahead and the jumps; the search stays correct, only
-# less pruned.
-_TABLE_LIMIT = 4_000_000
 
 # Word letters stay below this, as the compiled kernels' C ints need.
 _LETTER_LIMIT = 2**31 - 1
@@ -98,26 +95,25 @@ def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def _check_integers(*words: Sequence[int]) -> None:
-    """Raise TypeError for the first value that is not an integer, reading
-    the words in order, as the compiled kernels do.  A sum of ints is an
-    int, and a float, a Fraction or a Decimal makes it none: only then are
-    the values read one by one."""
-    for word in words:
-        try:
-            plain = type(sum(word)) is int
-        except TypeError:
-            plain = False
-        if not plain:
-            for value in word:
-                operator.index(value)
+def _plain_ints(word: Sequence[int]) -> Sequence[int]:
+    """The word as plain ints, as the compiled kernels read it: the word
+    itself when its sum is an int, and otherwise its values read through
+    operator.index, which raises TypeError for the first one that is not an
+    integer.  A float, a Fraction, a Decimal or an integer type that is no
+    int makes the sum something else, or raises."""
+    try:
+        if type(sum(word)) is int:
+            return word
+    except TypeError:
+        pass
+    return tuple(map(operator.index, word))
 
 
 def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
-    _check_integers(text, pattern)
+    text, pattern = _plain_ints(text), _plain_ints(pattern)
     lo, hi = _order_bounds(pattern)
     chosen = [0] * k
     count = j = i = ticks = 0
@@ -157,18 +153,6 @@ def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = Non
     return _perm_search(text, pattern, False, cancel)
 
 
-def _next_positions(word: Sequence[int], width: int) -> list[int]:
-    """Flat (len+1) x width table: entry [i*width + t-1] is the first
-    position at or after i that holds letter t, or len(word)."""
-    n = len(word)
-    table = [n] * ((n + 1) * width)
-    for i in range(n - 1, -1, -1):
-        base = i * width
-        table[base : base + width] = table[base + width : base + 2 * width]
-        table[base + word[i] - 1] = i
-    return table
-
-
 def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
     """Raise for the first bad letter, reading the text and then the
     pattern in order (see the module notes)."""
@@ -184,12 +168,11 @@ def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
             peak = max(peak, letter)
 
 
-def _pattern_slots(pattern: Sequence[int], table: bool) -> tuple[list[bool], list[int], list[bool]]:
-    """For each slot j: is its letter new; ahead[j], the last slot whose
-    letter is bound once slot j is taken (j if none is, or if there is no
-    table); and does it jump, as a bound slot with a table.  Raises
-    ValueError unless the pattern is a restricted growth word, whose letters
-    1..m first occur in that order."""
+def _pattern_slots(pattern: Sequence[int]) -> tuple[list[bool], list[int]]:
+    """For each slot j: is its letter new; and ahead[j], the last slot whose
+    letter is bound once slot j is taken (j if none is).  Raises ValueError
+    unless the pattern is a restricted growth word, whose letters 1..m first
+    occur in that order."""
     last_slot = {letter: j for j, letter in enumerate(pattern)}
     is_new = []
     ahead = []
@@ -201,37 +184,28 @@ def _pattern_slots(pattern: Sequence[int], table: bool) -> tuple[list[bool], lis
         if letter > peak:
             peak = letter
             last = max(last, last_slot[letter])
-        ahead.append(last if table and last > j else j)
-    jump = [not new for new in is_new] if table else [False] * len(is_new)
-    return is_new, ahead, jump
+        ahead.append(max(last, j))
+    return is_new, ahead
 
 
-def _slot_stops(text: Sequence[int], pattern: Sequence[int], nt: int) -> list[int]:
+def _slot_stops(n: int, pattern: Sequence[int], where: list[list[int]]) -> list[int]:
     """For each slot j, the last text position it may take: n - k + j, past
     which too few positions follow, or reach[c], if earlier, where c counts
     the copies of the slot's letter at or after j in the pattern.  reach[c]
     is the last text position whose letter still has c copies from there
-    on, or -1 if no letter has c copies; every copy of the slot's letter
-    takes a copy of one text letter, in order."""
-    n, k = len(text), len(pattern)
-    copies = [0] * k
-    left = {}  # each pattern letter's copies from slot j on
-    for j in range(k - 1, -1, -1):
-        copies[j] = left[pattern[j]] = left.get(pattern[j], 0) + 1
+    on, that letter's c-th copy from the back, or -1 if no letter has c
+    copies; every copy of the slot's letter takes a copy of one text letter,
+    in order.  where holds each text letter's positions, then n."""
+    k = len(pattern)
     stop = list(range(n - k, n))
-    most = max(copies)
-    if most > 1:
-        reach = [-1, n - 1]  # reach[c] for c up to len(reach) - 1
-        seen = [0] * (nt + 1)  # each text letter's copies, from the back
-        for back, t in enumerate(reversed(text)):
-            seen[t] += 1
-            if seen[t] == len(reach):
-                reach.append(n - 1 - back)
-                if len(reach) > most:
-                    break
-        for j, c in enumerate(copies):
-            if c > 1:
-                stop[j] = min(stop[j], reach[c]) if c < len(reach) else -1
+    left = {}  # each pattern letter's copies from slot j on
+    reach = {}
+    for j in range(k - 1, -1, -1):
+        c = left[pattern[j]] = left.get(pattern[j], 0) + 1
+        if c > 1:
+            if c not in reach:
+                reach[c] = max((run[-1 - c] for run in where if len(run) > c), default=-1)
+            stop[j] = min(stop[j], reach[c])
     return stop
 
 
@@ -264,12 +238,13 @@ def _word_search(
     reduction) it is the order check of the permutation search.
 
     Two more rules skip positions a slot can never take, so they keep the
-    search order, the witnesses and the counts too.  Jump: with the table,
-    a slot whose letter is bound goes straight to the next copy of its text
-    letter instead of scanning to it.  Stop: the c copies of a slot's letter
-    from that slot on all take copies of one text letter, in order, so the
-    slot stops at the last text position whose letter still has c copies
-    from there on, if that comes before n - k + j (see ``_slot_stops``).
+    search order, the witnesses and the counts too.  Jump: a slot whose
+    letter is bound goes straight to the next copy of its text letter,
+    found by bisection in that letter's positions, instead of scanning to
+    it.  Stop: the c copies of a slot's letter from that slot on all take
+    copies of one text letter, in order, so the slot stops at the last text
+    position whose letter still has c copies from there on, if that comes
+    before n - k + j (see ``_slot_stops``).
     Each step of the loop is one tick, whatever it skips, and the compiled
     kernel counts alike, so both backends poll equally often.
     """
@@ -277,7 +252,7 @@ def _word_search(
     if k == 0 or k > n:
         return _trivial(find, k == 0)
     try:
-        _check_integers(text, pattern)
+        text, pattern = _plain_ints(text), _plain_ints(pattern)
     except TypeError:
         _reject_letters(text, pattern)
     nt = max(text)
@@ -285,16 +260,22 @@ def _word_search(
     if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT:
         _reject_letters(text, pattern)
     if nt > n:
-        # Sparse letters: rank them densely, in order, so that used and the
-        # next-position table are sized by the text's length.  The search
-        # reads letters only for equality and order, which ranking keeps.
+        # Sparse letters: rank them densely, in order, so that used and
+        # where are sized by the text's length.  The search reads letters
+        # only for equality and order, which ranking keeps.
         letters = sorted(set(text))
         rank = {letter: r for r, letter in enumerate(letters, start=1)}
         text = [rank[t] for t in text]
         nt = len(rank)
-    text_next = _next_positions(text, nt) if (n + 1) * nt <= _TABLE_LIMIT else None
-    is_new, ahead, jump = _pattern_slots(pattern, text_next is not None)
-    stop = _slot_stops(text, pattern, nt)
+    # Each text letter's positions, then n: the first copy of letter b at or
+    # after x is where[b][bisect_left(where[b], x)].
+    where = [[] for _ in range(nt + 1)]
+    for i, t in enumerate(text):
+        where[t].append(i)
+    for run in where:
+        run.append(n)
+    is_new, ahead = _pattern_slots(pattern)
+    stop = _slot_stops(n, pattern, where)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
     used = [False] * (nt + 1)  # text letters bound to some pattern letter
     chosen = [0] * k
@@ -302,8 +283,9 @@ def _word_search(
     while True:
         ticks += 1
         _poll(cancel, ticks)
-        if jump[j]:
-            i = text_next[i * nt + bound[pattern[j]] - 1]
+        if not is_new[j]:
+            run = where[bound[pattern[j]]]
+            i = run[bisect_left(run, i)]
         if i > stop[j]:
             if j == 0:
                 return None if find else count
@@ -316,10 +298,8 @@ def _word_search(
             continue
         t = text[i]
         p = pattern[j]
-        if is_new[j]:
-            ok = t > bound[p - 1] if ordered else not used[t]
-        else:
-            ok = t == bound[p]
+        # A bound slot's jump has already found a copy of its text letter.
+        ok = not is_new[j] or (t > bound[p - 1] if ordered else not used[t])
         if ok and ahead[j] != j:
             # The order lookahead, inline: can slots j+1..ahead[j] still
             # take positions in order after i?  A slot whose letter is
@@ -330,7 +310,7 @@ def _word_search(
             for q in pattern[j + 1 : ahead[j] + 1]:
                 room += 1
                 b = t if q == p else bound[q]
-                pos = text_next[(pos + 1) * nt + b - 1] if b else pos + 1
+                pos = where[b][bisect_left(where[b], pos + 1)] if b else pos + 1
                 if pos > room:
                     ok = False
                     break

@@ -38,6 +38,16 @@ SAGAN_ANCHORS = (
 )
 
 
+class Index:
+    """An integer type that is no int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 @lru_cache(maxsize=None)
 def perms_of(n):
     return tuple(enumerate_permutations(n))

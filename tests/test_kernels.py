@@ -22,10 +22,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpart import Permutation, _backend, _kernels_py, census, matchers, reduce_perm
+from permpart import (
+    Permutation,
+    _backend,
+    _kernels_py,
+    census,
+    matchers,
+    perm_contains,
+    reduce_perm,
+    transport_occurrence,
+)
 from permpart.core import rgf_of
 from permpart.errors import SearchCancelled
-from helpers import SAGAN_ANCHORS, partitions_of, perms_of, rgf_positions, rgf_words_of
+from helpers import (
+    SAGAN_ANCHORS,
+    Index,
+    partitions_of,
+    perms_of,
+    rgf_positions,
+    rgf_words_of,
+)
 
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
 
@@ -34,19 +50,30 @@ def matchstick_word(values):
     return rgf_of(reduce_perm(Permutation(values))).letters
 
 
-# 2, 4, ..., 72, 1, 3, ..., 71, whose matchstick image the word search
-# prunes hard (the order lookahead, the jumps of bound slots and the stops):
-# the counts below still reach the poll three to five times.
-TWO_ROWS = matchstick_word(tuple(range(2, 73, 2)) + tuple(range(1, 72, 2)))
+def rows(m):
+    """2, 4, ..., 2m, 1, 3, ..., 2m - 1."""
+    return tuple(range(2, 2 * m + 1, 2)) + tuple(range(1, 2 * m, 2))
+
+
+def two_rows(m):
+    """The matchstick image of rows(m)."""
+    return matchstick_word(rows(m))
+
+
+# The word search prunes this text hard (the order lookahead, the jumps of
+# bound slots and the stops): the counts below still reach the poll three to
+# five times.
+TWO_ROWS = two_rows(36)
 
 # Searches long enough to reach the poll at least twice: full counts, and
-# exhaustive searches for patterns the text avoids.  The text of part_find
-# is past the next-position table: with the table, the jumps settle that
-# search in about 4 steps per letter, too few to poll.
+# exhaustive searches for patterns the text avoids.  part_find searches two
+# rows for 3,2,1, which they avoid (4 polls): a find on a text with few
+# copies of each letter that succeeds, or fails early, settles in a few
+# steps per letter, too few to poll.
 LONG_SEARCHES = [
     ("perm_find", tuple(range(24, 0, -1)), (4, 3, 2, 1, 5)),
     ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4)),
-    ("part_find", tuple(range(1, 1501)) * 2, (1, 1, 2, 2)),
+    ("part_find", two_rows(60), matchstick_word((3, 2, 1))),
     ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
     ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
     ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4)),
@@ -258,9 +285,9 @@ def test_partition_and_word_kernels_parity_exhaustive(compiled):
                     )
 
 
-def test_compiled_word_kernels_without_the_table(compiled):
-    # (n + 1) * letters = 2002 * 2001 passes TABLE_LIMIT, so the search runs
-    # with no next-position table and no order lookahead.
+def test_compiled_word_kernels_past_the_old_table_limit(compiled):
+    # A dense next-position table of this text would hold (n + 1) * letters
+    # = 2002 * 2001 entries, past 4,000,000; the next-copy index holds 4,003.
     text = tuple(range(1, 2002))
     assert compiled.part_count(text, (1, 2)) == 2001 * 2000 // 2
     assert compiled.rgf_count(text, (1, 2)) == 2001 * 2000 // 2
@@ -268,16 +295,68 @@ def test_compiled_word_kernels_without_the_table(compiled):
     assert compiled.rgf_find(text, (1, 1)) is None
 
 
-def test_pure_word_kernels_without_the_table(monkeypatch):
-    words = [w.letters for n in range(6) for w in rgf_words_of(n)]
-    pairs = list(itertools.product(words, repeat=2))
+@pytest.mark.parametrize("name", ["part_find", "rgf_find"])
+def test_word_search_memory_is_linear_in_the_text(backend, name):
+    # rows(700) has a matchstick word of 2,800 letters over 1,400: a dense
+    # next-position table of it would take 15.7 MB in C, and twice that as
+    # a Python list.
+    text, pattern = Permutation(rows(700)), Permutation((2, 1, 3))
+    word, pattern_word = matchstick_word(text.values), matchstick_word(pattern.values)
+    expected = transport_occurrence(text, perm_contains(text, pattern).witness)
+    tracemalloc.start()
+    try:
+        answer = getattr(backend, name)(word, pattern_word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer == expected
+    assert peak < 2**20
 
-    def answers():
-        return [getattr(_kernels_py, name)(*pair) for name in WORD_KERNELS for pair in pairs]
 
-    with_table = answers()
-    monkeypatch.setattr(_kernels_py, "_TABLE_LIMIT", 0)
-    assert answers() == with_table
+def test_matchstick_search_past_the_old_table_limit(compiled):
+    # 1..1500 with 41 and 42 swapped: a dense next-position table of its
+    # matchstick word would hold 3001 * 1500 entries, past 4,000,000.  The
+    # least partition witness is the transported least occurrence, as in
+    # test_reduction_is_parsimonious_past_brute_force, and the pruned search
+    # polls as often on both backends.  A budget of 100 polls stops a search
+    # that runs unpruned, which takes over 10,000 here.
+    values = list(range(1, 1501))
+    values[40:42] = [42, 41]
+    text = Permutation(tuple(values))
+    word = matchstick_word(text.values)
+    seen = []
+    for pattern in ((1, 2), (2, 1), (1, 3, 2), (2, 1, 3)):
+        hit = perm_contains(text, Permutation(pattern))
+        expected = transport_occurrence(text, hit.witness)
+        for module in (compiled, _kernels_py):
+            calls = []
+
+            def cancel():
+                calls.append(None)
+                return len(calls) > 100
+
+            assert module.part_find(word, matchstick_word(pattern), cancel) == expected
+            seen.append(len(calls))
+        assert seen[-2] == seen[-1], pattern
+    assert max(seen) >= 2
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_index_values_are_read_as_ints(backend, name):
+    # As the compiled kernels read every value through __index__, so do the
+    # pure ones, before they order, index or bisect by it.
+    kernel = getattr(backend, name)
+    if name.startswith("perm"):
+        pairs = [((3, 1, 4, 2), (2, 1, 3))]
+    else:
+        pairs = [((1, 2, 1, 3, 2), (1, 2, 1)), ((5, 9, 5, 9), (1, 2, 1, 2))]
+    for text, pattern in pairs:
+        indexed = tuple(map(Index, text)), tuple(map(Index, pattern))
+        answer = kernel(text, pattern)
+        assert answer
+        assert kernel(indexed[0], pattern) == answer
+        assert kernel(text, indexed[1]) == answer
+        assert kernel(*indexed) == answer
 
 
 @st.composite

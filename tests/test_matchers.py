@@ -25,6 +25,7 @@ from permpart import _kernels_py, matchers
 from permpart.core import restrict, rgf_of
 from permpart.reduction import reduce_perm
 from helpers import (
+    Index,
     partitions_of,
     perm_occurrences,
     perms_of,
@@ -401,16 +402,6 @@ def test_no_answers_look_freshly_built(kernels, engine, text, pattern):
 def test_shared_no_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         matchers._ABSENT.contains = True
-
-
-class Index:
-    """An integer type that is no int: it has only __index__."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 @pytest.mark.parametrize("bad", [2.0, Fraction(2)], ids=["float", "Fraction"])
