@@ -25,9 +25,7 @@ found mismatches.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .core import Permutation, RGFWord, SetPartition, partition_of_rgf, rgf_of
@@ -211,6 +209,9 @@ def positive_int(text: str) -> int:
 
 def _emit(fmt: str, record: dict, plain_lines: list[str]) -> None:
     if fmt == "json":
+        # Imported here: a plain-format run does not load json.
+        import json
+
         print(json.dumps(record, separators=(",", ":")))
     else:
         for line in plain_lines:
@@ -299,7 +300,9 @@ def _report_output(gate: str, report: VerificationReport, fmt: str) -> None:
         "max_n": report.max_n,
         "max_k": report.max_k,
         "pairs_checked": report.pairs_checked,
-        "mismatches": [asdict(m) for m in report.mismatches],
+        "mismatches": [
+            {name: getattr(m, name) for name in m.__match_args__} for m in report.mismatches
+        ],
     }
     lines = [
         f"gate={gate} max_n={report.max_n} max_k={report.max_k} "

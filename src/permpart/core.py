@@ -15,12 +15,17 @@ Conventions used throughout the package:
 - All values are immutable after construction and every operation is a pure
   function of its inputs, so everything here is safe for unrestricted
   concurrent use.
+- The value types here and in permpart.matchers and permpart.oracle are
+  frozen plain classes, not dataclasses: dataclasses, and the inspect
+  module it imports, took a large share of the start-up of a one-query
+  CLI process.  So dataclasses.fields, asdict and replace do not apply to
+  them; their equality, hashing, repr, match patterns and pickles are
+  those of frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
@@ -45,22 +50,76 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(plain)
 
 
-@dataclass(frozen=True)
-class Permutation:
+# Stores an attribute past the frozen types' __setattr__.  Unlike a store
+# into self.__dict__, it builds no per-instance dict on CPython 3.11 and
+# later: the attributes stay in the instance's compact storage, which takes
+# less memory and reads faster.  pickle and copy see the same attributes.
+_store = object.__setattr__
+
+
+class _Frozen:
+    """Base of the frozen value types.  A subclass names its fields, in
+    order, in _fields, and its __init__ validates and then stores the
+    fields with _store or _store_fields.  Equality (same class only), hashing and repr read
+    the fields, in the manner of a frozen dataclass; any other stored
+    attribute is invisible to them."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # _astuple() is the tuple of the field values; attrgetter returns
+        # a lone field bare, not in a tuple.
+        cls.__match_args__ = fields = cls._fields
+        get = operator.attrgetter(*fields)
+        if len(fields) == 1:
+            cls._astuple = lambda self: (get(self),)
+        else:
+            cls._astuple = lambda self: get(self)
+
+    def _store_fields(self, *values: object) -> None:
+        """Store the values as the fields, in order."""
+        for name, value in zip(self._fields, values):
+            _store(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Frozen):
     """A bijective word p_1 ... p_n on {1, ..., n}.
 
     >>> Permutation((2, 3, 1)).n
     3
     """
 
+    _fields = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = _integers(self.values, "permutation values")
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Iterable[int]) -> None:
+        values = _integers(values, "permutation values")
         n = len(values)
         if sorted(values) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {values}")
+        _store(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -73,8 +132,7 @@ class Permutation:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(_Frozen):
     """Disjoint nonempty blocks covering {1, ..., n}, held in canonical form.
 
     The constructor accepts blocks in any order with elements in any order
@@ -89,19 +147,20 @@ class SetPartition:
     (1, 2, 1, 2)
     """
 
+    _fields = ("blocks",)
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in self.blocks)
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in blocks)
         elements = list(chain.from_iterable(raw))
         if not all(raw):
             raise ValueError("set partition blocks must be nonempty")
         blocks = tuple(sorted(raw, key=_first))
-        object.__setattr__(self, "blocks", blocks)
         n = len(elements)
         if sorted(elements) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition [{n}]: {blocks}")
-        object.__setattr__(self, "_n", n)
+        _store(self, "blocks", blocks)
+        _store(self, "_n", n)
 
     @classmethod
     def _from_canonical(
@@ -113,10 +172,10 @@ class SetPartition:
         # Caller guarantees canonical, valid blocks of [n] (and, if given,
         # their block-index word); skips validation.
         part = object.__new__(cls)
-        object.__setattr__(part, "blocks", blocks)
-        object.__setattr__(part, "_n", n)
+        _store(part, "blocks", blocks)
+        _store(part, "_n", n)
         if word is not None:
-            part.__dict__["word"] = word  # where cached_property keeps it
+            _store(part, "word", word)  # where cached_property looks first
         return part
 
     @property
@@ -141,16 +200,15 @@ class SetPartition:
         return iter(self.blocks)
 
 
-@dataclass(frozen=True)
-class RGFWord:
+class RGFWord(_Frozen):
     """A restricted growth word: w_1 = 1 and no letter exceeds the running
     maximum of the letters before it by more than one."""
 
+    _fields = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        letters = _integers(self.letters, "word letters")
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, letters: Iterable[int]) -> None:
+        letters = _integers(letters, "word letters")
         peak = 0
         for position, letter in enumerate(letters, start=1):
             if not 1 <= letter <= peak + 1:
@@ -159,7 +217,8 @@ class RGFWord:
                 )
             if letter > peak:
                 peak = letter
-        object.__setattr__(self, "_peak", peak)
+        _store(self, "letters", letters)
+        _store(self, "_peak", peak)
 
     @property
     def max_letter(self) -> int:

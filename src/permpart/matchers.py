@@ -24,11 +24,10 @@ in permpart.oracle and share no search code with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ._backend import kernels as _K
-from .core import Permutation, RGFWord, SetPartition
+from .core import Permutation, RGFWord, SetPartition, _Frozen, _store
 
 # A strictly increasing 1-based index sequence certifying a permutation
 # occurrence, and an ascending element subset certifying a partition
@@ -39,12 +38,16 @@ SubsetWitness = tuple[int, ...]
 Cancel = Callable[[], bool] | None
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(_Frozen):
     """Outcome of a containment query; witness is present iff contains."""
 
+    _fields = ("contains", "witness")
     contains: bool
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] | None
+
+    def __init__(self, contains: bool, witness: tuple[int, ...] | None = None) -> None:
+        _store(self, "contains", contains)
+        _store(self, "witness", witness)
 
 
 # Every "no" answer: building a MatchResult costs more than a small kernel

@@ -53,7 +53,6 @@ import itertools
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 from . import matchers
@@ -61,6 +60,7 @@ from .core import (
     Permutation,
     RGFWord,
     SetPartition,
+    _Frozen,
     partition_of_rgf,
     rgf_of,
 )
@@ -187,24 +187,47 @@ def brute_partition_count(text: SetPartition, pattern: SetPartition) -> int:
     return sum(r == pattern.word for r in _restrictions(text.word, pattern.n, _relabel))
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Frozen):
     """One disagreement found by a verification run."""
 
+    _fields = ("check", "text", "pattern", "engine", "oracle")
     check: str
     text: tuple[int, ...]
     pattern: tuple[int, ...]
     engine: bool | int
     oracle: bool | int
 
+    def __init__(
+        self,
+        check: str,
+        text: tuple[int, ...],
+        pattern: tuple[int, ...],
+        engine: bool | int,
+        oracle: bool | int,
+    ) -> None:
+        self._store_fields(check, text, pattern, engine, oracle)
 
-@dataclass(frozen=True)
-class VerificationReport:
+
+class VerificationReport(_Frozen):
+    """The outcome of a verification gate: its bounds, how many pairs it
+    checked, its sorted mismatches and its run time in seconds."""
+
+    _fields = ("max_n", "max_k", "pairs_checked", "mismatches", "elapsed")
     max_n: int
     max_k: int
     pairs_checked: int
     mismatches: tuple[Mismatch, ...]
     elapsed: float
+
+    def __init__(
+        self,
+        max_n: int,
+        max_k: int,
+        pairs_checked: int,
+        mismatches: tuple[Mismatch, ...],
+        elapsed: float,
+    ) -> None:
+        self._store_fields(max_n, max_k, pairs_checked, mismatches, elapsed)
 
     @property
     def ok(self) -> bool:
@@ -362,15 +385,25 @@ def verify_rgf_coincidence(
     return _run_gate(_rgf_check, max_n, max_k, force, jobs, _separation_check)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(_Frozen):
     """Avoider/container counts for one pattern over all structures of [n]."""
 
+    _fields = ("n", "pattern", "notion", "avoiders", "containers")
     n: int
     pattern: SetPartition | RGFWord
     notion: Notion
     avoiders: int
     containers: int
+
+    def __init__(
+        self,
+        n: int,
+        pattern: SetPartition | RGFWord,
+        notion: Notion,
+        avoiders: int,
+        containers: int,
+    ) -> None:
+        self._store_fields(n, pattern, notion, avoiders, containers)
 
     @property
     def total(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pickle
 
@@ -81,7 +80,7 @@ class TestStoredWordAndSize:
                     assert restricted.word == block_index_word(restricted)
 
     def test_word_is_not_a_field(self):
-        assert [f.name for f in dataclasses.fields(SetPartition)] == ["blocks"]
+        assert SetPartition.__match_args__ == ("blocks",)
         decoded = partition_of_rgf(RGFWord((1, 2, 1, 2)))  # word stored
         fresh = SetPartition(((2, 4), (1, 3)))  # word not yet computed
         assert "word" in vars(decoded) and "word" not in vars(fresh)

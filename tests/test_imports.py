@@ -1,13 +1,14 @@
 """What importing permpart loads, and the package surface it exposes.
 
-A single query from the CLI must not pay for the oracle or the process
-pool: the package resolves the oracle's names on first use, the CLI imports
-the oracle only in the commands that use it, and the oracle imports the
-pool only when one runs.  The start-up checks run in a fresh interpreter,
-since this suite has long since imported everything.
+A single query from the CLI must not pay for the oracle, the process pool
+or dataclasses: the package resolves the oracle's names on first use, the
+CLI imports the oracle only in the commands that use it, the oracle imports
+the pool only when one runs, the value types are plain classes, and json
+loads only for --format json.  The start-up checks run in a fresh
+interpreter, since this suite has long since imported everything.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -18,45 +19,57 @@ import pytest
 import permpart
 from permpart import oracle
 
-# permpart.fastpaths is an alias module that only the layer tracer imports.
+# permpart.fastpaths is an alias module that only the layer tracer imports;
+# dataclasses imports inspect, and the two were most of the CLI's import.
 HEAVY = [
     "permpart.oracle",
     "permpart.fastpaths",
     "concurrent.futures",
     "concurrent.futures.process",
     "multiprocessing",
+    "dataclasses",
+    "inspect",
 ]
 
-# Prints {stage: loaded heavy modules} as JSON, for the heavy module names
-# and the command lists given as JSON arguments.
+# Prints repr([{stage: [exit code, loaded heavy modules]}, [stdout of each
+# command]]), for the heavy module names in argv[1], space-separated, and
+# one command per further argument, its words tab-separated.  It imports
+# neither json nor ast, so that it can look for them.
 CHILD = """
-import contextlib, io, json, sys
-heavy, commands = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+import contextlib, io, sys
+heavy, commands = sys.argv[1].split(), [arg.split("\t") for arg in sys.argv[2:]]
 loaded = lambda: [name for name in heavy if name in sys.modules]
 import permpart, permpart.cli
-stages = {"import": loaded()}
+stages, outputs = {"import": loaded()}, []
 for argv in commands:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = permpart.cli.run_command(argv)
     stages[" ".join(argv)] = [code, loaded()]
-print(json.dumps(stages))
+    outputs.append(out.getvalue())
+print(repr([stages, outputs]))
 """
 
 
-def _fresh_run(commands):
-    """{stage: loaded heavy modules} from a fresh interpreter that imports
-    permpart and permpart.cli and then runs the commands in turn."""
+def _fresh_child(commands, heavy):
+    """({stage: [exit code, loaded heavy modules]}, [stdout of each
+    command]) from a fresh interpreter that imports permpart and
+    permpart.cli and then runs the commands in turn."""
     # The child imports the same permpart as this suite, installed or not.
     source_root = str(Path(permpart.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(HEAVY), json.dumps(commands)],
+        [sys.executable, "-c", CHILD, " ".join(heavy), *map("\t".join, commands)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         check=True,
     )
-    return json.loads(out.stdout)
+    return ast.literal_eval(out.stdout)
+
+
+def _fresh_run(commands):
+    """The stages of _fresh_child(commands, HEAVY)."""
+    return _fresh_child(commands, HEAVY)[0]
 
 
 def test_queries_load_neither_oracle_nor_pool():
@@ -80,6 +93,29 @@ def test_serial_census_and_verify_load_the_oracle_but_no_pool():
     stages = _fresh_run(commands)
     assert stages.pop("import") == []
     assert stages == {" ".join(argv): [0, ["permpart.oracle"]] for argv in commands}
+
+
+def test_json_loads_only_for_json_output():
+    plain = [
+        ["contains", "1,3,2", "2,1", "--kind", "perm", "--witness"],
+        ["census", "4", "1,2"],
+        ["verify", "reduction", "--max-n", "2", "--max-k", "2"],
+    ]
+    as_json = [
+        ["contains", "1,3,2", "2,1", "--kind", "perm", "--witness", "--format", "json"],
+        ["census", "4", "1,2", "--format", "json"],
+        ["verify", "reduction", "--max-n", "2", "--max-k", "2", "--format", "json"],
+    ]
+    stages, outputs = _fresh_child(plain + as_json, ["json"])
+    assert stages.pop("import") == []
+    assert list(stages.values()) == [[0, []]] * 3 + [[0, ["json"]]] * 3
+    assert outputs[3:] == [
+        '{"command":"contains","contains":true,"witness":[2,3]}\n',
+        '{"command":"census","n":4,"pattern":"1,2","notion":"partition",'
+        '"avoiders":1,"containers":14}\n',
+        '{"command":"verify","gate":"reduction","max_n":2,"max_k":2,'
+        '"pairs_checked":9,"mismatches":[]}\n',
+    ]
 
 
 def test_every_public_name_resolves():

@@ -210,26 +210,26 @@ class TestCensus:
 
     def test_builds_no_structure_per_text(self, monkeypatch):
         built = []
-        real_post_init = SetPartition.__post_init__
+        real_init = SetPartition.__init__
         real_from_canonical = SetPartition._from_canonical.__func__
-        real_rgf_post_init = RGFWord.__post_init__
+        real_rgf_init = RGFWord.__init__
 
-        def post_init(self):
+        def init(self, *args):
             built.append(self)
-            real_post_init(self)
+            real_init(self, *args)
 
         def from_canonical(cls, *args):
             built.append(args)
             return real_from_canonical(cls, *args)
 
-        def rgf_post_init(self):
+        def rgf_init(self, *args):
             built.append(self)
-            real_rgf_post_init(self)
+            real_rgf_init(self, *args)
 
         pattern, word = SetPartition(((1, 3), (2, 4))), RGFWord((1, 2, 1, 2))
-        monkeypatch.setattr(SetPartition, "__post_init__", post_init)
+        monkeypatch.setattr(SetPartition, "__init__", init)
         monkeypatch.setattr(SetPartition, "_from_canonical", classmethod(from_canonical))
-        monkeypatch.setattr(RGFWord, "__post_init__", rgf_post_init)
+        monkeypatch.setattr(RGFWord, "__init__", rgf_init)
         monkeypatch.setattr(oracle, "partition_of_rgf", lambda w: built.append(w))
         assert census(7, pattern).avoiders == 429
         assert census(7, word, "rgf").avoiders == 429
@@ -461,6 +461,26 @@ def test_broken_separation_pair_is_reported(monkeypatch, capsys):
     )
     assert run_command(["verify", "rgf", "--max-n", "2", "--max-k", "2"]) == 3
     assert "MISMATCH check=rgf-separation" in capsys.readouterr().out
+
+
+def test_verify_json_line_with_a_mismatch(monkeypatch, capsys):
+    # a perm_contains that wrongly avoids 1 in 2,1: each mismatch is a record
+    # with the keys in Mismatch's field order, bytes pinned
+    real = oracle.perm_contains
+
+    def perm_contains(text, pattern):
+        if (text.values, pattern.values) == ((2, 1), (1,)):
+            return MatchResult(False)
+        return real(text, pattern)
+
+    monkeypatch.setattr(oracle, "perm_contains", perm_contains)
+    argv = ["verify", "reduction", "--max-n", "2", "--max-k", "1", "--format", "json"]
+    assert run_command(argv) == 3
+    assert capsys.readouterr().out == (
+        '{"command":"verify","gate":"reduction","max_n":2,"max_k":1,"pairs_checked":3,'
+        '"mismatches":[{"check":"containment","text":[2,1],"pattern":[1],'
+        '"engine":false,"oracle":true}]}\n'
+    )
 
 
 def test_parallel_reports_and_rows_match_serial():

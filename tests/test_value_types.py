@@ -1,0 +1,189 @@
+"""The value types' contract.  Permutation, SetPartition, RGFWord,
+MatchResult, Mismatch, VerificationReport and CensusRow are frozen plain
+classes; their equality, hashing, repr, match patterns, copies and pickles
+are those of the frozen dataclasses they once were, and pickles those
+wrote still load."""
+
+import copy
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from permpart import (
+    CensusRow,
+    MatchResult,
+    Mismatch,
+    Permutation,
+    RGFWord,
+    SetPartition,
+    VerificationReport,
+)
+
+
+def _with_word(sigma):
+    sigma.word  # cached in the instance, and so pickled and copied with it
+    return sigma
+
+
+FAILED = Mismatch("containment", (1,), (1,), False, True)
+
+# (value, its fields in order, its repr, its protocol 2 pickle as the
+# dataclass forms wrote it)
+VALUES = [
+    (
+        Permutation((2, 3, 1)),
+        ((2, 3, 1),),
+        "Permutation(values=(2, 3, 1))",
+        b'\x80\x02cpermpart.core\nPermutation\nq\x00)\x81q\x01}q\x02X\x06\x00\x00\x00valuesq'
+        b'\x03K\x02K\x03K\x01\x87q\x04sb.',
+    ),
+    (
+        SetPartition(((2,), (3, 1))),
+        (((1, 3), (2,)),),
+        "SetPartition(blocks=((1, 3), (2,)))",
+        b'\x80\x02cpermpart.core\nSetPartition\nq\x00)\x81q\x01}q\x02(X\x06\x00\x00\x00blocksq'
+        b'\x03K\x01K\x03\x86q\x04K\x02\x85q\x05\x86q\x06X\x02\x00\x00\x00_nq\x07K\x03ub.',
+    ),
+    (
+        RGFWord((1, 2, 1)),
+        ((1, 2, 1),),
+        "RGFWord(letters=(1, 2, 1))",
+        b'\x80\x02cpermpart.core\nRGFWord\nq\x00)\x81q\x01}q\x02(X\x07\x00\x00\x00lettersq\x03K'
+        b'\x01K\x02K\x01\x87q\x04X\x05\x00\x00\x00_peakq\x05K\x02ub.',
+    ),
+    (
+        MatchResult(True, (1, 3)),
+        (True, (1, 3)),
+        "MatchResult(contains=True, witness=(1, 3))",
+        b'\x80\x02cpermpart.matchers\nMatchResult\nq\x00)\x81q\x01}q\x02(X\x08\x00\x00\x00conta'
+        b'insq\x03\x88X\x07\x00\x00\x00witnessq\x04K\x01K\x03\x86q\x05ub.',
+    ),
+    (
+        MatchResult(False),
+        (False, None),
+        "MatchResult(contains=False, witness=None)",
+        b'\x80\x02cpermpart.matchers\nMatchResult\nq\x00)\x81q\x01}q\x02(X\x08\x00\x00\x00conta'
+        b'insq\x03\x89X\x07\x00\x00\x00witnessq\x04Nub.',
+    ),
+    (
+        Mismatch("parsimony", (2, 1), (1,), 1, 2),
+        ("parsimony", (2, 1), (1,), 1, 2),
+        "Mismatch(check='parsimony', text=(2, 1), pattern=(1,), engine=1, oracle=2)",
+        b'\x80\x02cpermpart.oracle\nMismatch\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00\x00checkq\x03'
+        b'X\t\x00\x00\x00parsimonyq\x04X\x04\x00\x00\x00textq\x05K\x02K\x01\x86q\x06X\x07\x00'
+        b'\x00\x00patternq\x07K\x01\x85q\x08X\x06\x00\x00\x00engineq\tK\x01X\x06\x00\x00\x00ora'
+        b'cleq\nK\x02ub.',
+    ),
+    (
+        VerificationReport(3, 2, 18, (FAILED,), 0.5),
+        (3, 2, 18, (FAILED,), 0.5),
+        "VerificationReport(max_n=3, max_k=2, pairs_checked=18, "
+        "mismatches=(Mismatch(check='containment', text=(1,), pattern=(1,), engine=False, "
+        "oracle=True),), elapsed=0.5)",
+        b'\x80\x02cpermpart.oracle\nVerificationReport\nq\x00)\x81q\x01}q\x02(X\x05\x00\x00\x00'
+        b'max_nq\x03K\x03X\x05\x00\x00\x00max_kq\x04K\x02X\r\x00\x00\x00pairs_checkedq\x05K\x12'
+        b'X\n\x00\x00\x00mismatchesq\x06cpermpart.oracle\nMismatch\nq\x07)\x81q\x08}q\t(X\x05'
+        b'\x00\x00\x00checkq\nX\x0b\x00\x00\x00containmentq\x0bX\x04\x00\x00\x00textq\x0cK\x01'
+        b'\x85q\rX\x07\x00\x00\x00patternq\x0eh\rX\x06\x00\x00\x00engineq\x0f\x89X\x06\x00\x00'
+        b'\x00oracleq\x10\x88ub\x85q\x11X\x07\x00\x00\x00elapsedq\x12G?\xe0\x00\x00\x00\x00\x00'
+        b'\x00ub.',
+    ),
+    (
+        CensusRow(4, SetPartition(((1,), (2,))), "partition", 1, 14),
+        (4, SetPartition(((1,), (2,))), "partition", 1, 14),
+        "CensusRow(n=4, pattern=SetPartition(blocks=((1,), (2,))), notion='partition', "
+        "avoiders=1, containers=14)",
+        b'\x80\x02cpermpart.oracle\nCensusRow\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00nq\x03K'
+        b'\x04X\x07\x00\x00\x00patternq\x04cpermpart.core\nSetPartition\nq\x05)\x81q\x06}q\x07('
+        b'X\x06\x00\x00\x00blocksq\x08K\x01\x85q\tK\x02\x85q\n\x86q\x0bX\x02\x00\x00\x00_nq\x0c'
+        b'K\x02ubX\x06\x00\x00\x00notionq\rX\t\x00\x00\x00partitionq\x0eX\x08\x00\x00\x00avoide'
+        b'rsq\x0fK\x01X\n\x00\x00\x00containersq\x10K\x0eub.',
+    ),
+    (
+        _with_word(SetPartition(((1, 3), (2, 4)))),
+        (((1, 3), (2, 4)),),
+        "SetPartition(blocks=((1, 3), (2, 4)))",
+        b'\x80\x02cpermpart.core\nSetPartition\nq\x00)\x81q\x01}q\x02(X\x06\x00\x00\x00blocksq'
+        b'\x03K\x01K\x03\x86q\x04K\x02K\x04\x86q\x05\x86q\x06X\x02\x00\x00\x00_nq\x07K\x04X\x04'
+        b'\x00\x00\x00wordq\x08(K\x01K\x02K\x01K\x02tq\tub.',
+    ),
+]
+IDS = [type(value).__name__ for value, *_ in VALUES]
+IDS[4], IDS[8] = "MatchResult-no", "SetPartition-word"
+
+
+@pytest.mark.parametrize("value, fields, text, old", VALUES, ids=IDS)
+def test_fields_equality_hash_and_repr(value, fields, text, old):
+    cls = type(value)
+    names = cls.__match_args__
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert cls(*fields) == value == cls(**dict(zip(names, fields)))
+    assert not value != cls(*fields)
+    assert hash(value) == hash(fields)
+    assert repr(value) == text
+
+
+def test_equality_is_per_class():
+    assert Permutation((1,)) != RGFWord((1,))
+    assert Permutation((1,)).__eq__(RGFWord((1,))) is NotImplemented
+    for a, *_ in VALUES:
+        for b, *_ in VALUES:
+            if type(a) is not type(b):
+                assert a.__eq__(b) is NotImplemented and a != b
+    assert MatchResult(True, (1, 2)) != MatchResult(True, (1, 3))
+    assert MatchResult(True, (1, 2)) != (True, (1, 2))
+
+
+@pytest.mark.parametrize("value, fields, text, old", VALUES, ids=IDS)
+def test_pickles_and_copies(value, fields, text, old):
+    assert pickle.dumps(value, 2) == old
+    for seen in (
+        pickle.loads(old),
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert seen == value and type(seen) is type(value)
+        assert vars(seen) == vars(value)  # stored size, peak and word included
+
+
+@pytest.mark.parametrize("value, fields, text, old", VALUES, ids=IDS)
+def test_frozen(value, fields, text, old):
+    before = dict(vars(value))
+    for name in (*type(value).__match_args__, "extra"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field {name!r}"):
+            delattr(value, name)
+    assert vars(value) == before
+
+
+@pytest.mark.parametrize("value, fields, text, old", VALUES, ids=IDS)
+def test_weak_references(value, fields, text, old):
+    assert weakref.ref(value)() is value
+
+
+def test_keyword_construction():
+    assert Permutation(values=(2, 1)) == Permutation((2, 1))
+    assert SetPartition(blocks=[(2,), (1,)]).blocks == ((1,), (2,))
+    assert RGFWord(letters=(1, 2)).max_letter == 2
+    assert MatchResult(True, witness=(1,)) == MatchResult(contains=True, witness=(1,))
+    assert MatchResult(contains=False).witness is None
+
+
+def test_match_statement():
+    found = []
+    for result in (MatchResult(True, (2, 3)), MatchResult(False)):
+        match result:
+            case MatchResult(True, witness):
+                found.append(witness)
+            case MatchResult(False, None):
+                found.append("no")
+    assert found == [(2, 3), "no"]
+    match CensusRow(4, SetPartition(((1,), (2,))), "partition", 1, 14):
+        case CensusRow(n, SetPartition(blocks), "partition", avoiders, containers):
+            assert (n, blocks, avoiders, containers) == (4, ((1,), (2,)), 1, 14)
+        case _:
+            pytest.fail("no case matched")
