@@ -2,7 +2,7 @@
 
 The compiled extension (permpart._kernels, built from the hand-written C
 file _kernels.c) and the pure-Python module (permpart._kernels_py) export
-the same six functions with identical semantics.  The compiled one wins
+the same eight functions with identical semantics.  The compiled one wins
 when importable; set PERMPART_PURE=1 to force the pure-Python kernels,
 e.g. when benchmarking or debugging.
 """

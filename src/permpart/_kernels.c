@@ -1,7 +1,7 @@
 /* Compiled search kernels.
  *
- * Twin of permpart._kernels_py: the same six functions, the same pruning and
- * the same search order (so witnesses, counts and cancel polls are
+ * Twin of permpart._kernels_py: the same eight functions, the same pruning
+ * and the same search order (so witnesses, counts and cancel polls are
  * identical), with the loops in C.  Permutations have one search loop, and
  * partitions and words share another that an ordered flag switches to the
  * word rule; a find entry stops at the first complete match and returns the
@@ -11,14 +11,17 @@
  * too few copies of a slot's letter remain.  The next copy is read from
  * O(n) links, each position's next copy of its own letter, starting from
  * the copy that the slot's letter last took (see next_copy).  The word loop
- * runs in walk,
- * which returns at every poll, so no call into Python sits in the loop and
- * the compiler can keep its state in registers.
+ * runs in walk, which returns at every poll, so no call into Python sits in
+ * the loop and the compiler can keep its state in registers.
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
- * Arguments are positional only, (text, pattern[, cancel]).  A value that is
- * not an integer raises TypeError, on both backends.  Permutation values
+ * part_avoiders and rgf_avoiders walk the census tree of permpart.oracle
+ * (see count_avoiders) and take (prefix, pattern, n): the prefix is checked
+ * as a pattern is, with its own message, and n must be an integer from the
+ * prefix's length up to 2**31 - 2.  The searches take (text, pattern[,
+ * cancel]).  Arguments are positional only.  A value that is not an
+ * integer raises TypeError, on both backends.  Permutation values
  * must fit a C int (OverflowError; the pure kernels assume it).  Word
  * letters run from 1 to 2**31 - 2, and the first bad letter, reading the
  * text and then the pattern in order, names the fault: below 1 ValueError,
@@ -33,6 +36,8 @@
 #include <Python.h>
 
 #define POLL_MASK ((1 << 14) - 1)
+#define NOT_GROWTH "a word pattern must be a restricted growth word"
+#define NOT_PREFIX "a prefix must be a restricted growth word"
 
 static PyObject *SearchCancelled;
 
@@ -55,10 +60,10 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, Call *c) {
     return 0;
 }
 
-/* The scratch arrays of one search, freed together.  word_search takes the
- * most: tw, pw, the next-copy links, slot, chosen, bound and used, and the
- * sorted letters of a text with sparse letters. */
-#define ARENA_BLOCKS 8
+/* The scratch arrays of one call, freed together.  count_avoiders takes the
+ * most: the prefix, pw, the word, its copy counts and peaks, the next-copy
+ * links, slot, chosen, bound and used. */
+#define ARENA_BLOCKS 10
 typedef struct {
     void *block[ARENA_BLOCKS];
     int used;
@@ -106,11 +111,10 @@ static void *fail(PyObject *type, const char *message) {
 /* Copy a sequence of n ints.  For a word (peak given), the largest letter is
  * stored in *peak, and the first bad letter decides the error: below 1 (past
  * a C long too), at least INT_MAX (the largest letter + 1 must fit an int),
- * or, for a pattern word (growth), above the running peak + 1,
- * which a restricted growth word never has.  A permutation value must fit a
- * C int.  The items are read from a tuple snapshot, which an item's
- * __index__ cannot shrink. */
-static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, int growth) {
+ * or, for a restricted growth word (growth, the message then), above the
+ * running peak + 1.  A permutation value must fit a C int.  The items are
+ * read from a tuple snapshot, which an item's __index__ cannot shrink. */
+static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, const char *growth) {
     PyObject *items = PySequence_Tuple(seq);
     int *out = NULL, over;
     if (items != NULL && PyTuple_GET_SIZE(items) != n)
@@ -129,8 +133,8 @@ static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, int grow
             out = fail(PyExc_ValueError, "word letters must be at least 1");
         else if (peak != NULL && v >= INT_MAX)
             out = fail(PyExc_OverflowError, "word letters must be below 2**31 - 1");
-        else if (growth && v - 1 > *peak)
-            out = fail(PyExc_ValueError, "a word pattern must be a restricted growth word");
+        else if (growth != NULL && v - 1 > *peak)
+            out = fail(PyExc_ValueError, growth);
         else {
             out[i] = (int)v;
             if (peak != NULL && v > *peak)
@@ -179,19 +183,18 @@ static int rank_letters(Arena *a, int *word, Py_ssize_t n, int *peak) {
     return 0;
 }
 
-/* The next-copy links of a word of n letters up to width, in one block of
+/* Fill the next-copy links of a word of n letters up to width, a block of
  * n + width + 1 ints: succ[i], the next position after i that holds the
  * letter at i, or n; then head[t], the first position of letter t, or n,
  * which the backward pass fills on its way. */
-static int *next_links(Arena *a, const int *word, Py_ssize_t n, int width) {
-    int *succ = take(a, n + width + 1, sizeof(int)), *head = succ + n;
-    for (int t = 0; succ != NULL && t <= width; t++)
+static void next_links(int *succ, const int *word, Py_ssize_t n, int width) {
+    int *head = succ + n;
+    for (int t = 0; t <= width; t++)
         head[t] = (int)n;
-    for (Py_ssize_t i = n - 1; succ != NULL && i >= 0; i--) {
+    for (Py_ssize_t i = n - 1; i >= 0; i--) {
         succ[i] = head[word[i]];
         head[word[i]] = (int)i;
     }
-    return succ;
 }
 
 /* The first position at or after x that holds the letter at position from,
@@ -209,8 +212,8 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     int *tv, *pv;
     unsigned long long count = 0;
 
-    if ((tv = read_ints(a, c->text, n, NULL, 0)) == NULL ||
-        (pv = read_ints(a, c->pattern, k, NULL, 0)) == NULL ||
+    if ((tv = read_ints(a, c->text, n, NULL, NULL)) == NULL ||
+        (pv = read_ints(a, c->pattern, k, NULL, NULL)) == NULL ||
         (lo = take(a, k, sizeof(Py_ssize_t))) == NULL || (hi = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL)
         return NULL;
@@ -400,15 +403,16 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
     Slot *slot;
     Py_ssize_t *chosen;
 
-    if ((tw = read_ints(a, c->text, n, &nt, 0)) == NULL ||
-        (pw = read_ints(a, c->pattern, k, &np, 1)) == NULL ||
+    if ((tw = read_ints(a, c->text, n, &nt, NULL)) == NULL ||
+        (pw = read_ints(a, c->pattern, k, &np, NOT_GROWTH)) == NULL ||
         (nt > n && rank_letters(a, tw, n, &nt) < 0) ||
-        (succ = next_links(a, tw, n, nt)) == NULL ||
+        (succ = take(a, n + nt + 1, sizeof(int))) == NULL ||
         (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL)
         return NULL;
     Walk w = {.tw = tw, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
               .n = n, .k = k, .ticks = 1, .nt = nt, .ordered = ordered, .find = find};
+    next_links(succ, tw, n, nt);
     plan_slots(slot, &w, np);
     do
         if (poll(c->cancel, w.ticks) < 0)
@@ -417,7 +421,100 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
     return answer(find, w.count, chosen, k);
 }
 
-/* The six entries: the empty pattern occurs once, at no positions; a
+/* Does the restricted growth word at w->tw, its first len letters with peak
+ * top, contain the pattern?  The find of word_search, on buffers sized for
+ * the longest word; succ and slot are those of w, passed writable.  bound
+ * and used come back zeroed, as plan_slots needs them. */
+static int word_contains(Walk *w, int *succ, Slot *slot, Py_ssize_t len, int top, int np) {
+    w->n = len;
+    w->nt = top;
+    w->i = w->j = 0;
+    w->ticks = 1;
+    w->count = 0;
+    next_links(succ, w->tw, len, top);
+    plan_slots(slot, w, np);
+    while (!walk(w))
+        ;
+    if (w->count) {
+        /* A hit leaves the letters of the slots before the last bound. */
+        memset(w->bound, 0, (size_t)(np + 1) * sizeof(int));
+        memset(w->used, 0, (size_t)(top + 1) * sizeof(int));
+    }
+    return w->count != 0;
+}
+
+/* The census walk: how many restricted growth words of length n extend the
+ * prefix and avoid the pattern, read as partitions or, when ordered, as
+ * words; none if the prefix contains it.  See _avoiders in the pure module
+ * for the letter tests that screen each child before a find.  One
+ * depth-first walk over word, which holds the prefix and then one path of
+ * the tree, 0 past it: position d tries each of 1..peak[d] + 1, and
+ * copies[t] counts letter t on the path.  Signals are checked every
+ * POLL_MASK + 1 children, so an interrupt stops a long census. */
+static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *a, int ordered) {
+    Py_ssize_t n, d0, k, d, children = 0, *chosen;
+    int *prefix, *pw, *word, *copies, *peak, *succ, *bound, *used, top = 0, np = 0, last = 0, exact;
+    unsigned long long count = 0;
+    Slot *slot;
+
+    if (nargs != 3)
+        return fail(PyExc_TypeError, "avoider counts take (prefix, pattern, n, /)");
+    /* Clipped, so that a huge n fails as any n past INT_MAX does. */
+    if ((n = PyNumber_AsSsize_t(args[2], NULL)) == -1 && PyErr_Occurred())
+        return NULL;
+    if (n >= INT_MAX)
+        return fail(PyExc_OverflowError, "n must be below 2**31 - 1");
+    if ((d0 = PyObject_Length(args[0])) < 0 || (k = PyObject_Length(args[1])) < 0 ||
+        (prefix = read_ints(a, args[0], d0, &top, NOT_PREFIX)) == NULL ||
+        (pw = read_ints(a, args[1], k, &np, NOT_GROWTH)) == NULL)
+        return NULL;
+    if (n < d0)
+        return fail(PyExc_ValueError, "n must be at least the prefix's length");
+    if (k == 0)
+        return PyLong_FromLong(0);
+    if ((word = take(a, n, sizeof(int))) == NULL || (copies = take(a, n + 1, sizeof(int))) == NULL ||
+        (peak = take(a, n + 1, sizeof(int))) == NULL || (succ = take(a, 2 * n + 1, sizeof(int))) == NULL ||
+        (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
+        (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, n + 1, sizeof(int))) == NULL)
+        return NULL;
+    Walk w = {.tw = word, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used,
+              .chosen = chosen, .k = k, .ordered = ordered, .find = 1};
+    memcpy(word, prefix, (size_t)d0 * sizeof(int));
+    for (d = 0; d < d0; d++)
+        copies[word[d]]++;
+    for (Py_ssize_t j = 0; j < k; j++)
+        last += pw[j] == pw[k - 1];
+    if (d0 >= k && word_contains(&w, succ, slot, d0, top, np))
+        return PyLong_FromLong(0);
+    if (d0 == n)
+        return PyLong_FromLong(1);
+    exact = np == k || np == 1;
+    peak[d0] = top;
+    for (d = d0; d >= d0;) {
+        int letter = word[d];
+        if (letter > 0)
+            copies[letter]--;
+        if (letter > peak[d]) {
+            word[d--] = 0;
+            continue;
+        }
+        word[d] = ++letter;
+        copies[letter]++;
+        if ((++children & POLL_MASK) == 0 && PyErr_CheckSignals() < 0)
+            return NULL;
+        top = letter > peak[d] ? letter : peak[d];
+        if (top >= np && d + 1 >= k && copies[letter] >= last &&
+            (exact || word_contains(&w, succ, slot, d + 1, top, np)))
+            continue;
+        if (d + 1 == n)
+            count++;
+        else
+            peak[++d] = top;
+    }
+    return PyLong_FromUnsignedLongLong(count);
+}
+
+/* The six search entries: the empty pattern occurs once, at no positions; a
  * pattern longer than its text never occurs. */
 #define ENTRY(name, find, search)                                                    \
     static PyObject *name(PyObject *self, PyObject *const *args, Py_ssize_t nargs) { \
@@ -440,17 +537,31 @@ ENTRY(part_count, 0, word_search(&c, &a, 0, 0))
 ENTRY(rgf_find, 1, word_search(&c, &a, 1, 1))
 ENTRY(rgf_count, 0, word_search(&c, &a, 1, 0))
 
-#define DEF(name, doc)                                        \
-    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, \
-     #name "($module, text, pattern, cancel=None, /)\n--\n\n" doc}
+#define AVOIDERS(name, ordered)                                                      \
+    static PyObject *name(PyObject *self, PyObject *const *args, Py_ssize_t nargs) { \
+        Arena a = {0};                                                               \
+        PyObject *result = count_avoiders(args, nargs, &a, ordered);                 \
+        release(&a);                                                                 \
+        return result;                                                               \
+    }
+
+AVOIDERS(part_avoiders, 0)
+AVOIDERS(rgf_avoiders, 1)
+
+#define DEF(name, args, doc) \
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, #name "($module, " args ", /)\n--\n\n" doc}
+#define SEARCH "text, pattern, cancel=None"
+#define WALK "prefix, pattern, n"
 
 static PyMethodDef kernel_methods[] = {
-    DEF(perm_find, "Lexicographically least occurrence of the pattern permutation, or None."),
-    DEF(perm_count, "Exact number of occurrences of the pattern permutation in the text."),
-    DEF(part_find, "Lexicographically least subset restricting the text to the pattern, or None."),
-    DEF(part_count, "Exact number of subsets whose restriction equals the pattern."),
-    DEF(rgf_find, "Lexicographically least position set standardizing to the pattern, or None."),
-    DEF(rgf_count, "Exact number of position sets whose subsequence standardizes to the pattern."),
+    DEF(perm_find, SEARCH, "Lexicographically least occurrence of the pattern permutation, or None."),
+    DEF(perm_count, SEARCH, "Exact number of occurrences of the pattern permutation in the text."),
+    DEF(part_find, SEARCH, "Lexicographically least subset restricting the text to the pattern, or None."),
+    DEF(part_count, SEARCH, "Exact number of subsets whose restriction equals the pattern."),
+    DEF(rgf_find, SEARCH, "Lexicographically least position set standardizing to the pattern, or None."),
+    DEF(rgf_count, SEARCH, "Exact number of position sets whose subsequence standardizes to the pattern."),
+    DEF(part_avoiders, WALK, "Growth words of length n past the prefix whose partitions avoid the pattern."),
+    DEF(rgf_avoiders, WALK, "Growth words of length n past the prefix that avoid the pattern word."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,18 +1,21 @@
 """Pure-Python search kernels.
 
-Fallback implementations of the backtracking loops behind permpart.matchers.
-The compiled extension permpart._kernels implements the same six functions
-with identical semantics and identical search order; permpart._backend picks
-whichever is available at import time.
+Fallback implementations of the backtracking loops behind permpart.matchers
+and of the census walk behind permpart.oracle.  The compiled extension
+permpart._kernels implements the same eight functions with identical
+semantics and identical search order; permpart._backend picks whichever is
+available at import time.
 
 Two search loops serve the three notions: one for permutations, and one
 for partitions and words, whose ``ordered`` flag picks the word rule.  Each
 takes a ``find`` flag: find returns the witness at the first complete match,
-count counts every match.  The six public functions are thin entries to
+count counts every match.  The six search functions are thin entries to
 these two loops.  The word loop skips positions no slot can take: an order
 lookahead, jumps of bound slots to the next copy of their text letter, and
 stops where too few copies of a slot's letter remain (see _word_search).
 The next copy is read from each letter's positions, O(n) in all.
+part_avoiders and rgf_avoiders count a census's avoiders below a prefix
+(see _avoiders), asking the word loop's find of each child that needs it.
 
 Kernel conventions:
 
@@ -26,7 +29,10 @@ Kernel conventions:
   order, so the first complete match found is the lexicographically least;
 - ``cancel`` is an optional zero-argument callable polled every few thousand
   search steps; returning True aborts the search with SearchCancelled;
-- arguments are positional only: ``(text, pattern[, cancel])``;
+- arguments are positional only: ``(text, pattern[, cancel])`` for the
+  searches, ``(prefix, pattern, n)`` for the census walk, whose prefix is
+  checked as a pattern is, with its own message, and whose n is an
+  integer from the prefix's length up to 2**31 - 2;
 - a value that is not an integer raises TypeError, as in the compiled
   kernels, and any other integer type is read through ``operator.index``;
 - permutation values are assumed to fit a C int: these kernels do not
@@ -58,6 +64,7 @@ _POLL_MASK = (1 << 14) - 1
 # Word letters stay below this, as the compiled kernels' C ints need.
 _LETTER_LIMIT = 2**31 - 1
 _NOT_GROWTH = "a word pattern must be a restricted growth word"
+_NOT_PREFIX = "a prefix must be a restricted growth word"
 
 Cancel = Callable[[], bool] | None
 
@@ -153,10 +160,11 @@ def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = Non
     return _perm_search(text, pattern, False, cancel)
 
 
-def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
-    """Raise for the first bad letter, reading the text and then the
-    pattern in order (see the module notes)."""
-    for word, growth in ((text, False), (pattern, True)):
+def _reject_letters(*words: tuple[Sequence[int], str | None]) -> None:
+    """Raise for the first bad letter, reading the words in order (see the
+    module notes).  Each comes with the message for a letter above its
+    running peak + 1, or None where a text may have one."""
+    for word, growth in words:
         peak = 0
         for letter in map(operator.index, word):
             if letter < 1:
@@ -164,7 +172,7 @@ def _reject_letters(text: Sequence[int], pattern: Sequence[int]) -> None:
             if letter >= _LETTER_LIMIT:
                 raise OverflowError("word letters must be below 2**31 - 1")
             if growth and letter > peak + 1:
-                raise ValueError(_NOT_GROWTH)
+                raise ValueError(growth)
             peak = max(peak, letter)
 
 
@@ -254,11 +262,11 @@ def _word_search(
     try:
         text, pattern = _plain_ints(text), _plain_ints(pattern)
     except TypeError:
-        _reject_letters(text, pattern)
+        _reject_letters((text, None), (pattern, _NOT_GROWTH))
     nt = max(text)
     npat = max(pattern)
     if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT:
-        _reject_letters(text, pattern)
+        _reject_letters((text, None), (pattern, _NOT_GROWTH))
     if nt > n:
         # Sparse letters: rank them densely, in order, so that used and
         # where are sized by the text's length.  The search reads letters
@@ -353,3 +361,66 @@ def rgf_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = None
     """Exact number of position sets whose subsequence value-standardizes to
     the pattern word."""
     return _word_search(text, pattern, True, False, cancel)
+
+
+def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bool) -> int:
+    """How many restricted growth words of length n extend the prefix and
+    avoid the pattern, read as partitions or, when ordered, as words; none
+    if the prefix contains it.
+
+    A word's prefix of length m is its restriction to [m] (Sagan's
+    restriction notion), so containment is hereditary under prefixes: the
+    walk extends only avoiders, each by one of 1..peak + 1, depth first.
+    The parent avoids, so a child contains the pattern only through its
+    last position; that needs the child to have at least the pattern's
+    largest letter m (a restricted growth word has every letter up to its
+    peak), at least the pattern's length k, and at least as many copies of
+    its last letter as the pattern has of its own.  For 1, 2, ..., k
+    (m == k) and 1, ..., 1 (m == 1) these tests are the whole rule: an
+    avoiding parent has fewer than k distinct letters, or fewer than k
+    copies of each, so its child contains the pattern exactly when it
+    reaches k of them.  Any other pattern asks the find of the word loop
+    once per child that passes them.
+    """
+    n = operator.index(n)
+    if n >= _LETTER_LIMIT:
+        raise OverflowError("n must be below 2**31 - 1")
+    _reject_letters((prefix, _NOT_PREFIX), (pattern, _NOT_GROWTH))
+    if n < len(prefix):
+        raise ValueError("n must be at least the prefix's length")
+    prefix, pattern = tuple(_plain_ints(prefix)), tuple(_plain_ints(pattern))
+    if not pattern or _word_search(prefix, pattern, ordered, True, None) is not None:
+        return 0
+    k, m = len(pattern), max(pattern)
+    copies = pattern.count(pattern[-1])
+    exact = m == k or m == 1
+
+    def children(level, length):
+        for word, peak in level:
+            for letter in range(1, peak + 2):
+                child = word + (letter,)
+                top = peak if letter <= peak else letter
+                if (
+                    top < m
+                    or length < k
+                    or child.count(letter) < copies
+                    or (not exact and _word_search(child, pattern, ordered, True, None) is None)
+                ):
+                    yield child, top
+
+    level = [(prefix, max(prefix, default=0))]
+    for length in range(len(prefix) + 1, n + 1):
+        level = children(level, length)
+    return sum(1 for _ in level)
+
+
+def part_avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, /) -> int:
+    """How many restricted growth words of length n extend the prefix and,
+    read as partitions, avoid the pattern partition."""
+    return _avoiders(prefix, pattern, n, False)
+
+
+def rgf_avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, /) -> int:
+    """How many restricted growth words of length n extend the prefix and
+    avoid the pattern word."""
+    return _avoiders(prefix, pattern, n, True)

@@ -220,6 +220,15 @@ class RGFWord(_Frozen):
         _store(self, "letters", letters)
         _store(self, "_peak", peak)
 
+    @classmethod
+    def _from_growth(cls, letters: tuple[int, ...], peak: int) -> RGFWord:
+        # Caller guarantees a restricted growth word of plain ints with
+        # this largest letter; skips validation.
+        word = object.__new__(cls)
+        _store(word, "letters", letters)
+        _store(word, "_peak", peak)
+        return word
+
     @property
     def max_letter(self) -> int:
         return self._peak  # type: ignore[attr-defined]
@@ -260,7 +269,9 @@ def restrict(sigma: SetPartition, subset: Iterable[int]) -> SetPartition:
 def rgf_of(sigma: SetPartition) -> RGFWord:
     """Encode a partition as the word whose i-th letter is the index of the
     block containing i, blocks numbered 1, 2, ... by their minima."""
-    return RGFWord(sigma.word)
+    # Numbering blocks by their minima makes the word a restricted growth
+    # word whose largest letter is the number of blocks.
+    return RGFWord._from_growth(sigma.word, len(sigma.blocks))
 
 
 def partition_of_rgf(word: RGFWord) -> SetPartition:

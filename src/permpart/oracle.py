@@ -10,12 +10,13 @@ permpart.matchers, which is the point; verify_reduction and
 verify_rgf_coincidence judge the engines (and the permutation-to-partition
 reduction itself) against them over every instance up to the given bounds.
 
-Both gates run one gate loop and differ only in their per-pair check.  A
-chunk worker encodes each permutation once per chunk (the permutation, its
-reduced partition and that partition's word), a text that is also a
-pattern reusing the pattern's encoding; it tallies the text's restrictions
-once per subset size, and hands every pair with its witness count to the
-check; so each subset is restricted once per text rather than once per
+Both gates run one gate loop and differ only in their check, made once
+per text.  A chunk worker encodes each permutation once per chunk (the
+permutation, its reduced partition and that partition's word), a text that
+is also a pattern reusing the pattern's encoding; it tallies the text's
+restrictions once per subset size, and hands the text, every pattern and
+the tally to the check, which reads each pattern's witness count off the
+tally; so each subset is restricted once per text rather than once per
 pattern.  The texts share few letter tuples, so the chunk keeps one relabel
 memo: each distinct tuple is renumbered once, and the memo holds those
 tuples (51,612 for verify_reduction at its default bounds, 398 at (4, 4))
@@ -34,7 +35,9 @@ words.  Containment is hereditary under prefixes, since a word's prefix of
 length m is its restriction to [m] (Sagan's restriction notion), so only
 avoiders are extended, a child of an avoider is tested only through its
 last position, and the containers are Bell(n) less the avoiders.  The cost
-follows the avoiders, not Bell(n).
+follows the avoiders, not Bell(n).  The walk runs inside the kernels
+(part_avoiders and rgf_avoiders, see permpart._kernels_py), found at call
+time on permpart._backend; this module picks the prefixes it starts from.
 
 Factorial and Bell growth make unbounded runs runaway jobs, so the
 verification and census entry points refuse bounds above a safety limit
@@ -55,7 +58,7 @@ import time
 from collections import Counter
 from typing import Iterable, Iterator, Literal
 
-from . import matchers
+from . import _backend
 from .core import (
     Permutation,
     RGFWord,
@@ -70,8 +73,8 @@ from .reduction import reduce_perm
 
 VERIFY_BOUND = 6
 CENSUS_BOUND = 10
-# A census grows its avoiding prefixes to this length here, then hands them
-# to the chunk workers: the at most 15 prefixes of [4] are cheap to grow
+# A census picks its avoiding prefixes of this length here, then hands them
+# to the chunk workers: the at most 15 words of [4] are cheap to test
 # serially and, even after pruning, enough to split over a few jobs.
 _CUT_DEPTH = 4
 # A gate chunk's relabel memo starts afresh once it holds this many letter
@@ -145,8 +148,8 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
 
 def _relabel(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The letters renumbered 1, 2, ... by first appearance."""
-    labels: dict[int, int] = {}
-    return tuple([labels.setdefault(b, len(labels) + 1) for b in letters])
+    labels = dict(zip(dict.fromkeys(letters), range(1, len(letters) + 1)))
+    return tuple(map(labels.__getitem__, letters))
 
 
 class _Relabelled(dict):
@@ -277,11 +280,11 @@ def _encode(perm: Permutation) -> Encoded:
 
 
 def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
-    """check(text, pattern, witnesses) for every text of the chunk and every
-    pattern of size 1..max_k, the witnesses read from the text's tally of
-    restriction words, where each pattern finds its brute_partition_count.
-    A text that is also a pattern reuses the pattern's encoding, and one
-    relabel memo serves the whole chunk and goes with it."""
+    """check(text, patterns, tally) for every text of the chunk, patterns
+    all those of size 1..max_k and tally the text's restriction words,
+    where each pattern finds its brute_partition_count.  A text that is
+    also a pattern reuses the pattern's encoding, and one relabel memo
+    serves the whole chunk and goes with it."""
     texts, max_k, check = payload
     encoded = {
         tau.values: _encode(tau) for k in range(1, max_k + 1) for tau in enumerate_permutations(k)
@@ -295,8 +298,7 @@ def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
         tally: Counter[tuple[int, ...]] = Counter()
         for k in sizes:
             tally.update(_restrictions(text[1].word, k, relabel))
-        for pattern in patterns:
-            mismatches.extend(check(text, pattern, tally.get(pattern[1].word, 0)))
+        mismatches += check(text, patterns, tally)
     return len(texts) * len(patterns), mismatches
 
 
@@ -320,19 +322,31 @@ def _run_gate(check, max_n: int, max_k: int, force: bool, jobs: int, extra=tuple
     )
 
 
-def _reduction_check(text: Encoded, pattern: Encoded, witnesses: int) -> Iterator[Mismatch]:
-    (perm, reduced_text, _), (tau, reduced_pattern, _) = text, pattern
-    pair = (perm.values, tau.values)
-    engine = perm_contains(perm, tau).contains
-    if engine != (witnesses > 0):
-        yield Mismatch("containment", *pair, engine, witnesses > 0)
-    if perm.n <= 5 and tau.n <= 3:
-        occurrences = perm_count(perm, tau)
-        if occurrences != witnesses:
-            yield Mismatch("parsimony", *pair, occurrences, witnesses)
-        engine_witnesses = partition_count(reduced_text, reduced_pattern)
-        if engine_witnesses != witnesses:
-            yield Mismatch("count-agreement", *pair, engine_witnesses, witnesses)
+def _reduction_check(text: Encoded, patterns: list[Encoded], tally: Counter) -> list[Mismatch]:
+    perm, reduced_text, _ = text
+    counted = perm.n <= 5
+    mismatches = []
+    for tau, reduced_pattern, _ in patterns:
+        witnesses = tally.get(reduced_pattern.word, 0)
+        engine = perm_contains(perm, tau).contains
+        if engine != (witnesses > 0):
+            mismatches.append(
+                Mismatch("containment", perm.values, tau.values, engine, witnesses > 0)
+            )
+        if counted and tau.n <= 3:
+            occurrences = perm_count(perm, tau)
+            if occurrences != witnesses:
+                mismatches.append(
+                    Mismatch("parsimony", perm.values, tau.values, occurrences, witnesses)
+                )
+            engine_witnesses = partition_count(reduced_text, reduced_pattern)
+            if engine_witnesses != witnesses:
+                mismatches.append(
+                    Mismatch(
+                        "count-agreement", perm.values, tau.values, engine_witnesses, witnesses
+                    )
+                )
+    return mismatches
 
 
 def verify_reduction(
@@ -351,11 +365,17 @@ def verify_reduction(
     return _run_gate(_reduction_check, max_n, max_k, force, jobs)
 
 
-def _rgf_check(text: Encoded, pattern: Encoded, witnesses: int) -> Iterator[Mismatch]:
-    (perm, _, text_word), (tau, _, pattern_word) = text, pattern
-    word_answer = rgf_contains(text_word, pattern_word).contains
-    if word_answer != (witnesses > 0):
-        yield Mismatch("rgf-coincidence", perm.values, tau.values, word_answer, witnesses > 0)
+def _rgf_check(text: Encoded, patterns: list[Encoded], tally: Counter) -> list[Mismatch]:
+    perm, _, text_word = text
+    mismatches = []
+    for tau, reduced_pattern, pattern_word in patterns:
+        contained = tally.get(reduced_pattern.word, 0) > 0
+        word_answer = rgf_contains(text_word, pattern_word).contains
+        if word_answer != contained:
+            mismatches.append(
+                Mismatch("rgf-coincidence", perm.values, tau.values, word_answer, contained)
+            )
+    return mismatches
 
 
 def _separation_check() -> Iterator[Mismatch]:
@@ -410,65 +430,21 @@ class CensusRow(_Frozen):
         return self.avoiders + self.containers
 
 
-def _census_find(pattern: tuple[int, ...], notion: Notion):
-    """The kernel that decides a child, or None when the letter tests of
-    _children are exact: the two linear shapes, 1, 2, ..., k and 1, ..., 1,
-    with the same answers under both notions.  Looked up here, at call
-    time, so that a substituted kernel table is used."""
-    m = max(pattern)
-    if m == len(pattern) or m == 1:
-        return None
-    kernels = matchers._K
-    return kernels.part_find if notion == "partition" else kernels.rgf_find
-
-
-def _children(level, length: int, pattern: tuple[int, ...], find):
-    """The avoiding children, of the given length, of the avoiding
-    (word, peak) prefixes in level.
-
-    A child appends one of 1..peak + 1 to its parent's word.  The parent
-    avoids, so the child contains the pattern only through its last
-    position; that needs the child to have at least the pattern's largest
-    letter m (a restricted growth word has every letter up to its peak), at
-    least the pattern's length k, and at least as many copies of its last
-    letter as the pattern has of its own.  For 1, 2, ..., k (m == k) and
-    1, ..., 1 (m == 1) these tests are the whole rule: an avoiding parent
-    has fewer than k distinct letters, or fewer than k copies of each, so
-    its child contains the pattern exactly when it reaches k of them.  Any
-    other pattern asks find once per child that passes them.
-    """
-    k, m = len(pattern), max(pattern)
-    copies = pattern.count(pattern[-1])
-    for word, peak in level:
-        for letter in range(1, peak + 2):
-            child = word + (letter,)
-            top = peak if letter <= peak else letter
-            if (
-                top < m
-                or length < k
-                or child.count(letter) < copies
-                or (find is not None and find(child, pattern) is None)
-            ):
-                yield child, top
-
-
-def _avoiding(level, depth: int, n: int, pattern: tuple[int, ...], find):
-    """The avoiding (word, peak) pairs of length n that extend the avoiding
-    prefixes in level, all of length depth.  Each level's generator feeds
-    the next, so the tree is walked depth first and only one path of it is
-    held at a time."""
-    for length in range(depth + 1, n + 1):
-        level = _children(level, length, pattern, find)
-    return level
+def _avoiders_kernel(notion: Notion):
+    """The census walk of the active kernels for the notion.  Looked up on
+    permpart._backend when called, so that a substituted kernel module is
+    used; matchers._K may be a stand-in that holds only the searches."""
+    kernels = _backend.kernels
+    return kernels.part_avoiders if notion == "partition" else kernels.rgf_avoiders
 
 
 def _census_chunk(payload) -> int:
     """How many restricted growth words of length n extend the chunk's
-    avoiding prefixes, all of length depth, and avoid the pattern word,
-    read as partitions (their block-index words) or as words by notion."""
-    prefixes, depth, n, pattern, notion = payload
-    find = _census_find(pattern, notion)
-    return sum(1 for _ in _avoiding(prefixes, depth, n, pattern, find))
+    prefixes and avoid the pattern word, read as partitions (their
+    block-index words) or as words by notion."""
+    prefixes, pattern, n, notion = payload
+    walk = _avoiders_kernel(notion)
+    return sum(walk(prefix, pattern, n) for prefix in prefixes)
 
 
 def census(
@@ -485,12 +461,11 @@ def census(
     The partition notion takes a SetPartition pattern and the word notion
     an RGFWord pattern.  Both grow the block-index words of [n] one letter
     at a time, keeping only those that avoid the pattern word, and count
-    the avoiders of length n; the containers are Bell(n) less those.  A
-    child is tested by letter tests, which decide the all-singleton and
-    single-block patterns exactly, and for any other pattern then by the
-    partition or the word kernel.  No structure is built per text.  The
-    avoiding prefixes of length 4 (or n, if less) are grown here and, with
-    jobs > 1, split into at most jobs chunks for worker processes.
+    the avoiders of length n; the containers are Bell(n) less those.  The
+    kernels walk the tree (part_avoiders, rgf_avoiders), so no Python
+    object is built per text.  The avoiding words of length 4 (or n, if
+    less) are picked here and, with jobs > 1, split into at most jobs
+    chunks for worker processes, each walking below its prefixes.
 
     >>> census(6, SetPartition(((1, 3), (2, 4)))).avoiders
     132
@@ -512,11 +487,8 @@ def census(
         raise ValueError(f"unknown notion: {notion!r}")
 
     pattern_word = pattern.word if isinstance(pattern, SetPartition) else pattern.letters
-    total = bell_number(n)
-    if not pattern_word:
-        return CensusRow(n, pattern, notion, 0, total)
     depth = min(n, _CUT_DEPTH)
-    find = _census_find(pattern_word, notion)
-    prefixes = list(_avoiding([((), 0)], 0, depth, pattern_word, find))
-    avoiders = sum(_map_chunks(_census_chunk, prefixes, (depth, n, pattern_word, notion), jobs))
-    return CensusRow(n, pattern, notion, avoiders, total - avoiders)
+    walk = _avoiders_kernel(notion)
+    prefixes = [word for word in _rgf_words(depth) if walk(word, pattern_word, depth)]
+    avoiders = sum(_map_chunks(_census_chunk, prefixes, (pattern_word, n, notion), jobs))
+    return CensusRow(n, pattern, notion, avoiders, bell_number(n) - avoiders)

@@ -22,7 +22,17 @@ def reduce_perm(perm: Permutation) -> SetPartition:
     ((1, 5), (2, 6), (3, 4))
     """
     n = perm.n
-    return SetPartition(tuple((i, v + n) for i, v in enumerate(perm.values, start=1)))
+    # The blocks, ordered by their lower ends, are canonical already, and
+    # the word numbers each upper end n + v by the block of v: 1..n, then
+    # the inverse of perm.
+    inverse = [0] * n
+    for i, v in enumerate(perm.values, start=1):
+        inverse[v - 1] = i
+    return SetPartition._from_canonical(
+        tuple((i, v + n) for i, v in enumerate(perm.values, start=1)),
+        2 * n,
+        tuple(range(1, n + 1)) + tuple(inverse),
+    )
 
 
 def is_matchstick(sigma: SetPartition) -> bool:

@@ -13,8 +13,10 @@ permpart picked at import.
 import inspect
 import itertools
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,10 +26,10 @@ from hypothesis import strategies as st
 
 from permpart import (
     Permutation,
+    RGFWord,
     _backend,
     _kernels_py,
     census,
-    matchers,
     perm_contains,
     reduce_perm,
     transport_occurrence,
@@ -44,6 +46,7 @@ from helpers import (
 )
 
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
+WALKS = ("part_avoiders", "rgf_avoiders")
 
 
 def matchstick_word(values):
@@ -95,7 +98,7 @@ def test_backend_reports_a_known_name():
 
 
 def test_both_backends_export_the_same_surface(compiled):
-    for name in KERNELS:
+    for name in KERNELS + WALKS:
         assert callable(getattr(compiled, name))
         assert callable(getattr(_kernels_py, name))
 
@@ -502,16 +505,120 @@ def test_perm_kernels_parity_random(compiled, text, pattern):
 
 
 def test_census_sagan_anchors_at_ten(compiled, monkeypatch):
-    # census reads the kernel table at call time
-    monkeypatch.setattr(matchers, "_K", compiled)
+    # census reads the kernel module at call time
+    monkeypatch.setattr(_backend, "kernels", compiled)
     for pattern, notion, avoiders in SAGAN_ANCHORS:
         row = census(10, pattern, notion)
         assert (row.avoiders, row.total) == (avoiders[10], 115975), pattern
 
 
 def test_census_sagan_anchors_past_the_bound(compiled, monkeypatch):
-    monkeypatch.setattr(matchers, "_K", compiled)
+    monkeypatch.setattr(_backend, "kernels", compiled)
     for n, bell in ((11, 678570), (12, 4213597)):
         for pattern, notion, avoiders in SAGAN_ANCHORS:
             row = census(n, pattern, notion, force=True)
             assert (row.avoiders, row.total) == (avoiders[n], bell), (pattern, n)
+
+
+@pytest.mark.parametrize("name", WALKS)
+@pytest.mark.parametrize("k", range(6))
+def test_census_walk_parity(compiled, name, k):
+    # every restricted growth pattern of length k, every n <= 8 and every
+    # prefix of length min(n, 4)
+    for pattern in rgf_words_of(k):
+        for n in range(9):
+            for prefix in rgf_words_of(min(n, 4)):
+                args = (prefix.letters, pattern.letters, n)
+                assert getattr(compiled, name)(*args) == getattr(_kernels_py, name)(*args), args
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_census_walk_edges(backend, name):
+    walk = getattr(backend, name)
+    # a prefix that contains the pattern has no avoiding extension
+    assert walk((1, 2, 1, 2), (1, 2, 1, 2), 7) == 0
+    assert walk((1, 1), (1, 1), 2) == 0
+    # at n == len(prefix), the prefix itself, if it avoids
+    assert walk((1, 2, 1), (1, 1, 1), 3) == 1
+    assert walk((1, 2, 1, 1), (1, 1, 1), 4) == 0
+    assert walk((), (1,), 0) == 1
+    # every word contains the empty pattern
+    assert walk((), (), 0) == 0
+    assert walk((1, 2), (), 5) == 0
+    # a pattern longer than n: all Bell(3) words avoid it
+    assert walk((), (1, 2, 3, 4), 3) == 5
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_census_walk_arguments_are_positional_only(backend, name):
+    walk = getattr(backend, name)
+    assert [(p.name, p.kind) for p in inspect.signature(walk).parameters.values()] == [
+        ("prefix", inspect.Parameter.POSITIONAL_ONLY),
+        ("pattern", inspect.Parameter.POSITIONAL_ONLY),
+        ("n", inspect.Parameter.POSITIONAL_ONLY),
+    ]
+    with pytest.raises(TypeError):
+        walk((), (1,), n=3)
+    with pytest.raises(TypeError):
+        walk((), (1,))
+    with pytest.raises(TypeError):
+        walk((), (1,), 3, None)
+
+
+NOT_PREFIX = (ValueError, "a prefix must be a restricted growth word")
+N_TOO_SMALL = (ValueError, "n must be at least the prefix's length")
+N_TOO_LARGE = (OverflowError, "n must be below 2**31 - 1")
+WALK_FAULTS = [
+    ((1, 2, 3), (1, 2), 2, N_TOO_SMALL),
+    ((1, 2), (1,), -1, N_TOO_SMALL),
+    ((1, 3), (1,), 4, NOT_PREFIX),
+    ((2,), (1,), 4, NOT_PREFIX),
+    ((1,), (1, 3), 4, NOT_GROWTH),
+    ((1,), (2,), 4, NOT_GROWTH),
+    ((0,), (1,), 4, AT_LEAST_ONE),
+    ((1,), (1, 0), 4, AT_LEAST_ONE),
+    ((1,), (1,), 4.0, NOT_INTEGER),
+    ((1.0,), (1,), 4, NOT_INTEGER),
+    ((1,), (1, 2.0), 4, NOT_INTEGER),
+    ((1,), (1,), 2**31 - 1, N_TOO_LARGE),
+    ((1,), (1,), 2**70, N_TOO_LARGE),
+]
+
+
+@pytest.mark.parametrize("name", WALKS)
+@pytest.mark.parametrize("prefix, pattern, n, fault", WALK_FAULTS)
+def test_census_walk_rejects_bad_input(backend, name, prefix, pattern, n, fault):
+    error, message = fault
+    with pytest.raises(error) as raised:
+        getattr(backend, name)(prefix, pattern, n)
+    assert str(raised.value) == message
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+@pytest.mark.parametrize("whole", [False, True], ids=["census", "one-walk"])
+def test_forced_census_stops_at_an_interrupt(compiled, monkeypatch, whole):
+    # census(14) of 1,2,1,2 takes seconds, a tenth or more of it in each
+    # kernel call; the walk of all its words from the empty prefix is one
+    # call.  The walk checks for signals as it goes.
+    monkeypatch.setattr(_backend, "kernels", compiled)
+
+    class Alarm(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        due = time.perf_counter() + 0.1
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(Alarm):
+            if whole:
+                compiled.rgf_avoiders((), (1, 2, 1, 2), 14)
+            else:
+                census(14, RGFWord((1, 2, 1, 2)), "rgf", force=True)
+        stopped = time.perf_counter()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert stopped - due < 0.5

@@ -25,7 +25,7 @@ from permpart import (
     verify_reduction,
     verify_rgf_coincidence,
 )
-from permpart import matchers, oracle
+from permpart import _backend, matchers, oracle
 from permpart.cli import run_command
 from helpers import (
     SAGAN_ANCHORS,
@@ -245,7 +245,7 @@ class TestCensus:
     def test_matches_an_independent_scan(self, compiled, monkeypatch):
         # every pattern of size <= 4 at n = 8 and 9, both notions, against
         # a scan of all Bell(n) words that asks the compiled kernel of each
-        monkeypatch.setattr(matchers, "_K", compiled)
+        monkeypatch.setattr(_backend, "kernels", compiled)
         for n in (8, 9):
             texts = [word.letters for word in rgf_words_of(n)]
             for k in range(5):
@@ -532,7 +532,9 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch, pool_sizes):
     # The cut level of a census of [5] holds the 8 words of [4] that avoid
     # 1/2/3, 8 chunks of one; for 1/2 it holds 1,1,1,1 alone, one chunk
     # that runs here.
-    prefixes = list(oracle._avoiding([((), 0)], 0, oracle._CUT_DEPTH, pattern.word, None))
+    depth = oracle._CUT_DEPTH
+    walk = _backend.kernels.part_avoiders
+    prefixes = [w for w in oracle._rgf_words(depth) if walk(w, pattern.word, depth)]
     assert len(prefixes) == 8
     assert census(5, pattern, jobs=8) == census(5, pattern, jobs=1)
     two = SetPartition(((1,), (2,)))

@@ -19,7 +19,10 @@ from permpart import (
     RGFWord,
     SetPartition,
     VerificationReport,
+    reduce_perm,
+    rgf_of,
 )
+from helpers import partitions_of, perms_of
 
 
 def _with_word(sigma):
@@ -187,3 +190,31 @@ def test_match_statement():
             assert (n, blocks, avoiders, containers) == (4, ((1,), (2,)), 1, 14)
         case _:
             pytest.fail("no case matched")
+
+
+def _assert_same_value(built, validated):
+    assert built == validated
+    assert (hash(built), repr(built)) == (hash(validated), repr(validated))
+    assert pickle.dumps(built) == pickle.dumps(validated)
+
+
+def test_reduce_perm_builds_what_validation_would():
+    # reduce_perm skips validation: its blocks (i, p_i + n) are canonical and
+    # its word is 1..n followed by the inverse of p.
+    for n in range(8):
+        for perm in perms_of(n):
+            built = reduce_perm(perm)
+            validated = SetPartition(tuple((i, v + n) for i, v in enumerate(perm.values, 1)))
+            # the word first: it is cached in the instance, and so pickled
+            assert (built.word, built.n) == (validated.word, validated.n)
+            _assert_same_value(built, validated)
+
+
+def test_rgf_of_builds_what_validation_would():
+    # rgf_of skips the growth check: a block-index word has restricted
+    # growth, and its peak is the number of blocks.
+    for n in range(9):
+        for sigma in partitions_of(n):
+            built, validated = rgf_of(sigma), RGFWord(sigma.word)
+            assert (built.letters, built.max_letter) == (validated.letters, validated.max_letter)
+            _assert_same_value(built, validated)
