@@ -10,9 +10,13 @@
  * bound slots to the next copy of their text letter, and the stops where
  * too few copies of a slot's letter remain.  The next copy is read from
  * O(n) links, each position's next copy of its own letter, starting from
- * the copy that the slot's letter last took (see next_copy).  The word loop
- * runs in walk, which returns at every poll, so no call into Python sits in
- * the loop and the compiler can keep its state in registers.
+ * the copy that the slot's letter last took (see next_copy).  Both search
+ * loops run in walk, which returns at every poll, so no call into Python
+ * sits in a loop and the compiler can keep its state in registers; run
+ * drives the word loop, for the word searches and for each find of the
+ * census walk.  Every loop, the census walk's too, calls poll every
+ * POLL_MASK + 1 steps, the one place where a kernel returns to Python:
+ * pending signals first (Ctrl-C raises KeyboardInterrupt), then cancel.
  * The kernels only search: past the trivial answers for an empty pattern or
  * one longer than its text, they rule out no match before searching; the
  * block-size and letter-count rejections live in permpart.matchers.
@@ -69,12 +73,15 @@ typedef struct {
     int used;
 } Arena;
 
+static void *fail(PyObject *type, const char *message) {
+    PyErr_SetString(type, message);
+    return NULL;
+}
+
 static void *take(Arena *a, Py_ssize_t count, size_t size) {
     void *p;
-    if (a->used == ARENA_BLOCKS) {
-        PyErr_SetString(PyExc_SystemError, "kernel arena is full");
-        return NULL;
-    }
+    if (a->used == ARENA_BLOCKS)
+        return fail(PyExc_SystemError, "kernel arena is full");
     p = PyMem_Calloc(count > 0 ? (size_t)count : 1, size);
     return p == NULL ? PyErr_NoMemory() : (a->block[a->used++] = p);
 }
@@ -101,11 +108,6 @@ static PyObject *answer(int find, unsigned long long count, const Py_ssize_t *ch
             PyTuple_SET_ITEM(result, a, pos);
     }
     return result;
-}
-
-static void *fail(PyObject *type, const char *message) {
-    PyErr_SetString(type, message);
-    return NULL;
 }
 
 /* Copy a sequence of n ints.  For a word (peak given), the largest letter is
@@ -145,9 +147,14 @@ static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, const ch
     return out;
 }
 
-/* Poll cancel every POLL_MASK + 1 ticks; -1, with an exception set, aborts. */
-static int poll(PyObject *cancel, Py_ssize_t ticks) {
-    if (cancel == Py_None || (ticks & POLL_MASK) != 0)
+/* The one place where a kernel loop returns to Python, which each loop
+ * reaches every POLL_MASK + 1 steps (the callers test the mask): pending
+ * signals first, so a handler that raises wins over SearchCancelled, then
+ * cancel unless it is None.  -1, with an exception set, aborts. */
+static int poll(PyObject *cancel) {
+    if (PyErr_CheckSignals() < 0)
+        return -1;
+    if (cancel == Py_None)
         return 0;
     PyObject *r = PyObject_CallNoArgs(cancel);
     int stop = r == NULL ? -1 : PyObject_IsTrue(r);
@@ -207,47 +214,6 @@ static inline Py_ssize_t next_copy(const int *succ, Py_ssize_t from, Py_ssize_t 
     return pos;
 }
 
-static PyObject *perm_search(const Call *c, Arena *a, int find) {
-    Py_ssize_t n = c->n, k = c->k, i = 0, j, ticks = 0, *lo, *hi, *chosen;
-    int *tv, *pv;
-    unsigned long long count = 0;
-
-    if ((tv = read_ints(a, c->text, n, NULL, NULL)) == NULL ||
-        (pv = read_ints(a, c->pattern, k, NULL, NULL)) == NULL ||
-        (lo = take(a, k, sizeof(Py_ssize_t))) == NULL || (hi = take(a, k, sizeof(Py_ssize_t))) == NULL ||
-        (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL)
-        return NULL;
-    /* lo[j] / hi[j]: the earlier slot holding the nearest pattern value
-     * below / above pattern[j], or -1. */
-    for (j = 0; j < k; j++) {
-        lo[j] = hi[j] = -1;
-        for (Py_ssize_t b = 0; b < j; b++) {
-            if (pv[b] < pv[j] && (lo[j] < 0 || pv[b] > pv[lo[j]]))
-                lo[j] = b;
-            if (pv[b] > pv[j] && (hi[j] < 0 || pv[b] < pv[hi[j]]))
-                hi[j] = b;
-        }
-    }
-    for (j = 0; !(find && count); i++) {
-        if (poll(c->cancel, ++ticks) < 0)
-            return NULL;
-        if (i > n - (k - j)) {
-            if (j == 0)
-                break;
-            i = chosen[--j];
-            continue;
-        }
-        if ((lo[j] < 0 || tv[chosen[lo[j]]] < tv[i]) && (hi[j] < 0 || tv[i] < tv[chosen[hi[j]]])) {
-            chosen[j] = i;
-            if (j < k - 1)
-                j++;
-            else
-                count++;
-        }
-    }
-    return answer(find, count, chosen, k);
-}
-
 /* One pattern slot of the word search.  stop: the last text position the
  * slot may take.  ahead: the last slot the order lookahead walks to once it
  * is taken, or the slot itself when there is none.  is_new: its letter first
@@ -259,12 +225,14 @@ typedef struct {
     int is_new;
 } Slot;
 
-/* A word search between two polls.  i, j, ticks and count carry over from
- * one run of walk to the next. */
+/* A search between two polls: a permutation search when lo and hi are set,
+ * else a word search.  i, j, ticks and count carry over from one run of
+ * walk to the next. */
 typedef struct {
-    const int *tw, *pw, *succ;
-    const Slot *slot;
-    int *bound, *used;
+    const int *tw, *pw;
+    const Py_ssize_t *lo, *hi;
+    int *succ, *bound, *used;
+    Slot *slot;
     Py_ssize_t *chosen, n, k, i, j, ticks;
     unsigned long long count;
     int nt, ordered, find;
@@ -296,9 +264,10 @@ Py_NO_INLINE static int fits_ahead(const Walk *w, Py_ssize_t j, Py_ssize_t last,
  * _slot_stops in the pure module.  np is the largest pattern letter.
  * bound, used and chosen serve as scratch and are left zeroed or
  * overwritten. */
-static void plan_slots(Slot *slot, const Walk *w, int np) {
+static void plan_slots(const Walk *w, int np) {
     const int *tw = w->tw, *pw = w->pw;
     int *bound = w->bound, *used = w->used, peak = 0;
+    Slot *slot = w->slot;
     Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, j, i, last = 0, top = 0, most = 0;
     /* bound[q]: the last slot of letter q, so far. */
     for (j = 0; j < k; j++) {
@@ -334,44 +303,32 @@ static void plan_slots(Slot *slot, const Walk *w, int np) {
     memset(used, 0, (size_t)(w->nt + 1) * sizeof(int));
 }
 
-/* Run the search until it ends (1) or the next poll is due (0).  It makes
- * no call into Python, so the compiler can keep the loop's state in
- * registers: with the poll inside the loop, the jumps and stops made
- * general searches slower, not faster. */
+/* Run the search until it ends (1) or the next poll is due (0): the
+ * permutation loop or the word loop.  It makes no call into Python, so the
+ * compiler can keep the loop's state in registers: with the poll inside the
+ * loop, the jumps and stops made general searches slower, not faster, and
+ * the permutation loop took up to 1.8x as long per step. */
 Py_NO_INLINE static int walk(Walk *w) {
     const int *tw = w->tw, *pw = w->pw, *succ = w->succ;
     const Slot *slot = w->slot;
+    const Py_ssize_t *lo = w->lo, *hi = w->hi;
     int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, done = 0;
-    Py_ssize_t *chosen = w->chosen, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
+    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
     unsigned long long count = w->count;
 
-    do {
-        const Slot *s = &slot[j];
-        /* A bound slot jumps to the next copy of its text letter: from i - 1
-         * after a rejected copy, and otherwise from its prev slot's copy. */
-        if (!s->is_new)
-            i = next_copy(succ, tw[i - 1] == bound[pw[j]] ? i - 1 : chosen[s->prev], i);
-        if (i > s->stop) {
-            if (j == 0) {
-                done = 1;
-                break;
-            }
-            i = chosen[--j];
-            if (slot[j].is_new) {
-                used[bound[pw[j]]] = 0;
-                bound[pw[j]] = 0;
-            }
-        } else {
-            int t = tw[i], p = pw[j];
-            /* A bound slot's jump has already found a copy of its text letter. */
-            if ((!s->is_new || (ordered ? t > bound[p - 1] : !used[t])) &&
-                (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
+    /* Permutations: slot j takes position i when its value lies between
+     * those at the slots lo[j] and hi[j]. */
+    if (lo != NULL)
+        do {
+            if (i > n - (k - j)) {
+                if (j == 0) {
+                    done = 1;
+                    break;
+                }
+                i = chosen[--j];
+            } else if ((lo[j] < 0 || tw[chosen[lo[j]]] < tw[i]) && (hi[j] < 0 || tw[i] < tw[chosen[hi[j]]])) {
                 chosen[j] = i;
                 if (j < k - 1) {
-                    if (s->is_new) {
-                        bound[p] = t;
-                        used[t] = 1;
-                    }
                     j++;
                 } else {
                     count++;
@@ -381,14 +338,103 @@ Py_NO_INLINE static int walk(Walk *w) {
                     }
                 }
             }
-        }
-        i++;
-    } while ((++ticks & POLL_MASK) != 0);
+            i++;
+        } while ((++ticks & POLL_MASK) != 0);
+    else
+        do {
+            const Slot *s = &slot[j];
+            /* A bound slot jumps to the next copy of its text letter: from
+             * i - 1 after a rejected copy, and otherwise from its prev
+             * slot's copy. */
+            if (!s->is_new)
+                i = next_copy(succ, tw[i - 1] == bound[pw[j]] ? i - 1 : chosen[s->prev], i);
+            if (i > s->stop) {
+                if (j == 0) {
+                    done = 1;
+                    break;
+                }
+                i = chosen[--j];
+                if (slot[j].is_new) {
+                    used[bound[pw[j]]] = 0;
+                    bound[pw[j]] = 0;
+                }
+            } else {
+                int t = tw[i], p = pw[j];
+                /* A bound slot's jump has already found a copy of its text letter. */
+                if ((!s->is_new || (ordered ? t > bound[p - 1] : !used[t])) &&
+                    (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
+                    chosen[j] = i;
+                    if (j < k - 1) {
+                        if (s->is_new) {
+                            bound[p] = t;
+                            used[t] = 1;
+                        }
+                        j++;
+                    } else {
+                        count++;
+                        if (find) {
+                            done = 1;
+                            break;
+                        }
+                    }
+                }
+            }
+            i++;
+        } while ((++ticks & POLL_MASK) != 0);
     w->i = i;
     w->j = j;
     w->ticks = ticks;
     w->count = count;
     return done;
+}
+
+static PyObject *perm_search(const Call *c, Arena *a, int find) {
+    Py_ssize_t n = c->n, k = c->k, j, *lo, *hi, *chosen;
+    int *tv, *pv;
+
+    if ((tv = read_ints(a, c->text, n, NULL, NULL)) == NULL ||
+        (pv = read_ints(a, c->pattern, k, NULL, NULL)) == NULL ||
+        (lo = take(a, k, sizeof(Py_ssize_t))) == NULL || (hi = take(a, k, sizeof(Py_ssize_t))) == NULL ||
+        (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL)
+        return NULL;
+    /* lo[j] / hi[j]: the earlier slot holding the nearest pattern value
+     * below / above pattern[j], or -1. */
+    for (j = 0; j < k; j++) {
+        lo[j] = hi[j] = -1;
+        for (Py_ssize_t b = 0; b < j; b++) {
+            if (pv[b] < pv[j] && (lo[j] < 0 || pv[b] > pv[lo[j]]))
+                lo[j] = b;
+            if (pv[b] > pv[j] && (hi[j] < 0 || pv[b] < pv[hi[j]]))
+                hi[j] = b;
+        }
+    }
+    Walk w = {.tw = tv, .lo = lo, .hi = hi, .chosen = chosen, .n = n, .k = k, .ticks = 1, .find = find};
+    while (!walk(&w))
+        if (poll(c->cancel) < 0)
+            return NULL;
+    return answer(find, w.count, chosen, k);
+}
+
+/* One word search on the buffers of w: the text's first n letters, whose
+ * largest is nt, against the pattern, whose largest letter is np.  It polls
+ * between runs of walk.  1 on a match, 0 on none, -1 with an exception set.
+ * A find's hit leaves the letters of the slots before the last bound, so
+ * bound and used are zeroed again, as the next plan_slots needs them. */
+static int run(Walk *w, Py_ssize_t n, int nt, int np, PyObject *cancel) {
+    w->n = n;
+    w->nt = nt;
+    w->i = w->j = w->count = 0;
+    w->ticks = 1;
+    next_links(w->succ, w->tw, n, nt);
+    plan_slots(w, np);
+    while (!walk(w))
+        if (poll(cancel) < 0)
+            return -1;
+    if (w->find && w->count) {
+        memset(w->bound, 0, (size_t)(np + 1) * sizeof(int));
+        memset(w->used, 0, (size_t)(nt + 1) * sizeof(int));
+    }
+    return w->count != 0;
 }
 
 /* Partitions and words: see _word_search in the pure module.  A new
@@ -411,36 +457,8 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
         (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL)
         return NULL;
     Walk w = {.tw = tw, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
-              .n = n, .k = k, .ticks = 1, .nt = nt, .ordered = ordered, .find = find};
-    next_links(succ, tw, n, nt);
-    plan_slots(slot, &w, np);
-    do
-        if (poll(c->cancel, w.ticks) < 0)
-            return NULL;
-    while (!walk(&w));
-    return answer(find, w.count, chosen, k);
-}
-
-/* Does the restricted growth word at w->tw, its first len letters with peak
- * top, contain the pattern?  The find of word_search, on buffers sized for
- * the longest word; succ and slot are those of w, passed writable.  bound
- * and used come back zeroed, as plan_slots needs them. */
-static int word_contains(Walk *w, int *succ, Slot *slot, Py_ssize_t len, int top, int np) {
-    w->n = len;
-    w->nt = top;
-    w->i = w->j = 0;
-    w->ticks = 1;
-    w->count = 0;
-    next_links(succ, w->tw, len, top);
-    plan_slots(slot, w, np);
-    while (!walk(w))
-        ;
-    if (w->count) {
-        /* A hit leaves the letters of the slots before the last bound. */
-        memset(w->bound, 0, (size_t)(np + 1) * sizeof(int));
-        memset(w->used, 0, (size_t)(top + 1) * sizeof(int));
-    }
-    return w->count != 0;
+              .k = k, .ordered = ordered, .find = find};
+    return run(&w, n, nt, np, c->cancel) < 0 ? NULL : answer(find, w.count, chosen, k);
 }
 
 /* The census walk: how many restricted growth words of length n extend the
@@ -449,11 +467,13 @@ static int word_contains(Walk *w, int *succ, Slot *slot, Py_ssize_t len, int top
  * for the letter tests that screen each child before a find.  One
  * depth-first walk over word, which holds the prefix and then one path of
  * the tree, 0 past it: position d tries each of 1..peak[d] + 1, and
- * copies[t] counts letter t on the path.  Signals are checked every
- * POLL_MASK + 1 children, so an interrupt stops a long census. */
+ * copies[t] counts letter t on the path.  The walk polls, with no cancel,
+ * every POLL_MASK + 1 children, and each find polls as a search does (a
+ * find that raises, hit < 0, ends the walk), so an interrupt stops a long
+ * census. */
 static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *a, int ordered) {
     Py_ssize_t n, d0, k, d, children = 0, *chosen;
-    int *prefix, *pw, *word, *copies, *peak, *succ, *bound, *used, top = 0, np = 0, last = 0, exact;
+    int *prefix, *pw, *word, *copies, *peak, *succ, *bound, *used, top = 0, np = 0, last = 0, exact, hit = 0;
     unsigned long long count = 0;
     Slot *slot;
 
@@ -484,13 +504,13 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         copies[word[d]]++;
     for (Py_ssize_t j = 0; j < k; j++)
         last += pw[j] == pw[k - 1];
-    if (d0 >= k && word_contains(&w, succ, slot, d0, top, np))
-        return PyLong_FromLong(0);
+    if (d0 >= k && (hit = run(&w, d0, top, np, Py_None)) != 0)
+        return hit < 0 ? NULL : PyLong_FromLong(0);
     if (d0 == n)
         return PyLong_FromLong(1);
     exact = np == k || np == 1;
     peak[d0] = top;
-    for (d = d0; d >= d0;) {
+    for (d = d0; d >= d0 && hit >= 0;) {
         int letter = word[d];
         if (letter > 0)
             copies[letter]--;
@@ -500,18 +520,18 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         }
         word[d] = ++letter;
         copies[letter]++;
-        if ((++children & POLL_MASK) == 0 && PyErr_CheckSignals() < 0)
+        if ((++children & POLL_MASK) == 0 && poll(Py_None) < 0)
             return NULL;
         top = letter > peak[d] ? letter : peak[d];
         if (top >= np && d + 1 >= k && copies[letter] >= last &&
-            (exact || word_contains(&w, succ, slot, d + 1, top, np)))
+            (exact || (hit = run(&w, d + 1, top, np, Py_None)) != 0))
             continue;
         if (d + 1 == n)
             count++;
         else
             peak[++d] = top;
     }
-    return PyLong_FromUnsignedLongLong(count);
+    return hit < 0 ? NULL : PyLong_FromUnsignedLongLong(count);
 }
 
 /* The six search entries: the empty pattern occurs once, at no positions; a

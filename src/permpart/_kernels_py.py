@@ -27,8 +27,11 @@ Kernel conventions:
   lexicographically least solution, or None;
 - every slot of the search picks positions left to right in increasing
   order, so the first complete match found is the lexicographically least;
-- ``cancel`` is an optional zero-argument callable polled every few thousand
-  search steps; returning True aborts the search with SearchCancelled;
+- ``cancel`` is an optional zero-argument callable polled every 16,384
+  search steps; returning True aborts the search with SearchCancelled.
+  Signals stop every loop, with or without it: here the interpreter
+  handles them, and the compiled kernels check them at each poll, before
+  ``cancel``, so Ctrl-C raises KeyboardInterrupt within one poll interval;
 - arguments are positional only: ``(text, pattern[, cancel])`` for the
   searches, ``(prefix, pattern, n)`` for the census walk, whose prefix is
   checked as a pattern is, with its own message, and whose n is an

@@ -37,17 +37,20 @@ avoiders are extended, a child of an avoider is tested only through its
 last position, and the containers are Bell(n) less the avoiders.  The cost
 follows the avoiders, not Bell(n).  The walk runs inside the kernels
 (part_avoiders and rgf_avoiders, see permpart._kernels_py), found at call
-time on permpart._backend; this module picks the prefixes it starts from.
+time on permpart._backend: a one-job census is one walk from the empty
+prefix, and with jobs > 1 this module picks the prefixes the workers start
+from.
 
 Factorial and Bell growth make unbounded runs runaway jobs, so the
 verification and census entry points refuse bounds above a safety limit
 unless forced.  Both may spread independent work over worker processes:
 the gates their texts, a census the avoiding prefixes at a fixed cut
-depth.  Reports aggregate associatively and mismatch lists are sorted, and
-avoider counts add, so the outcome is schedule independent.  The process
-pool is imported only when one runs (jobs > 1 and more than one item), so
-a serial run does not import concurrent.futures or multiprocessing, and it
-is never larger than the chunks or the CPUs this process may use.
+depth, which it takes only then.  Reports aggregate associatively and
+mismatch lists are sorted, and avoider counts add, so the outcome is
+schedule independent.  The process pool is imported only when one runs
+(jobs > 1 and more than one item), so a serial run does not import
+concurrent.futures or multiprocessing, and it is never larger than the
+chunks or the CPUs this process may use.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ from .reduction import reduce_perm
 
 VERIFY_BOUND = 6
 CENSUS_BOUND = 10
-# A census picks its avoiding prefixes of this length here, then hands them
-# to the chunk workers: the at most 15 words of [4] are cheap to test
-# serially and, even after pruning, enough to split over a few jobs.
+# A census with jobs > 1 picks its avoiding prefixes of this length here,
+# then hands them to the chunk workers: the at most 15 words of [4] are
+# cheap to test serially and, even after pruning, enough to split over a
+# few jobs.  A one-job census needs no cut and walks from the empty prefix.
 _CUT_DEPTH = 4
 # A gate chunk's relabel memo starts afresh once it holds this many letter
 # tuples: above the 51,612 of the default bounds, so those runs never clear
@@ -463,9 +467,10 @@ def census(
     at a time, keeping only those that avoid the pattern word, and count
     the avoiders of length n; the containers are Bell(n) less those.  The
     kernels walk the tree (part_avoiders, rgf_avoiders), so no Python
-    object is built per text.  The avoiding words of length 4 (or n, if
-    less) are picked here and, with jobs > 1, split into at most jobs
-    chunks for worker processes, each walking below its prefixes.
+    object is built per text.  With one job the census is one walk from the
+    empty prefix.  With jobs > 1 the avoiding words of length 4 (or n, if
+    less) are picked here and split into at most jobs chunks for worker
+    processes, each walking below its prefixes.
 
     >>> census(6, SetPartition(((1, 3), (2, 4)))).avoiders
     132
@@ -487,7 +492,7 @@ def census(
         raise ValueError(f"unknown notion: {notion!r}")
 
     pattern_word = pattern.word if isinstance(pattern, SetPartition) else pattern.letters
-    depth = min(n, _CUT_DEPTH)
+    depth = min(n, _CUT_DEPTH) if jobs > 1 else 0
     walk = _avoiders_kernel(notion)
     prefixes = [word for word in _rgf_words(depth) if walk(word, pattern_word, depth)]
     avoiders = sum(_map_chunks(_census_chunk, prefixes, (pattern_word, n, notion), jobs))

@@ -597,9 +597,9 @@ def test_census_walk_rejects_bad_input(backend, name, prefix, pattern, n, fault)
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
 @pytest.mark.parametrize("whole", [False, True], ids=["census", "one-walk"])
 def test_forced_census_stops_at_an_interrupt(compiled, monkeypatch, whole):
-    # census(14) of 1,2,1,2 takes seconds, a tenth or more of it in each
-    # kernel call; the walk of all its words from the empty prefix is one
-    # call.  The walk checks for signals as it goes.
+    # census(14) of 1,2,1,2 takes seconds.  With one job it is one walk from
+    # the empty prefix, as the one-walk case is, so both stop only through
+    # the poll inside the kernel's walk.
     monkeypatch.setattr(_backend, "kernels", compiled)
 
     class Alarm(Exception):
@@ -622,3 +622,64 @@ def test_forced_census_stops_at_an_interrupt(compiled, monkeypatch, whole):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert stopped - due < 0.5
+
+
+class Alarm(Exception):
+    pass
+
+
+def seconds_past_an_alarm(call):
+    """Run call with a SIGALRM due 0.1 s in, whose handler raises Alarm, and
+    return how long after the alarm the call stopped."""
+
+    def ring(signum, frame):
+        raise Alarm
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        due = time.perf_counter() + 0.1
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(Alarm):
+            call()
+        return time.perf_counter() - due
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Searches that run for seconds compiled, and far longer pure: the counts of
+# 1, ..., 6 in 1, ..., 100 reach C(100, 6), about 1.19e9, and the find of
+# 2, 1 in an increasing text of 80,000 misses only after every pair.
+ENDLESS_SEARCHES = [
+    ("perm_count", tuple(range(1, 101)), tuple(range(1, 7))),
+    ("part_count", tuple(range(1, 101)), tuple(range(1, 7))),
+    ("rgf_count", tuple(range(1, 101)), tuple(range(1, 7))),
+    ("perm_find", tuple(range(1, 80001)), (2, 1)),
+]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+@pytest.mark.parametrize("name, text, pattern", ENDLESS_SEARCHES)
+def test_search_stops_at_an_interrupt(backend, name, text, pattern):
+    # With no cancel, a handler that raises stops the search within one
+    # poll interval: the compiled kernels check for signals at every poll,
+    # and the interpreter runs the pure ones.  The word finds poll through
+    # the same run as the counts.
+    assert seconds_past_an_alarm(lambda: getattr(backend, name)(text, pattern)) < 0.5
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+@pytest.mark.parametrize("name, pattern", [(name, pattern) for name, _, pattern in ENDLESS_SEARCHES])
+def test_interrupted_compiled_search_frees_its_arena(compiled, name, pattern):
+    # On a text of 80,000 the arena holds at least 320 KB, and the error
+    # path frees it as a returning search does.
+    text = tuple(range(1, 80001))
+    kernel = getattr(compiled, name)
+    tracemalloc.start()
+    try:
+        stopped = seconds_past_an_alarm(lambda: kernel(text, pattern))
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stopped < 0.5
+    assert left < 2**14

@@ -1,5 +1,6 @@
 import os
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -176,7 +177,8 @@ class TestCensus:
 
     def test_parallel_matches_serial(self):
         # n on both sides of the cut depth, below which the chunks hold the
-        # census's own avoiders rather than prefixes of them
+        # census's own avoiders rather than prefixes of them; the serial
+        # census walks from the empty prefix, so two cut depths are compared
         cut = oracle._CUT_DEPTH
         for pattern in (SetPartition(((1, 3), (2, 4))), SetPartition(((1, 3), (2,)))):
             for structure, notion in ((pattern, "partition"), (rgf_of(pattern), "rgf")):
@@ -266,6 +268,32 @@ class TestCensus:
         for pattern, notion, avoiders in SAGAN_ANCHORS:
             for n in range(10):
                 assert census(n, pattern, notion).avoiders == avoiders[n], (pattern, n)
+
+    def test_one_job_census_is_one_walk(self, monkeypatch):
+        # The trivial cut test of the empty prefix, then one walk below it:
+        # census finds its walk on permpart._backend.kernels at call time.
+        calls = []
+        kernels = _backend.kernels
+
+        def counted(walk):
+            def call(*args):
+                calls.append(args)
+                return walk(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            _backend,
+            "kernels",
+            SimpleNamespace(
+                part_avoiders=counted(kernels.part_avoiders),
+                rgf_avoiders=counted(kernels.rgf_avoiders),
+            ),
+        )
+        for pattern, notion, avoiders in SAGAN_ANCHORS:
+            calls.clear()
+            assert census(8, pattern, notion).avoiders == avoiders[8], pattern
+            assert len(calls) == 2, pattern
 
 
 def _per_pair_reports(max_n, max_k):
