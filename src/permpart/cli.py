@@ -19,7 +19,7 @@ output is one record per line with keys in the documented order.
 
 Exit codes: 0 = success, and for relational commands the relation holds;
 1 = the relation does not hold; 2 = usage or parse error; 3 = a verify run
-found mismatches.
+found mismatches; 130 = interrupted by Ctrl-C (SIGINT).
 """
 
 from __future__ import annotations
@@ -426,7 +426,15 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """The console entry: run_command, with Ctrl-C ending the process with
+    one line on stderr and exit code 130 (128 + SIGINT), not a traceback.
+    run_command itself lets KeyboardInterrupt through to its callers."""
+    try:
+        code = run_command(sys.argv[1:])
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -137,9 +137,10 @@ class SetPartition(_Frozen):
 
     The constructor accepts blocks in any order with elements in any order
     and canonicalizes; the partition of [0] is ``SetPartition(())``.  The
-    ground-set size is stored at construction and the block-index word is
-    computed on first use; neither is a field, so equality, hashing and repr
-    see the blocks alone.
+    ground-set size is stored at construction; the block-index word, and
+    the permutation a matchstick partition encodes, are computed on first
+    use.  None of them is a field, so equality, hashing and repr see the
+    blocks alone.
 
     >>> SetPartition(((2, 4), (3, 1))).blocks
     ((1, 3), (2, 4))
@@ -193,6 +194,13 @@ class SetPartition(_Frozen):
                 letters[e - 1] = index
         return tuple(letters)
 
+    @cached_property
+    def _unreduced(self) -> tuple[int, ...] | None:
+        """The values of the permutation whose reduce_perm this is, or None
+        if it is not matchstick (see _unreduce)."""
+        half = len(self.blocks)
+        return _unreduce(self.word, half) if 2 * half == self._n else None  # type: ignore[attr-defined]
+
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -233,11 +241,39 @@ class RGFWord(_Frozen):
     def max_letter(self) -> int:
         return self._peak  # type: ignore[attr-defined]
 
+    @cached_property
+    def _unreduced(self) -> tuple[int, ...] | None:
+        """The values of the permutation whose reduced partition has this
+        word, or None (see _unreduce)."""
+        half = self._peak  # type: ignore[attr-defined]
+        return _unreduce(self.letters, half) if 2 * half == len(self.letters) else None
+
     def __len__(self) -> int:
         return len(self.letters)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
+
+
+def _unreduce(word: tuple[int, ...], half: int) -> tuple[int, ...] | None:
+    """The permutation p, as its values, whose matchstick partition
+    reduce_perm(p) has this block-index word, or None if there is none.
+
+    The word of reduce_perm(p), p of [n], is 1, ..., n followed by the
+    inverse of p: it has 2n letters and n blocks.  The caller has tested
+    that, in one comparison: half, the word's number of blocks (its largest
+    letter), is half its length.  If the word then starts 1, ..., half,
+    every block has its least element in the lower half, and the blocks
+    are all pairs {i, p_i + n} iff the upper half is a permutation of
+    1, ..., half.
+    """
+    if word[:half] != tuple(range(1, half + 1)):
+        return None
+    values = [0] * half
+    for j, i in enumerate(word[half:], start=1):
+        values[i - 1] = j
+    # A repeated letter leaves the value of a missing one at 0.
+    return None if 0 in values else tuple(values)
 
 
 def restrict(sigma: SetPartition, subset: Iterable[int]) -> SetPartition:

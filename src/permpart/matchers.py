@@ -18,6 +18,22 @@ letters than the pattern.  Witnesses are deterministic: always the
 lexicographically least index or element sequence.  A pattern longer than
 its text is simply not contained, never an error.
 
+The paper's reduction also runs backwards.  A matchstick partition
+reduce_perm(p) has the block-index word 1, ..., n followed by the inverse
+of p, and p contains q iff reduce_perm(p) contains reduce_perm(q), their
+occurrences and restriction witnesses corresponding one to one.  So when
+text and pattern are both matchstick, as partitions or as words (the two
+notions coincide there), a find is answered by the permutation kernel on
+p and q, several times faster than the word search: the least occurrence,
+its indices followed by the sorted p_i + n, is the least witness.  A
+partition or word is recognised as matchstick once, by one scan of its
+word (core._unreduce), behind a one-comparison test (n blocks, or largest
+letter n, over 2n elements), and the permutation is kept on the object.
+Counts stay on the word kernels for now.  Routed as well, they let the
+layered benchmark's search workload run so many more operations that its
+per-operation samples took peak memory past its bound; the count route
+waits for bounded sample memory (ROADMAP item 1).
+
 The subset-enumeration references these engines are validated against live
 in permpart.oracle and share no search code with them.
 """
@@ -82,6 +98,31 @@ def _blocks_fit(text: SetPartition, pattern: SetPartition) -> bool:
     return len(sizes) <= len(hosts) and all(s <= h for s, h in zip(sizes, hosts))
 
 
+def _matchstick_find(
+    text: SetPartition | RGFWord, pattern: SetPartition | RGFWord
+) -> MatchResult | None:
+    """The find on a pair that passed the one-comparison matchstick test
+    (n blocks or letters over 2n elements), by the permutation kernel; None
+    if either turns out not to be matchstick.
+
+    On reduce_perm(p) and reduce_perm(q), the witness of an occurrence of q
+    in p is its indices followed by the sorted p_i + n.  Every witness puts
+    its k lower elements first, so witnesses sort as their occurrences do,
+    and the least occurrence gives the least witness.
+    """
+    q = pattern._unreduced
+    if q is None:
+        return None
+    p = text._unreduced
+    if p is None:
+        return None
+    hit = _K.perm_find(p, q)
+    if hit is None:
+        return _ABSENT
+    n = len(p)
+    return MatchResult(True, hit + tuple(sorted([p[i - 1] + n for i in hit])))
+
+
 def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult:
     """Does the text partition contain the pattern partition?
 
@@ -111,6 +152,10 @@ def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult
             if len(block) >= k:
                 return MatchResult(True, block[:k])
         return _ABSENT
+    if 2 * blocks == k and 2 * len(text.blocks) == text.n:
+        found = _matchstick_find(text, pattern)
+        if found is not None:
+            return found
     if not _blocks_fit(text, pattern):
         return _ABSENT
     hit = _K.part_find(text.word, pattern.word)
@@ -134,8 +179,13 @@ def rgf_contains(text: RGFWord, pattern: RGFWord) -> MatchResult:
     """
     # A subsequence has no more distinct letters than its text, and a
     # restricted growth word has exactly max_letter of them.
-    if pattern.max_letter > text.max_letter:
+    peak = pattern.max_letter
+    if peak > text.max_letter:
         return _ABSENT
+    if 2 * peak == len(pattern.letters) and 2 * text.max_letter == len(text.letters):
+        found = _matchstick_find(text, pattern)
+        if found is not None:
+            return found
     hit = _K.rgf_find(text.letters, pattern.letters)
     return _ABSENT if hit is None else MatchResult(True, hit)
 

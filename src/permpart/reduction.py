@@ -38,16 +38,12 @@ def reduce_perm(perm: Permutation) -> SetPartition:
 def is_matchstick(sigma: SetPartition) -> bool:
     """Is this partition the image of some permutation under reduce_perm?
 
-    Requires an even ground set [2n], exactly n blocks of size 2, each
-    pairing an element <= n with one > n.  Disjointness then forces the
-    upper partners to enumerate a permutation, so nothing else is checked.
+    That is: an even ground set [2n] in n blocks of size 2, each pairing an
+    element <= n with one > n.  The test reads the block-index word once
+    (see core._unreduce) and keeps the permutation it recovers on sigma,
+    where the matchers look for it.
     """
-    if sigma.n % 2:
-        return False
-    n = sigma.n // 2
-    if len(sigma.blocks) != n:
-        return False
-    return all(len(block) == 2 and block[0] <= n < block[1] for block in sigma.blocks)
+    return sigma._unreduced is not None
 
 
 def perm_of_matchstick(sigma: SetPartition) -> Permutation:
@@ -55,13 +51,10 @@ def perm_of_matchstick(sigma: SetPartition) -> Permutation:
 
     Inverse of reduce_perm; raises ValueError on anything else.
     """
-    if not is_matchstick(sigma):
+    values = sigma._unreduced
+    if values is None:
         raise ValueError(f"not a matchstick partition: {sigma.blocks}")
-    n = sigma.n // 2
-    values = [0] * n
-    for low, high in sigma.blocks:
-        values[low - 1] = high - n
-    return Permutation(tuple(values))
+    return Permutation(values)
 
 
 def transport_occurrence(perm: Permutation, occurrence: OccurrenceIndices) -> SubsetWitness:

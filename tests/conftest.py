@@ -39,3 +39,13 @@ def compiled(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["compiled", "pure-python"])
+def kernels(request, monkeypatch):
+    """Each kernel backend in turn, installed as the engines' kernel table."""
+    from permpart import _kernels_py, matchers
+
+    table = request.getfixturevalue("compiled") if request.param == "compiled" else _kernels_py
+    monkeypatch.setattr(matchers, "_K", table)
+    return table

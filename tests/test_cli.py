@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +395,41 @@ class TestCommands:
             code, out, err = run(capsys, argv)
             assert out.endswith("\n") and out.count("\n") == 1
             json.loads(out)
+
+
+def test_ctrl_c_ends_the_cli_with_130_and_one_line():
+    # A pure-backend count that runs for minutes, interrupted at 0.5 s.
+    source_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    text = ",".join(map(str, range(1, 121)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "permpart.cli", "count", text, "1,2,3,4,5,6", "--kind", "perm"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PERMPART_PURE="1", PYTHONPATH=path),
+    )
+    try:
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=30)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 130
+    assert out == "" and err == "error: interrupted\n"
+
+
+def test_run_command_lets_ctrl_c_through(monkeypatch):
+    # Library callers see the KeyboardInterrupt; only cli.main turns it
+    # into exit code 130.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_count", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_command(["count", "1,2,3", "1,2", "--kind", "perm"])
+    monkeypatch.setattr(sys, "argv", ["permpart", "count", "1,2,3", "1,2", "--kind", "perm"])
+    with pytest.raises(SystemExit) as exit:
+        cli.main()
+    assert exit.value.code == 130

@@ -21,9 +21,9 @@ from permpart import (
     rgf_contains,
     rgf_count,
 )
-from permpart import _kernels_py, matchers
+from permpart import matchers
 from permpart.core import restrict, rgf_of
-from permpart.reduction import reduce_perm
+from permpart.reduction import is_matchstick, reduce_perm
 from helpers import (
     Index,
     partitions_of,
@@ -34,14 +34,6 @@ from helpers import (
     value_standardize,
     witnesses_by_restriction,
 )
-
-
-@pytest.fixture(params=["compiled", "pure-python"])
-def kernels(request, monkeypatch):
-    """Each kernel backend in turn, installed as the engines' kernel table."""
-    table = request.getfixturevalue("compiled") if request.param == "compiled" else _kernels_py
-    monkeypatch.setattr(matchers, "_K", table)
-    return table
 
 
 class TestPermMatcher:
@@ -163,7 +155,9 @@ class TestAgainstBruteForce:
         # answered before any kernel runs, on either backend; the kernels
         # themselves rule nothing out before searching.  partition_contains
         # answers the two linear shapes (k singletons, one block of k)
-        # without a kernel too; partition_count searches every fitting pair
+        # without a kernel too; partition_count searches every fitting pair.
+        # A find on two matchstick partitions goes to perm_find instead,
+        # fitting or not.
         real, searched = matchers._K, []
 
         def kernel(name):
@@ -176,7 +170,11 @@ class TestAgainstBruteForce:
         monkeypatch.setattr(
             matchers,
             "_K",
-            types.SimpleNamespace(part_find=kernel("part_find"), part_count=kernel("part_count")),
+            types.SimpleNamespace(
+                perm_find=kernel("perm_find"),
+                part_find=kernel("part_find"),
+                part_count=kernel("part_count"),
+            ),
         )
         shortcut = 0
         for n in range(7):
@@ -192,7 +190,12 @@ class TestAgainstBruteForce:
                         linear = len(sizes) in (k, 1)
                         searched.clear()
                         result = partition_contains(text, pattern)
-                        assert searched == (["part_find"] if fits and not linear else [])
+                        if linear:
+                            assert searched == []
+                        elif is_matchstick(text) and is_matchstick(pattern):
+                            assert searched == ["perm_find"]
+                        else:
+                            assert searched == (["part_find"] if fits else [])
                         searched.clear()
                         count = partition_count(text, pattern)
                         assert searched == (["part_count"] if fits else [])

@@ -18,6 +18,7 @@ from permpart import (
     rgf_of,
     transport_occurrence,
 )
+from permpart import matchers
 from permpart.core import restrict
 from helpers import perm_occurrences, perms_of, value_standardize, witnesses_by_restriction
 
@@ -155,12 +156,16 @@ def perms_up_to(size):
 def test_reduction_is_parsimonious_past_brute_force(text_values, pattern_values):
     # The paper's theorem as a metamorphic relation, on texts far past the
     # brute-force range: the three counts agree, and the least partition
-    # witness is the transported least occurrence.
+    # witness is the transported least occurrence, both as partition_contains
+    # gives it (through the permutation kernel) and as the partition and
+    # word find kernels give it.
     text, pattern = Permutation(tuple(text_values)), Permutation(tuple(pattern_values))
     reduced_text, reduced_pattern = reduce_perm(text), reduce_perm(pattern)
     count = perm_count(text, pattern)
     assert partition_count(reduced_text, reduced_pattern) == count
     assert rgf_count(rgf_of(reduced_text), rgf_of(reduced_pattern)) == count
     hit = perm_contains(text, pattern)
-    witness = partition_contains(reduced_text, reduced_pattern).witness
-    assert witness == (transport_occurrence(text, hit.witness) if hit.contains else None)
+    transported = transport_occurrence(text, hit.witness) if hit.contains else None
+    assert partition_contains(reduced_text, reduced_pattern).witness == transported
+    assert matchers._K.part_find(reduced_text.word, reduced_pattern.word) == transported
+    assert matchers._K.rgf_find(reduced_text.word, reduced_pattern.word) == transported
