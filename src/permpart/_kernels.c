@@ -29,11 +29,11 @@
  * must fit a C int (OverflowError; the pure kernels assume it).  Word
  * letters run from 1 to 2**31 - 2, and the first bad letter, reading the
  * text and then the pattern in order, names the fault: below 1 ValueError,
- * 2**31 - 1 or more OverflowError, a pattern letter above the running peak
- * + 1 ValueError (no restricted growth word).  A word text whose largest
- * letter exceeds its length is searched as its letters ranked densely.
- * Plain CPython API: build it with any C compiler against the interpreter's
- * headers.
+ * 2**31 - 1 or more OverflowError, a text letter above the text's length
+ * ValueError, so every array of a search is sized by the text's length, and
+ * a pattern letter above the running peak + 1 ValueError (no restricted
+ * growth word).  Plain CPython API: build it with any C compiler against
+ * the interpreter's headers.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -113,9 +113,10 @@ static PyObject *answer(int find, unsigned long long count, const Py_ssize_t *ch
 /* Copy a sequence of n ints.  For a word (peak given), the largest letter is
  * stored in *peak, and the first bad letter decides the error: below 1 (past
  * a C long too), at least INT_MAX (the largest letter + 1 must fit an int),
- * or, for a restricted growth word (growth, the message then), above the
- * running peak + 1.  A permutation value must fit a C int.  The items are
- * read from a tuple snapshot, which an item's __index__ cannot shrink. */
+ * then, for a text (no growth message), above n, or, for a restricted growth
+ * word (growth, the message then), above the running peak + 1.  A
+ * permutation value must fit a C int.  The items are read from a tuple
+ * snapshot, which an item's __index__ cannot shrink. */
 static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, const char *growth) {
     PyObject *items = PySequence_Tuple(seq);
     int *out = NULL, over;
@@ -135,6 +136,8 @@ static int *read_ints(Arena *a, PyObject *seq, Py_ssize_t n, int *peak, const ch
             out = fail(PyExc_ValueError, "word letters must be at least 1");
         else if (peak != NULL && v >= INT_MAX)
             out = fail(PyExc_OverflowError, "word letters must be below 2**31 - 1");
+        else if (peak != NULL && growth == NULL && v > n)
+            out = fail(PyExc_ValueError, "word text letters must be at most the text's length");
         else if (growth != NULL && v - 1 > *peak)
             out = fail(PyExc_ValueError, growth);
         else {
@@ -162,32 +165,6 @@ static int poll(PyObject *cancel) {
     if (stop > 0)
         PyErr_SetString(SearchCancelled, "search aborted by cancellation signal");
     return stop ? -1 : 0;
-}
-
-static int compare_ints(const void *x, const void *y) {
-    int a = *(const int *)x, b = *(const int *)y;
-    return (a > b) - (a < b);
-}
-
-/* Rank the n letters of a word densely, in order, and store the number of
- * distinct letters in *peak: the search reads letters only for equality and
- * order, which ranking keeps, and sizes used and the links by the largest. */
-static int rank_letters(Arena *a, int *word, Py_ssize_t n, int *peak) {
-    int *sorted = take(a, n, sizeof(int));
-    Py_ssize_t distinct = 0;
-    if (sorted == NULL)
-        return -1;
-    memcpy(sorted, word, (size_t)n * sizeof(int));
-    qsort(sorted, (size_t)n, sizeof(int), compare_ints);
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (distinct == 0 || sorted[i] != sorted[distinct - 1])
-            sorted[distinct++] = sorted[i];
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int *at = bsearch(&word[i], sorted, (size_t)distinct, sizeof(int), compare_ints);
-        word[i] = (int)(at - sorted) + 1;
-    }
-    *peak = (int)distinct;
-    return 0;
 }
 
 /* Fill the next-copy links of a word of n letters up to width, a block of
@@ -442,16 +419,15 @@ static int run(Walk *w, Py_ssize_t n, int nt, int np, PyObject *cancel) {
  * when ordered (words), a text letter above the one bound to p - 1. */
 static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
     Py_ssize_t n = c->n, k = c->k;
-    /* tw: the text's letters, ranked densely when the largest exceeds n;
-     * bound: pattern letter -> text letter, 0 = unbound; used: text letters
-     * bound; succ, the text's next-copy links. */
+    /* tw: the text's letters, the largest nt <= n; bound: pattern letter ->
+     * text letter, 0 = unbound; used: text letters bound; succ, the text's
+     * next-copy links. */
     int *tw, *pw, *succ, *bound, *used, nt = 0, np = 0;
     Slot *slot;
     Py_ssize_t *chosen;
 
     if ((tw = read_ints(a, c->text, n, &nt, NULL)) == NULL ||
         (pw = read_ints(a, c->pattern, k, &np, NOT_GROWTH)) == NULL ||
-        (nt > n && rank_letters(a, tw, n, &nt) < 0) ||
         (succ = take(a, n + nt + 1, sizeof(int))) == NULL ||
         (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL)

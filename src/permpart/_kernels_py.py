@@ -22,7 +22,7 @@ Kernel conventions:
 - inputs are plain tuples of ints; permutations come as their value words,
   set partitions as their block-index words (a restricted growth word whose
   i-th letter names the block containing i); a word pattern is a restricted
-  growth word, a word text any word;
+  growth word, a word text any word whose letters run from 1 to its length;
 - returned witnesses are 1-based position tuples, always the
   lexicographically least solution, or None;
 - every slot of the search picks positions left to right in increasing
@@ -43,10 +43,11 @@ Kernel conventions:
 - bad word letters are named by the first one, reading the text's letters
   and then the pattern's in order: a letter below 1 raises ValueError("word
   letters must be at least 1"), one of 2**31 - 1 or more OverflowError("word
-  letters must be below 2**31 - 1"), and a pattern letter above the running
-  peak + 1 ValueError, as the pattern is no restricted growth word;
-- a word text whose largest letter exceeds its length is searched as its
-  letters ranked densely, in order, so memory follows the length.
+  letters must be below 2**31 - 1"), a text letter above the text's length
+  ValueError("word text letters must be at most the text's length"), so
+  every list of a search is sized by the text's length, and a pattern
+  letter above the running peak + 1 ValueError, as the pattern is no
+  restricted growth word.
 
 The kernels only search.  Past the trivial answers for an empty pattern or
 one longer than its text, they rule out no match before searching: the
@@ -166,7 +167,8 @@ def perm_count(text: Sequence[int], pattern: Sequence[int], cancel: Cancel = Non
 def _reject_letters(*words: tuple[Sequence[int], str | None]) -> None:
     """Raise for the first bad letter, reading the words in order (see the
     module notes).  Each comes with the message for a letter above its
-    running peak + 1, or None where a text may have one."""
+    running peak + 1, or None for a text, whose letters may not exceed its
+    length."""
     for word, growth in words:
         peak = 0
         for letter in map(operator.index, word):
@@ -174,6 +176,8 @@ def _reject_letters(*words: tuple[Sequence[int], str | None]) -> None:
                 raise ValueError("word letters must be at least 1")
             if letter >= _LETTER_LIMIT:
                 raise OverflowError("word letters must be below 2**31 - 1")
+            if growth is None and letter > len(word):
+                raise ValueError("word text letters must be at most the text's length")
             if growth and letter > peak + 1:
                 raise ValueError(growth)
             peak = max(peak, letter)
@@ -268,16 +272,8 @@ def _word_search(
         _reject_letters((text, None), (pattern, _NOT_GROWTH))
     nt = max(text)
     npat = max(pattern)
-    if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT:
+    if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT or nt > n:
         _reject_letters((text, None), (pattern, _NOT_GROWTH))
-    if nt > n:
-        # Sparse letters: rank them densely, in order, so that used and
-        # where are sized by the text's length.  The search reads letters
-        # only for equality and order, which ranking keeps.
-        letters = sorted(set(text))
-        rank = {letter: r for r, letter in enumerate(letters, start=1)}
-        text = [rank[t] for t in text]
-        nt = len(rank)
     # Each text letter's positions, then n: the first copy of letter b at or
     # after x is where[b][bisect_left(where[b], x)].
     where = [[] for _ in range(nt + 1)]

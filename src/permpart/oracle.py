@@ -12,10 +12,10 @@ reduction itself) against them over every instance up to the given bounds.
 
 Both gates run one gate loop and differ only in their check, made once
 per text.  A chunk worker encodes each permutation once per chunk (the
-permutation, its reduced partition and that partition's word), a text that
-is also a pattern reusing the pattern's encoding; it tallies the text's
-restrictions once per subset size, and hands the text, every pattern and
-the tally to the check, which reads each pattern's witness count off the
+permutation and its reduced partition), a text that is also a pattern
+reusing the pattern's encoding; it tallies the text's restrictions once
+per subset size, and hands the text, every pattern and the tally to the
+check, which reads each pattern's witness count off the
 tally; so each subset is restricted once per text rather than once per
 pattern.  The texts share few letter tuples, so the chunk keeps one relabel
 memo: each distinct tuple is renumbered once, and the memo holds those
@@ -68,7 +68,6 @@ from .core import (
     SetPartition,
     _Frozen,
     partition_of_rgf,
-    rgf_of,
 )
 from .errors import BoundExceeded
 from .matchers import partition_count, perm_contains, perm_count, rgf_contains
@@ -273,14 +272,13 @@ def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
         return list(pool.map(worker, payloads))
 
 
-# A gate's view of one permutation: the permutation, its reduced partition
-# and that partition's word.
-Encoded = tuple[Permutation, SetPartition, RGFWord]
+# A gate's view of one permutation: the permutation and its reduced
+# partition.
+Encoded = tuple[Permutation, SetPartition]
 
 
 def _encode(perm: Permutation) -> Encoded:
-    reduced = reduce_perm(perm)
-    return perm, reduced, rgf_of(reduced)
+    return perm, reduce_perm(perm)
 
 
 def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
@@ -294,7 +292,7 @@ def _verify_chunk(payload) -> tuple[int, list[Mismatch]]:
         tau.values: _encode(tau) for k in range(1, max_k + 1) for tau in enumerate_permutations(k)
     }
     patterns = list(encoded.values())
-    sizes = sorted({reduced.n for _, reduced, _ in patterns})
+    sizes = sorted({reduced.n for _, reduced in patterns})
     relabel = _Relabelled().__getitem__
     mismatches: list[Mismatch] = []
     for values in texts:
@@ -317,7 +315,7 @@ def _run_gate(check, max_n: int, max_k: int, force: bool, jobs: int, extra=tuple
             f"{VERIFY_BOUND} is a runaway job (pass force=True / --force to override)"
         )
     start = time.perf_counter()
-    texts = [p.values for n in range(1, max_n + 1) for p in enumerate_permutations(n)]
+    texts = [v for n in range(1, max_n + 1) for v in itertools.permutations(range(1, n + 1))]
     results = _map_chunks(_verify_chunk, texts, (max_k, check), jobs)
     mismatches = [m for _, chunk in results for m in chunk] + list(extra())
     pairs = sum(pairs for pairs, _ in results)
@@ -327,10 +325,10 @@ def _run_gate(check, max_n: int, max_k: int, force: bool, jobs: int, extra=tuple
 
 
 def _reduction_check(text: Encoded, patterns: list[Encoded], tally: Counter) -> list[Mismatch]:
-    perm, reduced_text, _ = text
+    perm, reduced_text = text
     counted = perm.n <= 5
     mismatches = []
-    for tau, reduced_pattern, _ in patterns:
+    for tau, reduced_pattern in patterns:
         witnesses = tally.get(reduced_pattern.word, 0)
         engine = perm_contains(perm, tau).contains
         if engine != (witnesses > 0):
@@ -369,19 +367,20 @@ def verify_reduction(
     return _run_gate(_reduction_check, max_n, max_k, force, jobs)
 
 
-def _word_contains(text: RGFWord, pattern: RGFWord) -> bool:
-    """The word search's own answer.  rgf_contains would hand a reduced
-    pair to the permutation kernel, and the gate is there to judge the word
-    search; it is looked up on matchers._K when called, as the engines do."""
-    return matchers._K.rgf_find(text.letters, pattern.letters) is not None
+def _word_contains(text: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
+    """The word search's own answer on two words' letters.  rgf_contains
+    would hand a reduced pair to the permutation kernel, and the gate is
+    there to judge the word search; it is looked up on matchers._K when
+    called, as the engines do."""
+    return matchers._K.rgf_find(text, pattern) is not None
 
 
 def _rgf_check(text: Encoded, patterns: list[Encoded], tally: Counter) -> list[Mismatch]:
-    perm, _, text_word = text
+    perm, reduced_text = text
     mismatches = []
-    for tau, reduced_pattern, pattern_word in patterns:
+    for tau, reduced_pattern in patterns:
         contained = tally.get(reduced_pattern.word, 0) > 0
-        word_answer = _word_contains(text_word, pattern_word)
+        word_answer = _word_contains(reduced_text.word, reduced_pattern.word)
         if word_answer != contained:
             mismatches.append(
                 Mismatch("rgf-coincidence", perm.values, tau.values, word_answer, contained)

@@ -182,6 +182,7 @@ AT_LEAST_ONE = (ValueError, "word letters must be at least 1")
 BELOW_INT_MAX = (OverflowError, "word letters must be below 2**31 - 1")
 NOT_GROWTH = (ValueError, "a word pattern must be a restricted growth word")
 NOT_INTEGER = (TypeError, "'float' object cannot be interpreted as an integer")
+ABOVE_LENGTH = (ValueError, "word text letters must be at most the text's length")
 # The text's letters, then the pattern's, in order: the first bad one names
 # the fault, whatever its size and whatever letters follow it.
 FIRST_BAD_LETTER = [
@@ -199,6 +200,10 @@ FIRST_BAD_LETTER = [
     ((0, 2.5), (1, 1), AT_LEAST_ONE),
     ((1, 2), (1, 2.0), NOT_INTEGER),
     ((1, 2.0), (1, 0), NOT_INTEGER),
+    ((3, 1), (1, 1), ABOVE_LENGTH),
+    ((5, 0, 1), (1,), ABOVE_LENGTH),
+    ((0, 5), (1,), AT_LEAST_ONE),
+    ((9, 1), (1, 0), ABOVE_LENGTH),
 ]
 
 
@@ -352,7 +357,7 @@ def test_index_values_are_read_as_ints(backend, name):
     if name.startswith("perm"):
         pairs = [((3, 1, 4, 2), (2, 1, 3))]
     else:
-        pairs = [((1, 2, 1, 3, 2), (1, 2, 1)), ((5, 9, 5, 9), (1, 2, 1, 2))]
+        pairs = [((1, 2, 1, 3, 2), (1, 2, 1)), ((3, 4, 3, 4), (1, 2, 1, 2))]
     for text, pattern in pairs:
         indexed = tuple(map(Index, text)), tuple(map(Index, pattern))
         answer = kernel(text, pattern)
@@ -384,15 +389,26 @@ def test_word_kernels_parity_random(compiled, text, pattern):
     assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(text, pattern)
 
 
+def outcome(kernel, text, pattern):
+    """The kernel's answer, or the type and message of its ValueError."""
+    try:
+        return kernel(text, pattern)
+    except ValueError as error:
+        return type(error), str(error)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=6), max_size=12).map(tuple),
     rgf_letters(max_len=5),
 )
 def test_rgf_kernels_parity_on_general_text_words(compiled, text, pattern):
-    # Word containment takes any word of positive letters as its text.
-    assert compiled.rgf_find(text, pattern) == _kernels_py.rgf_find(text, pattern)
-    assert compiled.rgf_count(text, pattern) == _kernels_py.rgf_count(text, pattern)
+    # Word containment takes any word of letters 1..its length as its text;
+    # both backends refuse any other word alike.
+    for name in ("rgf_find", "rgf_count"):
+        assert outcome(getattr(compiled, name), text, pattern) == outcome(
+            getattr(_kernels_py, name), text, pattern
+        ), name
 
 
 @st.composite
@@ -432,34 +448,40 @@ def test_word_kernels_poll_parity_random(compiled, pair):
 
 def test_rgf_kernels_match_brute_force_on_general_text_words(backend):
     # Every word over the letters 1..3 up to length 6, so a fault shared by
-    # both backends shows too.
+    # both backends shows too.  A word with a letter above its length is
+    # refused wherever a search runs; the empty pattern and one longer than
+    # the text are answered before any letter is read.
     patterns = [word.letters for k in range(5) for word in rgf_words_of(k)]
     for n in range(7):
         for text in itertools.product((1, 2, 3), repeat=n):
             for pattern in patterns:
+                if max(text, default=0) > n and 0 < len(pattern) <= n:
+                    for kernel in (backend.rgf_find, backend.rgf_count):
+                        assert outcome(kernel, text, pattern) == ABOVE_LENGTH
+                    continue
                 hits = rgf_positions(text, pattern)
                 assert backend.rgf_find(text, pattern) == (hits[0] if hits else None)
                 assert backend.rgf_count(text, pattern) == len(hits)
 
 
 @pytest.mark.parametrize("name", WORD_KERNELS)
-def test_sparse_letters_are_sized_by_the_text(backend, name):
-    # Two copies of one huge letter: the arrays the search keeps are sized
-    # by the two positions, not by the letter.
+def test_text_letters_above_the_length_are_rejected(backend, name):
+    # Two copies of one huge letter: the search refuses the text before it
+    # sizes anything by the letter.
     tracemalloc.start()
     try:
-        answer = getattr(backend, name)((10**7, 10**7), (1, 1))
+        refused = outcome(getattr(backend, name), (10**7, 10**7), (1, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert answer == (1 if name.endswith("count") else (1, 2))
+    assert refused == ABOVE_LENGTH
     assert peak < 2**20
 
 
 @pytest.mark.parametrize("name", WORD_KERNELS)
 @pytest.mark.parametrize("letter", [5.0, 5.5])
 def test_sparse_letters_must_be_integers(backend, name, letter):
-    # Ranking must not turn a float letter into an integer one.
+    # A float letter is refused as no integer, whatever its size.
     with pytest.raises(TypeError):
         getattr(backend, name)((1, letter, 1), (1, 1))
 
@@ -472,24 +494,6 @@ def test_sparse_letters_must_be_integers(backend, name, letter):
 def test_permutation_values_must_be_integers(backend, name, text, pattern):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         getattr(backend, name)(text, pattern)
-
-
-def dense_ranks(word):
-    rank = {letter: r for r, letter in enumerate(sorted(set(word)), start=1)}
-    return tuple(rank[letter] for letter in word)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.sampled_from((1, 2, 5, 9, 40, 1000, 2**31 - 2)), max_size=10).map(tuple),
-    rgf_letters(max_len=4),
-)
-def test_sparse_letters_answer_as_their_dense_ranks(compiled, text, pattern):
-    dense = dense_ranks(text)
-    for kernels in (compiled, _kernels_py):
-        for name in WORD_KERNELS:
-            kernel = getattr(kernels, name)
-            assert kernel(text, pattern) == kernel(dense, pattern), (kernels, name)
 
 
 @settings(max_examples=200, deadline=None)

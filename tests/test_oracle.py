@@ -324,7 +324,7 @@ def _per_pair_reports(max_n, max_k):
                             reduction.append(
                                 Mismatch("count-agreement", *args, engine, witnesses)
                             )
-                    answer = oracle._word_contains(rgf_of(text), rgf_of(pattern))
+                    answer = oracle._word_contains(text.word, pattern.word)
                     if answer != reference:
                         words.append(Mismatch("rgf-coincidence", *args, answer, reference))
     return oracle._sorted_mismatches(reduction), oracle._sorted_mismatches(words)
@@ -350,7 +350,7 @@ class TestRestrictionTally:
             return real["partition_count"](text, pattern) * (1 + text.n % 3)
 
         def _word_contains(text, pattern):
-            if text.letters[-1] == 1:
+            if text[-1] == 1:
                 return len(pattern) == 6
             return real["_word_contains"](text, pattern)
 
