@@ -49,10 +49,13 @@ Kernel conventions:
   letter above the running peak + 1 ValueError, as the pattern is no
   restricted growth word.
 
-The kernels only search.  Past the trivial answers for an empty pattern or
-one longer than its text, they rule out no match before searching: the
-block-size and letter-count rejections are made by the callers in
-permpart.matchers.
+Past the trivial answers for an empty pattern or one longer than its
+text, the word kernels only search.  The permutation kernels first run a
+pre-pass (see _perm_search): a pattern with distinct values whose longest
+increasing or decreasing subsequence is longer than the text's is absent,
+which patience piles tell in O(n log k), without a step of the search and
+without polling ``cancel``.  The block-size and letter-count rejections
+are made by the callers in permpart.matchers.
 """
 
 from __future__ import annotations
@@ -120,11 +123,50 @@ def _plain_ints(word: Sequence[int]) -> Sequence[int]:
     return tuple(map(operator.index, word))
 
 
+def _longest_runs(values: Sequence[int], up: int, down: int) -> tuple[int, int]:
+    """The lengths of the longest strictly increasing and strictly
+    decreasing subsequences of values, each counted up to its cap, up and
+    down, by patience piles (Fredman 1975).  The pass stops once both caps
+    are reached, so the piles never hold more than up + down entries."""
+    rise: list[int] = []  # rise[r]: the least last value of a rising run of r + 1
+    fall: list[int] = []  # fall[r]: minus the largest last value of a falling run of r + 1
+    a = b = 0  # the pile counts
+    for v in values:
+        if a < up:
+            r = bisect_left(rise, v)
+            if r == a:
+                rise.append(v)
+                a += 1
+            else:
+                rise[r] = v
+        if b < down:
+            r = bisect_left(fall, -v)
+            if r == b:
+                fall.append(-v)
+                b += 1
+            else:
+                fall[r] = -v
+        elif a == up:  # both caps reached
+            break
+    return a, b
+
+
 def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
+    """The permutation loop, behind one pre-pass.  An occurrence of a pattern
+    whose values are distinct is order isomorphic to it, so it carries the
+    pattern's longest increasing and decreasing subsequences into the text:
+    a text whose own fall short holds no match, and is answered without a
+    search or a poll.  A pattern with a repeated value skips the pass: the
+    loop's strict comparisons admit matches that the pass would rule out,
+    such as (2, 1, 2, 3) in (2, 1, 3, 3)."""
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
     text, pattern = _plain_ints(text), _plain_ints(pattern)
+    if len(set(pattern)) == k:
+        runs = _longest_runs(pattern, k, k)
+        if _longest_runs(text, *runs) != runs:
+            return None if find else 0
     lo, hi = _order_bounds(pattern)
     chosen = [0] * k
     count = j = i = ticks = 0

@@ -137,3 +137,29 @@ def rgf_positions(text, pattern):
         if value_standardize([text[i] for i in indices]) == tuple(pattern):
             hits.append(tuple(i + 1 for i in indices))
     return hits
+
+
+def rows(m):
+    """2, 4, ..., 2m, 1, 3, ..., 2m - 1: two rising runs, so it avoids
+    3,2,1."""
+    return tuple(range(2, 2 * m + 1, 2)) + tuple(range(1, 2 * m, 2))
+
+
+def layered(sizes):
+    """The layered permutation with blocks of the given sizes: each block a
+    falling run of consecutive values, the blocks rising.  It avoids
+    2,4,1,3 and 3,1,4,2, whose longest increasing and decreasing
+    subsequences, of two, it has too once it has two blocks and one of two
+    or more, so only a search rules them out."""
+    values, top = [], 0
+    for size in sizes:
+        values.extend(range(top + size, top, -1))
+        top += size
+    return tuple(values)
+
+
+def answer_and_polls(kernels, name, text, pattern):
+    """A kernel's answer and the number of times it polled its cancel."""
+    calls = []
+    answer = getattr(kernels, name)(text, pattern, lambda: calls.append(None))
+    return answer, len(calls)

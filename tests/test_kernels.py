@@ -39,10 +39,12 @@ from permpart.errors import SearchCancelled
 from helpers import (
     SAGAN_ANCHORS,
     Index,
+    answer_and_polls,
+    layered,
     partitions_of,
-    perms_of,
     rgf_positions,
     rgf_words_of,
+    rows,
 )
 
 KERNELS = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
@@ -51,11 +53,6 @@ WALKS = ("part_avoiders", "rgf_avoiders")
 
 def matchstick_word(values):
     return rgf_of(reduce_perm(Permutation(values))).letters
-
-
-def rows(m):
-    """2, 4, ..., 2m, 1, 3, ..., 2m - 1."""
-    return tuple(range(2, 2 * m + 1, 2)) + tuple(range(1, 2 * m, 2))
 
 
 def two_rows(m):
@@ -72,9 +69,10 @@ TWO_ROWS = two_rows(36)
 # exhaustive searches for patterns the text avoids.  part_find searches two
 # rows for 3,2,1, which they avoid (4 polls): a find on a text with few
 # copies of each letter that succeeds, or fails early, settles in a few
-# steps per letter, too few to poll.
+# steps per letter, too few to poll.  perm_find searches the layered text
+# with 40 blocks of two for 2,4,1,3 (5 polls).
 LONG_SEARCHES = [
-    ("perm_find", tuple(range(24, 0, -1)), (4, 3, 2, 1, 5)),
+    ("perm_find", layered((2,) * 40), (2, 4, 1, 3)),
     ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4)),
     ("part_find", two_rows(60), matchstick_word((3, 2, 1))),
     ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
@@ -258,19 +256,6 @@ def test_both_backends_poll_equally_often(compiled, name, text, pattern):
     assert seen[0][1] > 0
 
 
-def test_perm_kernels_parity_exhaustive(compiled):
-    for n in range(6):
-        for k in range(5):
-            for text in perms_of(n):
-                for pattern in perms_of(k):
-                    assert compiled.perm_find(text.values, pattern.values) == (
-                        _kernels_py.perm_find(text.values, pattern.values)
-                    )
-                    assert compiled.perm_count(text.values, pattern.values) == (
-                        _kernels_py.perm_count(text.values, pattern.values)
-                    )
-
-
 def test_partition_and_word_kernels_parity_exhaustive(compiled):
     words = {
         n: [rgf_of(sigma).letters for sigma in partitions_of(n)] for n in range(6)
@@ -427,12 +412,6 @@ def words_with_repeated_letters(draw):
     text = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=30, max_size=40))
     pattern = draw(rgf_letters(max_len=7).filter(lambda p: len(p) > 3 and len(set(p)) < len(p)))
     return tuple(text), pattern
-
-
-def answer_and_polls(kernels, name, text, pattern):
-    calls = []
-    answer = getattr(kernels, name)(text, pattern, lambda: calls.append(None))
-    return answer, len(calls)
 
 
 @settings(max_examples=30, deadline=None)
@@ -653,12 +632,14 @@ def seconds_past_an_alarm(call):
 
 # Searches that run for seconds compiled, and far longer pure: the counts of
 # 1, ..., 6 in 1, ..., 100 reach C(100, 6), about 1.19e9, and the find of
-# 2, 1 in an increasing text of 80,000 misses only after every pair.
+# 2,4,1,3 in the layered text 2, 1, 4, 3, ... of 80,000 tries each later
+# position for its third slot after each pair of its first two.
+LAYERED = layered((2,) * 40000)
 ENDLESS_SEARCHES = [
     ("perm_count", tuple(range(1, 101)), tuple(range(1, 7))),
     ("part_count", tuple(range(1, 101)), tuple(range(1, 7))),
     ("rgf_count", tuple(range(1, 101)), tuple(range(1, 7))),
-    ("perm_find", tuple(range(1, 80001)), (2, 1)),
+    ("perm_find", LAYERED, (2, 4, 1, 3)),
 ]
 
 
@@ -677,7 +658,7 @@ def test_search_stops_at_an_interrupt(backend, name, text, pattern):
 def test_interrupted_compiled_search_frees_its_arena(compiled, name, pattern):
     # On a text of 80,000 the arena holds at least 320 KB, and the error
     # path frees it as a returning search does.
-    text = tuple(range(1, 80001))
+    text = LAYERED if name == "perm_find" else tuple(range(1, 80001))
     kernel = getattr(compiled, name)
     tracemalloc.start()
     try:
