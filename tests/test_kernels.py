@@ -42,6 +42,7 @@ from helpers import (
     answer_and_polls,
     layered,
     partitions_of,
+    perms_of,
     rgf_positions,
     rgf_words_of,
     rows,
@@ -254,6 +255,19 @@ def test_both_backends_poll_equally_often(compiled, name, text, pattern):
         seen.append((result, len(calls)))
     assert seen[0] == seen[1]
     assert seen[0][1] > 0
+
+
+def test_perm_kernels_parity_exhaustive(compiled):
+    for n in range(6):
+        for k in range(5):
+            for text in perms_of(n):
+                for pattern in perms_of(k):
+                    assert compiled.perm_find(text.values, pattern.values) == (
+                        _kernels_py.perm_find(text.values, pattern.values)
+                    )
+                    assert compiled.perm_count(text.values, pattern.values) == (
+                        _kernels_py.perm_count(text.values, pattern.values)
+                    )
 
 
 def test_partition_and_word_kernels_parity_exhaustive(compiled):

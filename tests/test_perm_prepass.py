@@ -10,6 +10,7 @@ the loop needs about n**3 steps or more for in milliseconds.
 """
 
 import collections
+import gc
 import itertools
 import random
 import time
@@ -137,20 +138,42 @@ def random_avoided_pair():
 GATED = [random_avoided_pair(), (rows(1000), (3, 2, 1))]
 
 
+def best_time(call, make):
+    """The fastest of three calls, each on new objects from make, with the
+    collector off, so that one pause on a busy machine does not count."""
+    times, answers = [], []
+    gc.disable()
+    try:
+        for _ in range(3):
+            args = make()
+            start = time.perf_counter()
+            answers.append(call(*args))
+            times.append(time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return min(times), answers
+
+
 @pytest.mark.parametrize("text, pattern", GATED, ids=["random-200", "rows-2000"])
 def test_monotone_absences_answer_within_ten_ms(kernels, text, pattern):
     # Compiled, the loop took 1.9 s for the decreasing pattern at n = 150
     # and 283 ms for 3,2,1 in two rows at n = 2,000.  The reductions go to
     # the permutation kernel by the matchstick route; each call is timed on
     # new objects, so matchstick recognition counts too.
-    text, pattern = Permutation(text), Permutation(pattern)
     for call, make in (
-        (perm_contains, lambda: (text, pattern)),
-        (partition_contains, lambda: (reduce_perm(text), reduce_perm(pattern))),
-        (rgf_contains, lambda: (rgf_of(reduce_perm(text)), rgf_of(reduce_perm(pattern)))),
+        (perm_contains, lambda: (Permutation(text), Permutation(pattern))),
+        (
+            partition_contains,
+            lambda: (reduce_perm(Permutation(text)), reduce_perm(Permutation(pattern))),
+        ),
+        (
+            rgf_contains,
+            lambda: (
+                rgf_of(reduce_perm(Permutation(text))),
+                rgf_of(reduce_perm(Permutation(pattern))),
+            ),
+        ),
     ):
-        args = make()
-        start = time.perf_counter()
-        answer = call(*args)
-        assert time.perf_counter() - start < 0.01, call.__name__
-        assert answer == MatchResult(False)
+        seconds, answers = best_time(call, make)
+        assert seconds < 0.01, call.__name__
+        assert answers == [MatchResult(False)] * 3
