@@ -26,7 +26,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -55,6 +54,30 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
 # later: the attributes stay in the instance's compact storage, which takes
 # less memory and reads faster.  pickle and copy see the same attributes.
 _store = object.__setattr__
+
+
+class _lazy:
+    """An attribute computed on first read and then _stored on the
+    instance.  The descriptor has no __set__, so the stored value shadows
+    it and later reads are plain attribute reads.  Unlike
+    functools.cached_property it takes no lock (with it a first read cost
+    about 0.4 us more than the computation, CPython 3.11 on x86-64, against
+    about 0.15 us here): threads that race compute equal values from
+    immutable fields, and one of them is kept."""
+
+    def __init__(self, compute) -> None:
+        self._compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self._compute(instance)
+        _store(instance, self._name, value)
+        return value
 
 
 class _Frozen:
@@ -137,10 +160,10 @@ class SetPartition(_Frozen):
 
     The constructor accepts blocks in any order with elements in any order
     and canonicalizes; the partition of [0] is ``SetPartition(())``.  The
-    ground-set size is stored at construction; the block-index word, and
-    the permutation a matchstick partition encodes, are computed on first
-    use.  None of them is a field, so equality, hashing and repr see the
-    blocks alone.
+    ground-set size is stored at construction; the block-index word, the
+    block sizes in descending order, and the permutation a matchstick
+    partition encodes, are computed on first use.  None of them is a field,
+    so equality, hashing and repr see the blocks alone.
 
     >>> SetPartition(((2, 4), (3, 1))).blocks
     ((1, 3), (2, 4))
@@ -176,7 +199,7 @@ class SetPartition(_Frozen):
         _store(part, "blocks", blocks)
         _store(part, "_n", n)
         if word is not None:
-            _store(part, "word", word)  # where cached_property looks first
+            _store(part, "word", word)  # shadows the lazy attribute
         return part
 
     @property
@@ -184,7 +207,7 @@ class SetPartition(_Frozen):
         """Size of the ground set."""
         return self._n  # type: ignore[attr-defined]
 
-    @cached_property
+    @_lazy
     def word(self) -> tuple[int, ...]:
         """Block-index word: the i-th letter is the index of the block
         containing i, blocks numbered 1, 2, ... by their minima."""
@@ -194,7 +217,12 @@ class SetPartition(_Frozen):
                 letters[e - 1] = index
         return tuple(letters)
 
-    @cached_property
+    @_lazy
+    def _sizes(self) -> tuple[int, ...]:
+        """The block sizes, largest first."""
+        return tuple(sorted(map(len, self.blocks), reverse=True))
+
+    @_lazy
     def _unreduced(self) -> tuple[int, ...] | None:
         """The values of the permutation whose reduce_perm this is, or None
         if it is not matchstick (see _unreduce)."""
@@ -241,7 +269,7 @@ class RGFWord(_Frozen):
     def max_letter(self) -> int:
         return self._peak  # type: ignore[attr-defined]
 
-    @cached_property
+    @_lazy
     def _unreduced(self) -> tuple[int, ...] | None:
         """The values of the permutation whose reduced partition has this
         word, or None (see _unreduce)."""
@@ -285,7 +313,7 @@ def restrict(sigma: SetPartition, subset: Iterable[int]) -> SetPartition:
     >>> restrict(SetPartition(((1, 3), (2, 4))), {1, 3, 4}).blocks
     ((1, 2), (3,))
     """
-    order = sorted(set(subset))
+    order = sorted(set(_integers(subset, "subset elements")))
     n = sigma.n
     if order and (order[0] < 1 or order[-1] > n):
         e = next(e for e in order if not 1 <= e <= n)

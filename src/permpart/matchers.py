@@ -43,6 +43,7 @@ in permpart.oracle and share no search code with them.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Callable
 
 from ._backend import kernels as _K
@@ -95,10 +96,12 @@ def _blocks_fit(text: SetPartition, pattern: SetPartition) -> bool:
     """Can the pattern's blocks go into distinct text blocks, none larger
     than its host?  A restriction keeps blocks apart and never grows one, so
     containment needs the text's descending block sizes to dominate the
-    pattern's; a pattern longer than its text never fits."""
-    hosts = sorted(map(len, text.blocks), reverse=True)
-    sizes = sorted(map(len, pattern.blocks), reverse=True)
-    return len(sizes) <= len(hosts) and all(s <= h for s, h in zip(sizes, hosts))
+    pattern's; a pattern longer than its text never fits.  The block counts
+    decide first; past them each partition sorts its sizes once, on first
+    use (SetPartition._sizes)."""
+    if len(pattern.blocks) > len(text.blocks):
+        return False
+    return all(map(le, pattern._sizes, text._sizes))
 
 
 def _matchstick_find(

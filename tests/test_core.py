@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,7 @@ from permpart import (
     restrict,
     rgf_of,
 )
-from helpers import flatten, partitions_of, value_standardize
+from helpers import Index, flatten, partitions_of, value_standardize
 
 
 def subsets(n):
@@ -113,6 +114,22 @@ class TestRestrict:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside the ground set"):
             restrict(SetPartition(((1, 2),)), {1, 3})
+
+    @pytest.mark.parametrize("subset, bad", [({1.5}, 1.5), ({1, 2.0}, 2.0), ([3, 1.0], 1.0)])
+    def test_rejects_non_integer_elements(self, subset, bad):
+        # 1.5 used to give the invalid SetPartition(blocks=()) of [1], and
+        # 2.0 passed for 2: the subset is read as the constructors read
+        # their values
+        sigma = SetPartition(((1, 3), (2, 4)))
+        message = re.escape(f"subset elements must be integers, not {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            restrict(sigma, subset)
+
+    def test_reads_integer_types_as_plain_ints(self):
+        sigma = SetPartition(((1, 3), (2, 4)))
+        restricted = restrict(sigma, iter([Index(3), True, Index(4)]))
+        assert restricted == restrict(sigma, {1, 3, 4}) == SetPartition(((1, 2), (3,)))
+        assert {type(e) for block in restricted.blocks for e in block} == {int}
 
     def test_composition_exhaustive(self):
         # restricting to T and then to the standardized image of U <= T is

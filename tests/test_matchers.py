@@ -205,6 +205,25 @@ class TestAgainstBruteForce:
                             assert (result, count) == (MatchResult(False), 0)
         assert shortcut > 50_000
 
+    def test_block_fit_is_dominance(self, kernels):
+        # the fit test, on sizes each partition sorts once, is the dominance
+        # definition on every pair of partitions of [0..6]; partition_count
+        # and partition_contains answer by it and, past it, by the kernel
+        everything = [sigma for n in range(7) for sigma in partitions_of(n)]
+        unfit = 0
+        for text in everything:
+            groups = witnesses_by_restriction(text, range(text.n + 1))
+            hosts = sorted((len(b) for b in text.blocks), reverse=True)
+            for pattern in everything:
+                sizes = sorted((len(b) for b in pattern.blocks), reverse=True)
+                fits = len(sizes) <= len(hosts) and all(s <= h for s, h in zip(sizes, hosts))
+                assert matchers._blocks_fit(text, pattern) is fits, (text, pattern)
+                witnesses = groups.get(pattern.word, [])
+                assert partition_count(text, pattern) == len(witnesses)
+                assert partition_contains(text, pattern).contains is bool(witnesses)
+                unfit += not fits
+        assert len(everything) == 279 and unfit > 50_000
+
     def test_rgf_letter_count_shortcut(self, monkeypatch):
         # a text word with fewer distinct letters than the pattern is
         # answered before any kernel runs, on either backend

@@ -1,5 +1,5 @@
 import os
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -26,11 +26,12 @@ from permpart import (
     verify_reduction,
     verify_rgf_coincidence,
 )
-from permpart import _backend, matchers, oracle
+from permpart import _backend, _kernels_py, matchers, oracle
 from permpart.cli import run_command
 from helpers import (
     SAGAN_ANCHORS,
     bell_by_triangle,
+    flatten,
     partitions_of,
     perms_of,
     rgf_words_of,
@@ -432,6 +433,27 @@ def test_relabel_memo_starts_afresh_at_its_cap(monkeypatch):
     assert max(sizes) == 64 and sizes.count(1) > 1
 
 
+def test_relabel_is_first_appearance_numbering():
+    # every letter tuple of length <= 8 over the letters 1..5
+    seen = 0
+    for length in range(9):
+        for letters in product(range(1, 6), repeat=length):
+            assert oracle._relabel(letters) == flatten(letters), letters
+            seen += 1
+    assert seen == sum(5**length for length in range(9)) == 488_281
+
+
+def test_memo_relabels_every_scan_as_relabel_does():
+    # one memo across every partition of [7], as one gate chunk's serves
+    # all its texts
+    memo = oracle._Relabelled().__getitem__
+    for sigma in partitions_of(7):
+        for k in range(8):
+            assert list(oracle._restrictions(sigma.word, k, memo)) == list(
+                oracle._restrictions(sigma.word, k, oracle._relabel)
+            ), (sigma, k)
+
+
 def test_value_rank_relabelling_is_caught():
     # Numbering the letters at T by value rank numbers the blocks by their
     # minima in the text, not in T: at 1,2,1 restricted to {2, 3} it gives
@@ -470,6 +492,72 @@ def test_gates_pass_on_the_compiled_kernels(compiled, monkeypatch, gate):
     monkeypatch.setattr(matchers, "_K", compiled)
     report = gate(4, 4)
     assert report.ok and report.pairs_checked == 33 * 33 == 1089
+
+
+def _faulty(table):
+    """The kernel table with wrong answers on some pairs: a permutation
+    find of a 2-pattern in a text whose values sum to a multiple of 3
+    flips, permutation counts in texts starting with 2 and partition counts
+    in texts of [8] ending in 1 gain one, and a word find of a 6-letter
+    pattern in a text ending in 1 flips."""
+
+    def perm_find(text, pattern):
+        hit = table.perm_find(text, pattern)
+        if len(pattern) == 2 and sum(text) % 3 == 0:
+            return None if hit else (1, 2)
+        return hit
+
+    def perm_count(text, pattern, cancel=None):
+        return table.perm_count(text, pattern, cancel) + (text[0] == 2)
+
+    def part_count(text, pattern, cancel=None):
+        return table.part_count(text, pattern, cancel) + (len(text) == 8 and text[-1] == 1)
+
+    def rgf_find(text, pattern):
+        hit = table.rgf_find(text, pattern)
+        if len(pattern) == 6 and text[-1] == 1:
+            return None if hit else tuple(range(1, 7))
+        return hit
+
+    names = ("perm_find", "perm_count", "part_find", "part_count", "rgf_find", "rgf_count")
+    faults = {
+        "perm_find": perm_find,
+        "perm_count": perm_count,
+        "part_count": part_count,
+        "rgf_find": rgf_find,
+    }
+    return SimpleNamespace(**{name: faults.get(name, getattr(table, name)) for name in names})
+
+
+def _gate_reports(bounds):
+    reports = [verify_reduction(*bounds), verify_rgf_coincidence(*bounds)]
+    return [(report.pairs_checked, report.mismatches) for report in reports]
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3), ()], ids=["4-4", "5-3", "defaults"])
+def test_gates_agree_across_backends(compiled, monkeypatch, bounds):
+    reports = []
+    for table in (compiled, _kernels_py):
+        monkeypatch.setattr(matchers, "_K", table)
+        reports.append(_gate_reports(bounds))
+    assert reports[0] == reports[1]
+    assert [mismatches for _, mismatches in reports[0]] == [(), ()]
+
+
+@pytest.mark.parametrize("bounds", [(4, 4), (5, 3)], ids=["4-4", "5-3"])
+def test_faulty_engines_are_reported_alike_on_both_backends(compiled, monkeypatch, bounds):
+    # the gates report a failing engine's mismatches exactly as the per-pair
+    # references find them, whichever backend the engine runs on
+    reports = []
+    for table in (compiled, _kernels_py):
+        monkeypatch.setattr(matchers, "_K", _faulty(table))
+        reduction, words = _gate_reports(bounds)
+        assert (reduction[1], words[1]) == _per_pair_reports(*bounds)
+        reports.append((reduction, words))
+    assert reports[0] == reports[1]
+    reduction, words = reports[0]
+    assert {m.check for m in reduction[1]} == {"containment", "parsimony", "count-agreement"}
+    assert {m.check for m in words[1]} == {"rgf-coincidence"}
 
 
 def test_broken_separation_pair_is_reported(monkeypatch, capsys):

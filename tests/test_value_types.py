@@ -6,6 +6,8 @@ wrote still load."""
 
 import copy
 import pickle
+import sys
+import threading
 import weakref
 from dataclasses import FrozenInstanceError
 
@@ -19,7 +21,9 @@ from permpart import (
     RGFWord,
     SetPartition,
     VerificationReport,
+    partition_of_rgf,
     reduce_perm,
+    restrict,
     rgf_of,
 )
 from helpers import partitions_of, perms_of
@@ -218,3 +222,108 @@ def test_rgf_of_builds_what_validation_would():
             built, validated = rgf_of(sigma), RGFWord(sigma.word)
             assert (built.letters, built.max_letter) == (validated.letters, validated.max_letter)
             _assert_same_value(built, validated)
+
+
+# The attributes SetPartition and RGFWord compute on first read and keep.
+LAZY = {SetPartition: ("word", "_sizes", "_unreduced"), RGFWord: ("_unreduced",)}
+
+
+def _expected_lazy(value):
+    """The lazy attributes, recomputed here from the fields alone."""
+    if isinstance(value, RGFWord):
+        letters = value.letters
+        blocks = tuple(
+            tuple(i for i, x in enumerate(letters, 1) if x == b)
+            for b in range(1, value.max_letter + 1)
+        )
+    else:
+        blocks = value.blocks
+        letters = tuple(
+            next(b for b, block in enumerate(blocks, 1) if e in block)
+            for e in range(1, sum(map(len, blocks)) + 1)
+        )
+    half = len(letters) // 2
+    matchstick = 2 * half == len(letters) and all(
+        len(block) == 2 and block[0] <= half < block[1] for block in blocks
+    )
+    values = tuple(block[1] - half for block in blocks) if matchstick else None
+    if isinstance(value, RGFWord):
+        return {"_unreduced": values}
+    sizes = tuple(sorted(map(len, blocks), reverse=True))
+    return {"word": letters, "_sizes": sizes, "_unreduced": values}
+
+
+def _lazy_values(value):
+    return {name: getattr(value, name) for name in LAZY[type(value)]}
+
+
+def test_lazy_attributes_are_invisible_to_equality_hash_and_repr():
+    for sigma in (*partitions_of(4), reduce_perm(Permutation((2, 3, 1)))):
+        for read in (sigma, rgf_of(sigma)):
+            fresh = type(read)(*read._astuple())  # nothing computed yet
+            assert not set(LAZY[type(read)]) & set(vars(fresh))
+            _lazy_values(read)
+            assert set(LAZY[type(read)]) <= set(vars(read))
+            assert read == fresh and hash(read) == hash(fresh) == hash(read._astuple())
+            assert repr(read) == repr(fresh)
+    # the pinned pickles are unchanged, and a pickle carries what was read
+    for value, _, _, old in VALUES:
+        if type(value) in LAZY:
+            fresh = type(value)(*value._astuple())
+            for name in set(LAZY[type(value)]) & set(vars(value)):
+                getattr(fresh, name)
+            assert pickle.dumps(fresh, 2) == old
+            _lazy_values(fresh)
+            loaded = pickle.loads(pickle.dumps(fresh))
+            assert loaded == value and vars(loaded) == vars(fresh)
+
+
+def test_lazy_attributes_on_every_way_a_value_is_made():
+    for n in range(8):
+        for perm in perms_of(n // 2):
+            sigma = reduce_perm(perm)
+            assert sigma._unreduced == perm.values
+            assert _lazy_values(sigma) == _expected_lazy(sigma)
+            word = rgf_of(sigma)
+            assert word._unreduced == perm.values
+        for sigma in partitions_of(n):
+            word = rgf_of(sigma)
+            made = [
+                SetPartition(reversed(sigma.blocks)),
+                SetPartition._from_canonical(sigma.blocks, n),
+                SetPartition._from_canonical(sigma.blocks, n, sigma.word),
+                partition_of_rgf(word),
+                restrict(sigma, range(1, n + 1)),
+                restrict(SetPartition(sigma.blocks + ((n + 1, n + 2),)), range(1, n + 1)),
+            ]
+            expected = _expected_lazy(sigma)
+            for part in made:
+                assert _lazy_values(part) == expected, (sigma, part)
+            for letters in (word, RGFWord(sigma.word)):
+                assert _lazy_values(letters) == {"_unreduced": expected["_unreduced"]}
+
+
+def test_threads_reading_a_fresh_word_agree():
+    blocks = tuple((i, i + 40, i + 80) for i in range(1, 41))
+    for _ in range(20):
+        sigma = SetPartition(blocks)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10)
+            seen.append(sigma.word)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and seen.count(_expected_lazy(sigma)["word"]) == 8
+        assert sigma.word == seen[0]
