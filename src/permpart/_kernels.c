@@ -243,13 +243,14 @@ Py_NO_INLINE static int fits_ahead(const Walk *w, Py_ssize_t j, Py_ssize_t last,
 
 /* Fill the slots of w before the search; see _pattern_slots and
  * _slot_stops in the pure module.  np is the largest pattern letter.
- * bound, used and chosen serve as scratch and are left zeroed or
- * overwritten. */
+ * bound, used and chosen serve as scratch, whatever the last search left
+ * in them, and bound and used are left zeroed. */
 static void plan_slots(const Walk *w, int np) {
     const int *tw = w->tw, *pw = w->pw;
     int *bound = w->bound, *used = w->used, peak = 0;
     Slot *slot = w->slot;
     Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, j, i, last = 0, top = 0, most = 0;
+    memset(used, 0, (size_t)(w->nt + 1) * sizeof(int));
     /* bound[q]: the last slot of letter q, so far. */
     for (j = 0; j < k; j++) {
         slot[j].prev = bound[pw[j]];
@@ -452,9 +453,7 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
 
 /* One word search on the buffers of w: the text's first n letters, whose
  * largest is nt, against the pattern, whose largest letter is np.  It polls
- * between runs of walk.  1 on a match, 0 on none, -1 with an exception set.
- * A find's hit leaves the letters of the slots before the last bound, so
- * bound and used are zeroed again, as the next plan_slots needs them. */
+ * between runs of walk.  1 on a match, 0 on none, -1 with an exception set. */
 static int run(Walk *w, Py_ssize_t n, int nt, int np, PyObject *cancel) {
     w->n = n;
     w->nt = nt;
@@ -465,10 +464,6 @@ static int run(Walk *w, Py_ssize_t n, int nt, int np, PyObject *cancel) {
     while (!walk(w))
         if (poll(cancel) < 0)
             return -1;
-    if (w->find && w->count) {
-        memset(w->bound, 0, (size_t)(np + 1) * sizeof(int));
-        memset(w->used, 0, (size_t)(nt + 1) * sizeof(int));
-    }
     return w->count != 0;
 }
 

@@ -411,7 +411,9 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
 
     A word's prefix of length m is its restriction to [m] (Sagan's
     restriction notion), so containment is hereditary under prefixes: the
-    walk extends only avoiders, each by one of 1..peak + 1, depth first.
+    walk extends only avoiders, each by one of 1..peak + 1, depth first
+    from a stack of pending prefixes, each kept with its peak and the
+    copies of each letter; a child of length n is counted, not pushed.
     The parent avoids, so a child contains the pattern only through its
     last position; that needs the child to have at least the pattern's
     largest letter m (a restricted growth word has every letter up to its
@@ -432,27 +434,28 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
     prefix, pattern = tuple(_plain_ints(prefix)), tuple(_plain_ints(pattern))
     if not pattern or _word_search(prefix, pattern, ordered, True, None) is not None:
         return 0
-    k, m = len(pattern), max(pattern)
-    copies = pattern.count(pattern[-1])
+    k, m, copies = len(pattern), max(pattern), pattern.count(pattern[-1])
     exact = m == k or m == 1
-
-    def children(level, length):
-        for word, peak in level:
-            for letter in range(1, peak + 2):
-                child = word + (letter,)
-                top = peak if letter <= peak else letter
-                if (
-                    top < m
-                    or length < k
-                    or child.count(letter) < copies
-                    or (not exact and _word_search(child, pattern, ordered, True, None) is None)
-                ):
-                    yield child, top
-
-    level = [(prefix, max(prefix, default=0))]
-    for length in range(len(prefix) + 1, n + 1):
-        level = children(level, length)
-    return sum(1 for _ in level)
+    if n == len(prefix):
+        return 1
+    peak = max(prefix, default=0)
+    seen = [prefix.count(t) for t in range(peak + 2)]  # the copies of 0..peak + 1
+    count, stack = 0, [(prefix, peak, seen)]
+    while stack:
+        word, peak, seen = stack.pop()
+        length = len(word) + 1
+        for letter in range(1, peak + 2):
+            top = peak if letter <= peak else letter
+            if top < m or length < k or seen[letter] + 1 < copies or (
+                not exact and _word_search(word + (letter,), pattern, ordered, True, None) is None
+            ):
+                if length == n:
+                    count += 1
+                else:
+                    more = seen.copy() if letter <= peak else seen + [0]
+                    more[letter] += 1
+                    stack.append((word + (letter,), top, more))
+    return count
 
 
 def part_avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, /) -> int:

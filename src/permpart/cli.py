@@ -420,7 +420,7 @@ def run_command(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return ns.handler(ns)
-    except ValueError as exc:  # ParseError and BoundExceeded included
+    except (ValueError, OverflowError) as exc:  # ParseError and BoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -428,7 +428,12 @@ def run_command(argv: Sequence[str]) -> int:
 def main() -> None:
     """The console entry: run_command, with Ctrl-C ending the process with
     one line on stderr and exit code 130 (128 + SIGINT), not a traceback.
-    run_command itself lets KeyboardInterrupt through to its callers."""
+    run_command itself lets KeyboardInterrupt through to its callers.  The
+    entry owns its process, so it lifts the interpreter's limit on the
+    digits of an int printed in decimal, where there is one: a forced
+    census prints every digit of Bell(N), past 4,300 digits from N = 1,981."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = run_command(sys.argv[1:])
     except KeyboardInterrupt:

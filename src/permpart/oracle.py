@@ -126,24 +126,16 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
 
 
 def _rgf_words(n: int) -> list[tuple[int, ...]]:
-    """All restricted growth words of length n, lexicographically.
-
-    Grown one letter at a time: a prefix whose maximum is m extends by each
-    of 1..m, keeping m, and by m + 1, raising it.
-    """
-    words: list[tuple[int, ...]] = [()]
-    peaks = [0]
+    """All restricted growth words of length n, lexicographically: grown
+    one letter at a time, a word whose peak is m by each of 1..m + 1."""
+    grown: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for _ in range(n):
-        longer: list[tuple[int, ...]] = []
-        longer_peaks: list[int] = []
-        for word, peak in zip(words, peaks):
-            for letter in range(1, peak + 1):
-                longer.append(word + (letter,))
-                longer_peaks.append(peak)
-            longer.append(word + (peak + 1,))
-            longer_peaks.append(peak + 1)
-        words, peaks = longer, longer_peaks
-    return words
+        grown = [
+            (word + (letter,), peak if letter <= peak else letter)
+            for word, peak in grown
+            for letter in range(1, peak + 2)
+        ]
+    return [word for word, _ in grown]
 
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:

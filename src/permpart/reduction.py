@@ -11,7 +11,7 @@ doubles, so any partition matcher decides permutation containment.
 
 from __future__ import annotations
 
-from .core import Permutation, SetPartition
+from .core import Permutation, SetPartition, _integers
 from .matchers import OccurrenceIndices, SubsetWitness
 
 
@@ -66,7 +66,7 @@ def transport_occurrence(perm: Permutation, occurrence: OccurrenceIndices) -> Su
     reduction of the standardized subsequence.
     """
     n = perm.n
-    indices = tuple(occurrence)
+    indices = _integers(occurrence, "occurrence indices")
     if any(not 1 <= i <= n for i in indices):
         raise ValueError(f"occurrence indices {indices} out of range for [{n}]")
     if list(indices) != sorted(set(indices)):
@@ -83,15 +83,15 @@ def recover_occurrence(perm: Permutation, witness: SubsetWitness) -> OccurrenceI
     occurrence it came from.
 
     A valid witness is a union of complete blocks {i, p_i + n}; its lower
-    half, sorted ascending, indexes the occurrence.  Anything else (in
-    particular a witness splitting some block) is rejected.
+    half indexes the occurrence.  Anything else (in particular a witness
+    splitting some block, or one that is not strictly increasing) is
+    rejected.
     """
     n = perm.n
-    chosen = set(witness)
-    lower = sorted(e for e in chosen if 1 <= e <= n)
-    paired = set(lower) | {perm.values[i - 1] + n for i in lower}
-    if chosen != paired:
-        raise ValueError(
-            f"not a witness on the reduced instance of {perm.values}: {tuple(sorted(chosen))}"
-        )
-    return tuple(lower)
+    elements = _integers(witness, "witness elements")
+    if list(elements) != sorted(set(elements)):
+        raise ValueError(f"witness elements must be strictly increasing: {elements}")
+    lower = tuple(e for e in elements if 1 <= e <= n)
+    if set(elements) != set(lower) | {perm.values[i - 1] + n for i in lower}:
+        raise ValueError(f"not a witness on the reduced instance of {perm.values}: {elements}")
+    return lower

@@ -15,7 +15,7 @@ from permpart import (
     brute_partition_contains,
     dispatch_contains,
 )
-from permpart import cli, oracle
+from permpart import _backend, _kernels_py, cli, oracle
 from permpart.cli import (
     ParseError,
     format_partition,
@@ -433,3 +433,52 @@ def test_run_command_lets_ctrl_c_through(monkeypatch):
     with pytest.raises(SystemExit) as exit:
         cli.main()
     assert exit.value.code == 130
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure-python"])
+def test_census_n_past_a_c_int_is_2(capsys, monkeypatch, request, backend):
+    kernels = request.getfixturevalue("compiled") if backend == "compiled" else _kernels_py
+    monkeypatch.setattr(_backend, "kernels", kernels)
+    for n in ("2147483647", "3000000000"):
+        assert run(capsys, ["census", n, "1/2", "--force"]) == (
+            2,
+            "",
+            "error: n must be below 2**31 - 1\n",
+        ), n
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_forced_census_prints_every_digit_of_bell():
+    # Bell(2000) has more than the 4,300 digits an int prints by default;
+    # the console entry lifts that limit for its own process only.
+    source_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        containers = str(oracle.bell_number(2000) - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(containers) > 4300
+    rows = {
+        "plain": f"n=2000 pattern=1/2 notion=partition avoiders=1 containers={containers}\n",
+        "json": '{"command":"census","n":2000,"pattern":"1/2","notion":"partition",'
+        f'"avoiders":1,"containers":{containers}}}\n',
+    }
+    for fmt, row in rows.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpart.cli", "census", "2000", "1/2", "--force"]
+            + ["--format", fmt],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PERMPART_PURE="1", PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, row, ""), fmt
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_run_command_keeps_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, ["census", "4", "1,2"])[0] == 0
+    assert sys.get_int_max_str_digits() == limit

@@ -27,8 +27,10 @@ from hypothesis import strategies as st
 from permpart import (
     Permutation,
     RGFWord,
+    SetPartition,
     _backend,
     _kernels_py,
+    bell_number,
     census,
     perm_contains,
     reduce_perm,
@@ -544,6 +546,17 @@ def test_census_walk_edges(backend, name):
     assert walk((1, 2), (), 5) == 0
     # a pattern longer than n: all Bell(3) words avoid it
     assert walk((), (1, 2, 3, 4), 3) == 5
+
+
+def test_census_walks_run_far_past_the_recursion_limit(backend, monkeypatch):
+    # One avoider each: the all-ones word avoids 1,2, and 1, 2, ..., n
+    # avoids 1,1.  The walks go thousands of letters deep.
+    assert backend.part_avoiders((), (1, 2), 5000) == 1
+    assert backend.rgf_avoiders((), (1, 2), 5000) == 1
+    assert backend.part_avoiders((), (1, 1), 5000) == 1
+    monkeypatch.setattr(_backend, "kernels", backend)
+    row = census(1500, SetPartition(((1,), (2,))), force=True)
+    assert (row.avoiders, row.containers) == (1, bell_number(1500) - 1)
 
 
 @pytest.mark.parametrize("name", WALKS)

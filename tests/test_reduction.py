@@ -20,7 +20,7 @@ from permpart import (
 )
 from permpart import matchers
 from permpart.core import restrict
-from helpers import perm_occurrences, perms_of, value_standardize, witnesses_by_restriction
+from helpers import Index, perm_occurrences, perms_of, value_standardize, witnesses_by_restriction
 
 
 class TestReducePerm:
@@ -93,6 +93,30 @@ class TestWitnessTransport:
             recover_occurrence(Permutation((2, 3, 1)), (1, 4))
         with pytest.raises(ValueError, match="witness"):
             recover_occurrence(Permutation((2, 1)), (1, 2, 3))
+
+    def test_recover_rejects_witnesses_that_are_no_subsets(self):
+        # a repeated or out-of-order element names no subset of the ground set
+        perm = Permutation((2, 1, 3))
+        for witness in [(1, 1, 5), (5, 1), (1, 5, 5), (2, 1, 4, 5)]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                recover_occurrence(perm, witness)
+        assert recover_occurrence(perm, (1, 5)) == (1,)
+
+    def test_transports_read_integer_types_as_plain_ints(self):
+        perm = Permutation((2, 1, 3))
+        for occurrence, witness in [((True,), (1, 5)), ((Index(2), 3), (2, 3, 4, 6))]:
+            transported = transport_occurrence(perm, occurrence)
+            assert transported == witness
+            assert all(type(e) is int for e in transported)
+        recovered = recover_occurrence(perm, (True, Index(5)))
+        assert recovered == (1,) and type(recovered[0]) is int
+
+    def test_transports_reject_non_integers(self):
+        perm = Permutation((2, 1, 3))
+        with pytest.raises(TypeError, match="occurrence indices must be integers, not 1.0"):
+            transport_occurrence(perm, (1.0,))
+        with pytest.raises(TypeError, match="witness elements must be integers, not 5.0"):
+            recover_occurrence(perm, (1, 5.0))
 
     def test_transport_recover_bijection(self):
         # occurrences of the pattern correspond one-to-one to restriction
