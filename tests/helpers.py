@@ -63,6 +63,12 @@ def rgf_words_of(n):
     return tuple(rgf_of(sigma) for sigma in partitions_of(n))
 
 
+def reversed_partition(sigma):
+    """The partition with every element i of [n] carried to n + 1 - i.  It
+    carries each restriction of sigma to the reversed restriction."""
+    return SetPartition(tuple(sigma.n + 1 - e for e in block) for block in sigma.blocks)
+
+
 def bell_by_triangle(n):
     """Bell number via the triangle recurrence, recomputed here so the test
     does not trust the package's own implementation."""

@@ -5,7 +5,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from permpart import (
@@ -22,13 +22,14 @@ from permpart import (
     rgf_count,
 )
 from permpart import matchers
-from permpart.core import restrict, rgf_of
+from permpart.core import partition_of_rgf, restrict, rgf_of
 from permpart.reduction import is_matchstick, reduce_perm
 from helpers import (
     Index,
     partitions_of,
     perm_occurrences,
     perms_of,
+    reversed_partition,
     rgf_positions,
     rgf_words_of,
     value_standardize,
@@ -397,6 +398,22 @@ def test_rgf_engine_matches_brute_random(text, pattern):
     assert result.contains == bool(hits)
     assert result.witness == (min(hits) if hits else None)
     assert rgf_count(text, pattern) == len(hits)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    # the kernels fixture installs one backend for every example
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rgf_word_strategy(max_len=16), rgf_word_strategy(max_len=6))
+def test_reversal_keeps_partition_counts(kernels, text, pattern):
+    # Reversing the ground set carries every restriction to the reversed
+    # one, so a text and a pattern reversed together keep their witnesses.
+    text, pattern = partition_of_rgf(text), partition_of_rgf(pattern)
+    flipped = reversed_partition(text), reversed_partition(pattern)
+    assert partition_count(*flipped) == partition_count(text, pattern)
+    assert partition_contains(*flipped).contains == partition_contains(text, pattern).contains
 
 
 # "No" answers of each contains engine, by every route that gives one.

@@ -1,4 +1,6 @@
+import json
 import os
+import tracemalloc
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -30,10 +32,12 @@ from permpart import _backend, _kernels_py, matchers, oracle
 from permpart.cli import run_command
 from helpers import (
     SAGAN_ANCHORS,
+    Index,
     bell_by_triangle,
     flatten,
     partitions_of,
     perms_of,
+    reversed_partition,
     rgf_words_of,
     value_standardize,
 )
@@ -77,9 +81,22 @@ class TestEnumerators:
                 assert sigma.n == n
 
     def test_partitions_canonical_lexicographic(self):
-        parts = list(enumerate_partitions(4))
-        keys = [p.blocks for p in parts]
-        assert keys == sorted(keys)
+        for n in range(9):
+            keys = [p.blocks for p in enumerate_partitions(n)]
+            assert keys == sorted(keys), n
+
+    def test_partitions_stream_one_at_a_time(self):
+        # The first of Bell(11) = 678,570 partitions comes before any other
+        # is built: all of them at once take hundreds of megabytes.
+        tracemalloc.start()
+        try:
+            first = next(enumerate_partitions(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.blocks == tuple((i,) for i in range(1, 12))
+        assert first.n == 11
+        assert peak < 1 << 20
 
     def test_partitions_small(self):
         assert list(enumerate_partitions(1)) == [SetPartition(((1,),))]
@@ -233,7 +250,6 @@ class TestCensus:
         monkeypatch.setattr(SetPartition, "__init__", init)
         monkeypatch.setattr(SetPartition, "_from_canonical", classmethod(from_canonical))
         monkeypatch.setattr(RGFWord, "__init__", rgf_init)
-        monkeypatch.setattr(oracle, "partition_of_rgf", lambda w: built.append(w))
         assert census(7, pattern).avoiders == 429
         assert census(7, word, "rgf").avoiders == 429
         assert built == []
@@ -650,7 +666,7 @@ def test_pool_starts_one_worker_per_chunk(monkeypatch, pool_sizes):
     # that runs here.
     depth = oracle._CUT_DEPTH
     walk = _backend.kernels.part_avoiders
-    prefixes = [w for w in oracle._rgf_words(depth) if walk(w, pattern.word, depth)]
+    prefixes = [p.word for p in enumerate_partitions(depth) if walk(p.word, pattern.word, depth)]
     assert len(prefixes) == 8
     assert census(5, pattern, jobs=8) == census(5, pattern, jobs=1)
     two = SetPartition(((1,), (2,)))
@@ -686,3 +702,95 @@ def test_mismatch_free_reports_survive_permutation_identity():
     report = verify_reduction(3, 3)
     assert report.pairs_checked == 81
     assert report.mismatches == ()
+
+
+class TestIntegerArguments:
+    """The entry points read n, max_n, max_k and jobs through
+    operator.index, as the constructors read values."""
+
+    def test_a_bool_becomes_its_int(self):
+        row = census(True, SetPartition(((1,),)))
+        assert type(row.n) is int and json.dumps(row.n) == "1"
+        assert row == census(1, SetPartition(((1,),)))
+        report = verify_rgf_coincidence(True, True)
+        assert (report.max_n, report.max_k) == (1, 1)
+        assert type(report.max_n) is int and type(report.max_k) is int
+        report = verify_reduction(True, False)
+        assert (type(report.max_n), type(report.max_k)) == (int, int)
+
+    def test_an_index_type_is_accepted(self):
+        pattern = SetPartition(((1, 3), (2, 4)))
+        row = census(Index(6), pattern, jobs=Index(1))
+        assert row == census(6, pattern) and type(row.n) is int
+        report = verify_reduction(Index(3), Index(2), jobs=Index(1))
+        assert (report.max_n, report.max_k, report.pairs_checked) == (3, 2, 27)
+        report = verify_rgf_coincidence(Index(2), Index(2))
+        assert (report.max_n, report.max_k) == (2, 2)
+        assert list(enumerate_partitions(Index(4))) == list(partitions_of(4))
+        assert list(enumerate_permutations(Index(3))) == list(perms_of(3))
+
+    def test_float_jobs_are_refused_before_any_walk_or_pool(self, monkeypatch, pool_sizes):
+        def walk(*args):
+            raise AssertionError(f"walked {args} before reading jobs")
+
+        monkeypatch.setattr(
+            _backend, "kernels", SimpleNamespace(part_avoiders=walk, rgf_avoiders=walk)
+        )
+        # a cut of many prefixes: jobs is read before any of its walks
+        with pytest.raises(TypeError):
+            census(8, SetPartition(((1, 3), (2, 4))), jobs=2.5)
+        assert pool_sizes == []
+
+    def test_float_jobs_are_refused_with_a_one_prefix_cut(self):
+        # 1,1,1,1 alone avoids 1/2 at the cut, so no pool would read jobs
+        with pytest.raises(TypeError):
+            census(5, SetPartition(((1,), (2,))), jobs=2.5)
+
+    def test_float_bounds_are_refused(self, pool_sizes):
+        with pytest.raises(TypeError):
+            census(5.0, SetPartition(((1,), (2,))))
+        for gate in (verify_reduction, verify_rgf_coincidence):
+            for args, jobs in (((2.0, 2), 1), ((2, 2.0), 1), ((2, 2), 2.5)):
+                with pytest.raises(TypeError):
+                    gate(*args, jobs=jobs)
+        for enumerator in (enumerate_partitions, enumerate_permutations):
+            with pytest.raises(TypeError):
+                next(enumerator(3.0))
+        assert pool_sizes == []
+
+    def test_jobs_below_one_still_run_serially(self, pool_sizes):
+        pattern = SetPartition(((1, 3), (2, 4)))
+        for jobs in (0, -3, False):
+            assert census(6, pattern, jobs=jobs) == census(6, pattern)
+            assert verify_reduction(3, 2, jobs=jobs).pairs_checked == 27
+        assert pool_sizes == []
+
+
+def test_cut_rows_match_one_walk_for_every_small_pattern(monkeypatch, pool_sizes):
+    # jobs = 2 against jobs = 1 for the 23 partition patterns and 23 word
+    # patterns of size 1 to 4, at n = 0 to 7: below the cut depth the cut
+    # holds the census's own avoiders.  The pools run here.
+    _cpus(monkeypatch, 4)
+    for k in range(1, 5):
+        for pattern in partitions_of(k):
+            for structure, notion in ((pattern, "partition"), (rgf_of(pattern), "rgf")):
+                for n in range(8):
+                    serial = census(n, structure, notion, jobs=1)
+                    assert census(n, structure, notion, jobs=2) == serial, (structure, n)
+    assert pool_sizes and set(pool_sizes) <= {2}
+
+
+@pytest.mark.parametrize("backend, max_n", [("compiled", 10), ("pure-python", 7)])
+def test_reversal_keeps_partition_census_rows(request, monkeypatch, backend, max_n):
+    # Reversing the ground set carries the avoiders of a pattern onto the
+    # avoiders of its reversal, past the scale of any brute-force scan.
+    if backend == "compiled":
+        monkeypatch.setattr(_backend, "kernels", request.getfixturevalue("compiled"))
+    else:
+        monkeypatch.setattr(_backend, "kernels", _kernels_py)
+    for k in range(1, 5):
+        for pattern in partitions_of(k):
+            flipped = reversed_partition(pattern)
+            for n in range(max_n + 1):
+                row, twin = census(n, pattern), census(n, flipped)
+                assert (row.avoiders, row.containers) == (twin.avoiders, twin.containers), n
