@@ -61,12 +61,15 @@ are made by the callers in permpart.matchers.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 from .errors import SearchCancelled
 
+# A search polls ``cancel`` on every tick that is a multiple of 16,384,
+# tested inline in each loop.
 _POLL_MASK = (1 << 14) - 1
+_CANCELLED = "search aborted by cancellation signal"
 
 # Word letters stay below this, as the compiled kernels' C ints need.
 _LETTER_LIMIT = 2**31 - 1
@@ -74,11 +77,6 @@ _NOT_GROWTH = "a word pattern must be a restricted growth word"
 _NOT_PREFIX = "a prefix must be a restricted growth word"
 
 Cancel = Callable[[], bool] | None
-
-
-def _poll(cancel: Cancel, ticks: int) -> None:
-    if cancel is not None and ticks & _POLL_MASK == 0 and cancel():
-        raise SearchCancelled("search aborted by cancellation signal")
 
 
 def _trivial(find: bool, empty: bool):
@@ -91,36 +89,43 @@ def _trivial(find: bool, empty: bool):
 
 def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     """For each slot j, the earlier slot holding the nearest pattern value
-    below (lo) and above (hi) pattern[j]; -1 when there is none.
+    below (lo) and above (hi) pattern[j]; -1 when there is none, and the
+    first such slot when several hold that value.
 
     A partial selection is order isomorphic to the pattern prefix iff each
     new value lies strictly between the text values chosen for these two
     neighbor slots.
     """
-    k = len(pattern)
-    lo = [-1] * k
-    hi = [-1] * k
-    for j in range(k):
-        for i in range(j):
-            if pattern[i] < pattern[j] and (lo[j] < 0 or pattern[i] > pattern[lo[j]]):
-                lo[j] = i
-            if pattern[i] > pattern[j] and (hi[j] < 0 or pattern[i] < pattern[hi[j]]):
-                hi[j] = i
+    lo = []
+    hi = []
+    values = []  # the distinct values of the slots before j, ascending
+    slots = []  # the first slot holding each
+    for j, v in enumerate(pattern):
+        r = bisect_left(values, v)
+        s = bisect_right(values, v, r)
+        lo.append(slots[r - 1] if r else -1)
+        hi.append(slots[s] if s < len(values) else -1)
+        if s == r:
+            values.insert(r, v)
+            slots.insert(r, j)
     return lo, hi
 
 
-def _plain_ints(word: Sequence[int]) -> Sequence[int]:
-    """The word as plain ints, as the compiled kernels read it: the word
-    itself when its sum is an int, and otherwise its values read through
-    operator.index, which raises TypeError for the first one that is not an
-    integer.  A float, a Fraction, a Decimal or an integer type that is no
-    int makes the sum something else, or raises."""
+def _plain_ints(
+    text: Sequence[int], pattern: Sequence[int]
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Both words as plain ints, as the compiled kernels read them: the
+    words themselves when the sum of all their values is an int, and
+    otherwise their values read through operator.index, the text's first,
+    which raises TypeError for the first one that is not an integer.  A
+    float, a Fraction, a Decimal or an integer type that is no int makes
+    the sum something else, or raises."""
     try:
-        if type(sum(word)) is int:
-            return word
+        if type(sum(text, sum(pattern))) is int:
+            return text, pattern
     except TypeError:
         pass
-    return tuple(map(operator.index, word))
+    return tuple(map(operator.index, text)), tuple(map(operator.index, pattern))
 
 
 def _longest_runs(values: Sequence[int], up: int, down: int) -> tuple[int, int]:
@@ -162,7 +167,7 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
-    text, pattern = _plain_ints(text), _plain_ints(pattern)
+    text, pattern = _plain_ints(text, pattern)
     if len(set(pattern)) == k:
         runs = _longest_runs(pattern, k, k)
         if _longest_runs(text, *runs) != runs:
@@ -172,7 +177,8 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
     count = j = i = ticks = 0
     while True:
         ticks += 1
-        _poll(cancel, ticks)
+        if not ticks & _POLL_MASK and cancel is not None and cancel():
+            raise SearchCancelled(_CANCELLED)
         if i > n - (k - j):
             if j == 0:
                 return None if find else count
@@ -225,44 +231,61 @@ def _reject_letters(*words: tuple[Sequence[int], str | None]) -> None:
             peak = max(peak, letter)
 
 
-def _pattern_slots(pattern: Sequence[int]) -> tuple[list[bool], list[int]]:
+def _pattern_slots(pattern: Sequence[int]) -> tuple[list[bool], list[int], int]:
     """For each slot j: is its letter new; and ahead[j], the last slot whose
-    letter is bound once slot j is taken (j if none is).  Raises ValueError
-    unless the pattern is a restricted growth word, whose letters 1..m first
-    occur in that order."""
-    last_slot = {letter: j for j, letter in enumerate(pattern)}
+    letter is bound once slot j is taken (j if none is); then the largest
+    letter.  Raises for the first bad letter (see _reject_letters) unless
+    the pattern is a restricted growth word, whose letters 1..m first occur
+    in that order."""
+    last_slot = dict(zip(pattern, range(len(pattern))))  # later slots overwrite
     is_new = []
     ahead = []
     peak = last = 0
     for j, letter in enumerate(pattern):
-        if letter > peak + 1:
-            raise ValueError(_NOT_GROWTH)
-        is_new.append(letter > peak)
         if letter > peak:
+            if letter != peak + 1:
+                _reject_letters((pattern, _NOT_GROWTH))
             peak = letter
-            last = max(last, last_slot[letter])
-        ahead.append(max(last, j))
-    return is_new, ahead
+            if last_slot[letter] > last:
+                last = last_slot[letter]
+            is_new.append(True)
+        else:
+            if letter < 1:
+                _reject_letters((pattern, _NOT_GROWTH))
+            is_new.append(False)
+        ahead.append(last if last > j else j)
+    return is_new, ahead, peak
 
 
-def _slot_stops(n: int, pattern: Sequence[int], where: list[list[int]]) -> list[int]:
+def _slot_stops(text: Sequence[int], nt: int, pattern: Sequence[int], npat: int) -> list[int]:
     """For each slot j, the last text position it may take: n - k + j, past
-    which too few positions follow, or reach[c], if earlier, where c counts
-    the copies of the slot's letter at or after j in the pattern.  reach[c]
-    is the last text position whose letter still has c copies from there
-    on, that letter's c-th copy from the back, or -1 if no letter has c
-    copies; every copy of the slot's letter takes a copy of one text letter,
-    in order.  where holds each text letter's positions, then n."""
-    k = len(pattern)
+    which too few positions follow, or reach[c - 1], if earlier, where c
+    counts the copies of the slot's letter at or after j in the pattern.
+    reach[c - 1] is the last text position whose letter still has c copies
+    from there on, or -1 if no letter has c copies; every copy of the
+    slot's letter takes a copy of one text letter, in order.  The text is
+    read from the back only as far as the slots ask: a letter whose count
+    passes every earlier count there sets the next entry of reach.  nt and
+    npat are the largest text and pattern letters."""
+    n, k = len(text), len(pattern)
     stop = list(range(n - k, n))
-    left = {}  # each pattern letter's copies from slot j on
-    reach = {}
+    left = [0] * (npat + 1)  # each pattern letter's copies from slot j on
+    seen = [0] * (nt + 1)  # each text letter's copies from position i on
+    reach = []
+    i = n
     for j in range(k - 1, -1, -1):
-        c = left[pattern[j]] = left.get(pattern[j], 0) + 1
+        p = pattern[j]
+        c = left[p] = left[p] + 1
         if c > 1:
-            if c not in reach:
-                reach[c] = max((run[-1 - c] for run in where if len(run) > c), default=-1)
-            stop[j] = min(stop[j], reach[c])
+            while len(reach) < c and i:
+                i -= 1
+                t = text[i]
+                seen[t] += 1
+                if seen[t] > len(reach):
+                    reach.append(i)
+            r = reach[c - 1] if c <= len(reach) else -1
+            if r < stop[j]:
+                stop[j] = r
     return stop
 
 
@@ -309,13 +332,13 @@ def _word_search(
     if k == 0 or k > n:
         return _trivial(find, k == 0)
     try:
-        text, pattern = _plain_ints(text), _plain_ints(pattern)
+        text, pattern = _plain_ints(text, pattern)
     except TypeError:
         _reject_letters((text, None), (pattern, _NOT_GROWTH))
     nt = max(text)
-    npat = max(pattern)
-    if min(text) < 1 or min(pattern) < 1 or max(nt, npat) >= _LETTER_LIMIT or nt > n:
+    if min(text) < 1 or nt > n or nt >= _LETTER_LIMIT:
         _reject_letters((text, None), (pattern, _NOT_GROWTH))
+    is_new, ahead, npat = _pattern_slots(pattern)
     # Each text letter's positions, then n: the first copy of letter b at or
     # after x is where[b][bisect_left(where[b], x)].
     where = [[] for _ in range(nt + 1)]
@@ -323,15 +346,15 @@ def _word_search(
         where[t].append(i)
     for run in where:
         run.append(n)
-    is_new, ahead = _pattern_slots(pattern)
-    stop = _slot_stops(n, pattern, where)
+    stop = _slot_stops(text, nt, pattern, npat)
     bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
     used = [False] * (nt + 1)  # text letters bound to some pattern letter
     chosen = [0] * k
     count = j = i = ticks = 0
     while True:
         ticks += 1
-        _poll(cancel, ticks)
+        if not ticks & _POLL_MASK and cancel is not None and cancel():
+            raise SearchCancelled(_CANCELLED)
         if not is_new[j]:
             run = where[bound[pattern[j]]]
             i = run[bisect_left(run, i)]
@@ -431,7 +454,7 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
     _reject_letters((prefix, _NOT_PREFIX), (pattern, _NOT_GROWTH))
     if n < len(prefix):
         raise ValueError("n must be at least the prefix's length")
-    prefix, pattern = tuple(_plain_ints(prefix)), tuple(_plain_ints(pattern))
+    prefix, pattern = map(tuple, _plain_ints(prefix, pattern))
     if not pattern or _word_search(prefix, pattern, ordered, True, None) is not None:
         return 0
     k, m, copies = len(pattern), max(pattern), pattern.count(pattern[-1])

@@ -333,7 +333,24 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order the full parser adds and lists them.
+_COMMANDS = (
+    "contains",
+    "count",
+    "reduce",
+    "invert-reduce",
+    "rgf",
+    "rgf-contains",
+    "census",
+    "verify",
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one alone.  That one
+    spells out the whole list as its metavar, so its usage line, which its
+    errors print, reads as the full parser's.  The full parser keeps the
+    default, which its own errors name as "command"."""
     parser = argparse.ArgumentParser(
         prog="permpart",
         description="Pattern containment in permutations, set partitions, and "
@@ -343,79 +360,96 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("plain", "json"), default="plain", help="output format"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
 
-    p = sub.add_parser("contains", parents=[common], help="decide containment")
-    p.add_argument("text")
-    p.add_argument("pattern")
-    p.add_argument("--kind", choices=("perm", "partition"), required=True)
-    p.add_argument("--witness", action="store_true", help="also print a witness")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="force the brute-force subset reference (partitions only)",
-    )
-    p.set_defaults(handler=_cmd_contains)
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
-    p = sub.add_parser("count", parents=[common], help="count occurrences")
-    p.add_argument("text")
-    p.add_argument("pattern")
-    p.add_argument("--kind", choices=("perm", "partition", "rgf"), required=True)
-    p.set_defaults(handler=_cmd_count)
+    if wanted("contains"):
+        p = sub.add_parser("contains", parents=[common], help="decide containment")
+        p.add_argument("text")
+        p.add_argument("pattern")
+        p.add_argument("--kind", choices=("perm", "partition"), required=True)
+        p.add_argument("--witness", action="store_true", help="also print a witness")
+        p.add_argument(
+            "--oracle",
+            action="store_true",
+            help="force the brute-force subset reference (partitions only)",
+        )
+        p.set_defaults(handler=_cmd_contains)
 
-    p = sub.add_parser(
-        "reduce", parents=[common], help="map a permutation to its matchstick partition"
-    )
-    p.add_argument("perm")
-    p.set_defaults(handler=_cmd_reduce)
+    if wanted("count"):
+        p = sub.add_parser("count", parents=[common], help="count occurrences")
+        p.add_argument("text")
+        p.add_argument("pattern")
+        p.add_argument("--kind", choices=("perm", "partition", "rgf"), required=True)
+        p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser(
-        "invert-reduce", parents=[common], help="recover a permutation from a matchstick partition"
-    )
-    p.add_argument("partition")
-    p.set_defaults(handler=_cmd_invert_reduce)
+    if wanted("reduce"):
+        p = sub.add_parser(
+            "reduce", parents=[common], help="map a permutation to its matchstick partition"
+        )
+        p.add_argument("perm")
+        p.set_defaults(handler=_cmd_reduce)
 
-    p = sub.add_parser(
-        "rgf",
-        parents=[common],
-        help="encode a partition as its restricted growth word (--invert decodes)",
-    )
-    p.add_argument("value")
-    p.add_argument("--invert", action="store_true", help="decode a word to a partition")
-    p.set_defaults(handler=_cmd_rgf)
+    if wanted("invert-reduce"):
+        p = sub.add_parser(
+            "invert-reduce",
+            parents=[common],
+            help="recover a permutation from a matchstick partition",
+        )
+        p.add_argument("partition")
+        p.set_defaults(handler=_cmd_invert_reduce)
 
-    p = sub.add_parser("rgf-contains", parents=[common], help="decide word containment")
-    p.add_argument("text")
-    p.add_argument("pattern")
-    p.add_argument("--witness", action="store_true", help="also print a witness")
-    p.set_defaults(handler=_cmd_contains, kind="rgf", oracle=False)
+    if wanted("rgf"):
+        p = sub.add_parser(
+            "rgf",
+            parents=[common],
+            help="encode a partition as its restricted growth word (--invert decodes)",
+        )
+        p.add_argument("value")
+        p.add_argument("--invert", action="store_true", help="decode a word to a partition")
+        p.set_defaults(handler=_cmd_rgf)
 
-    p = sub.add_parser(
-        "census", parents=[common], help="count avoiders/containers of a pattern over [n]"
-    )
-    p.add_argument("n", type=ascii_int)
-    p.add_argument("pattern")
-    p.add_argument("--notion", choices=("partition", "rgf"), default="partition")
-    p.add_argument("--force", action="store_true", help="override the safety bound")
-    p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
-    p.set_defaults(handler=_cmd_census)
+    if wanted("rgf-contains"):
+        p = sub.add_parser("rgf-contains", parents=[common], help="decide word containment")
+        p.add_argument("text")
+        p.add_argument("pattern")
+        p.add_argument("--witness", action="store_true", help="also print a witness")
+        p.set_defaults(handler=_cmd_contains, kind="rgf", oracle=False)
 
-    p = sub.add_parser("verify", parents=[common], help="run the verification gates")
-    p.add_argument("gate", nargs="?", choices=("reduction", "rgf", "all"), default="all")
-    p.add_argument("--max-n", type=ascii_int, default=None, dest="max_n")
-    p.add_argument("--max-k", type=ascii_int, default=None, dest="max_k")
-    p.add_argument("--force", action="store_true", help="override the safety bound")
-    p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
-    p.set_defaults(handler=_cmd_verify)
+    if wanted("census"):
+        p = sub.add_parser(
+            "census", parents=[common], help="count avoiders/containers of a pattern over [n]"
+        )
+        p.add_argument("n", type=ascii_int)
+        p.add_argument("pattern")
+        p.add_argument("--notion", choices=("partition", "rgf"), default="partition")
+        p.add_argument("--force", action="store_true", help="override the safety bound")
+        p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
+        p.set_defaults(handler=_cmd_census)
+
+    if wanted("verify"):
+        p = sub.add_parser("verify", parents=[common], help="run the verification gates")
+        p.add_argument("gate", nargs="?", choices=("reduction", "rgf", "all"), default="all")
+        p.add_argument("--max-n", type=ascii_int, default=None, dest="max_n")
+        p.add_argument("--max-k", type=ascii_int, default=None, dest="max_k")
+        p.add_argument("--force", action="store_true", help="override the safety bound")
+        p.add_argument("--jobs", type=positive_int, default=1, metavar="N")
+        p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Parse argv, run the command, and return the exit code."""
-    parser = _build_parser()
+    """Parse argv, run the command, and return the exit code.  When argv
+    starts with a subcommand, only that subcommand's parser is built; any
+    other argv (no command, --help, an unknown command) gets all of them."""
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -175,14 +175,33 @@ class SetPartition(_Frozen):
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
-        raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in blocks)
+        # The element types are checked in one pass over all the blocks.
+        # Only blocks holding something other than plain ints go one by one
+        # through _integers, which converts them or raises for the first
+        # non-integer in block order, before any sort could compare it.
+        raw: list[tuple] = []
+        try:
+            raw.extend(map(tuple, blocks))
+        except TypeError:
+            # A block that is not iterable: a bad element before it is
+            # named first.
+            for block in raw:
+                _integers(block, "block elements")
+            raise
         elements = list(chain.from_iterable(raw))
+        if not _PLAIN.issuperset(map(type, elements)):
+            raw = [_integers(block, "block elements") for block in raw]
+            elements = list(chain.from_iterable(raw))
         if not all(raw):
             raise ValueError("set partition blocks must be nonempty")
-        blocks = tuple(sorted(raw, key=_first))
         n = len(elements)
-        if sorted(elements) != list(range(1, n + 1)):
+        elements.sort()
+        if elements != list(range(1, n + 1)):
+            blocks = tuple(sorted(map(tuple, map(sorted, raw)), key=_first))
             raise ValueError(f"blocks do not partition [{n}]: {blocks}")
+        # Disjoint blocks differ in their least elements, so plain tuple
+        # order is order by minimum.
+        blocks = tuple(sorted(map(tuple, map(sorted, raw))))
         _store(self, "blocks", blocks)
         _store(self, "_n", n)
 

@@ -47,7 +47,7 @@ from operator import le
 from typing import Callable
 
 from ._backend import kernels as _K
-from .core import Permutation, RGFWord, SetPartition, _Frozen, _store
+from .core import Permutation, RGFWord, SetPartition, _first, _Frozen, _store
 
 # A strictly increasing 1-based index sequence certifying a permutation
 # occurrence, and an ascending element subset certifying a partition
@@ -150,7 +150,7 @@ def partition_contains(text: SetPartition, pattern: SetPartition) -> MatchResult
         # least witness.
         if len(text.blocks) < k:
             return _ABSENT
-        return MatchResult(True, tuple(block[0] for block in text.blocks[:k]))
+        return MatchResult(True, tuple(map(_first, text.blocks[:k])))
     if blocks == 1:
         # The first block with k elements holds the least witness: its first
         # k elements.

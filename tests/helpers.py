@@ -7,6 +7,7 @@ definitions directly.
 
 import itertools
 from functools import lru_cache
+from itertools import chain
 
 from permpart import (
     Permutation,
@@ -15,7 +16,7 @@ from permpart import (
     enumerate_partitions,
     enumerate_permutations,
 )
-from permpart.core import rgf_of
+from permpart.core import _first, _integers, rgf_of
 
 
 # Avoider counts over all partitions of [n], n = 0..12, from Sagan's
@@ -46,6 +47,22 @@ class Index:
 
     def __index__(self):
         return self.value
+
+
+def reference_partition(blocks):
+    """The canonical blocks and n of SetPartition(blocks), by the
+    constructor's earlier, block-by-block form, kept verbatim as the
+    reference for the one-pass form: it raises the same errors, and returns
+    what that one stored."""
+    raw = tuple(tuple(sorted(_integers(block, "block elements"))) for block in blocks)
+    elements = list(chain.from_iterable(raw))
+    if not all(raw):
+        raise ValueError("set partition blocks must be nonempty")
+    blocks = tuple(sorted(raw, key=_first))
+    n = len(elements)
+    if sorted(elements) != list(range(1, n + 1)):
+        raise ValueError(f"blocks do not partition [{n}]: {blocks}")
+    return blocks, n
 
 
 @lru_cache(maxsize=None)

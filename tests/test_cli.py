@@ -482,3 +482,56 @@ def test_run_command_keeps_the_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     assert run(capsys, ["census", "4", "1,2"])[0] == 0
     assert sys.get_int_max_str_digits() == limit
+
+
+# Argument lists that end in the parser: help, a missing argument, a bad
+# choice, an unknown option or command.  Each command's parser alone must
+# answer them as the full parser does.
+PARSER_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["bogus"],
+    ["bogus", "--help"],
+    ["Count", "1", "1"],
+    ["--format", "json", "count", "1", "1", "--kind", "perm"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["contains"],
+    ["contains", "1"],
+    ["contains", "1", "1"],
+    ["count", "1", "1"],
+    ["reduce"],
+    ["invert-reduce"],
+    ["rgf"],
+    ["rgf-contains", "1"],
+    ["census", "4"],
+    ["census", "4", "1,2", "--jobs"],
+    ["verify", "--max-n"],
+    ["contains", "1", "1", "--kind", "rgf"],
+    ["count", "1", "1", "--kind", "word"],
+    ["census", "4", "1,2", "--notion", "perm"],
+    ["verify", "--notion", "rgf"],
+    ["verify", "every"],
+    *([command, "1", "--format", "xml"] for command in cli._COMMANDS),
+    *([command, "1", "1", "--bogus"] for command in cli._COMMANDS),
+    ["contains", "2,1", "1", "--kind", "perm", "extra"],
+    ["census", "x", "1,2"],
+    ["census", "4", "1,2", "--jobs", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_subparser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    full_parser = cli._build_parser
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return full_parser(command)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    one = run(capsys, argv)
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    assert run(capsys, argv) == one
+    assert one[0] in (0, 2) and "usage:" in one[1] + one[2]  # the parser answered

@@ -1,9 +1,11 @@
 import itertools
 import pickle
 import re
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permpart import (
@@ -14,7 +16,7 @@ from permpart import (
     restrict,
     rgf_of,
 )
-from helpers import Index, flatten, partitions_of, value_standardize
+from helpers import Index, flatten, partitions_of, reference_partition, value_standardize
 
 
 def subsets(n):
@@ -53,6 +55,106 @@ class TestTypes:
             RGFWord((2, 1))
         with pytest.raises(ValueError):
             RGFWord((1, 3))
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+# How a block, or the block list, is handed over; "iter" and "gen" are
+# one-shot.  A "scalar" block is a bare value, not iterable at all.
+CONTAINERS = {
+    "tuple": tuple,
+    "list": list,
+    "iter": iter,
+    "gen": lambda values: (value for value in values),
+}
+NON_INTEGERS = st.sampled_from([2.0, 1.5, Fraction(2), Fraction(1, 2), "1", "a"])
+ELEMENTS = st.one_of(
+    st.integers(min_value=-2, max_value=12),
+    st.booleans(),
+    st.sampled_from(Small),
+    st.integers(min_value=-1, max_value=12).map(Index),
+    NON_INTEGERS,
+)
+
+
+def same_value(v):
+    """v, or another integer type holding it, or now and then a non-integer."""
+    kinds = [st.just(v), st.just(Index(v))]
+    if 1 <= v <= 3:
+        kinds.append(st.just(Small(v)))
+    if v in (0, 1):
+        kinds.append(st.just(bool(v)))
+    return st.one_of(st.one_of(kinds), st.sampled_from([v, float(v), Fraction(v), str(v)]))
+
+
+@st.composite
+def partition_inputs(draw):
+    """A block list as (container, [(container, elements)...]): a partition
+    of [n] with its blocks and elements shuffled and perhaps spoiled by a
+    repeated element, a gap, an empty block, a 0 or a negative element; or
+    arbitrary blocks.  Either may get a block that is not iterable."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=0, max_value=9))
+        order = draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n]) if a < b]
+        spoil = draw(st.sampled_from(["none", "none", "repeat", "gap", "empty", "zero", "negative"]))
+        if spoil == "repeat" and n:
+            blocks[-1].append(draw(st.integers(1, n)))
+        elif spoil == "gap" and n:
+            blocks[0].pop()
+        elif spoil == "empty":
+            blocks.insert(draw(st.integers(0, len(blocks))), [])
+        elif spoil in ("zero", "negative"):
+            blocks.append([0 if spoil == "zero" else draw(st.integers(-3, -1))])
+        if draw(st.integers(0, 3)) == 0:
+            blocks = [[draw(same_value(v)) for v in block] for block in blocks]
+    else:
+        blocks = draw(st.lists(st.lists(ELEMENTS, max_size=5), max_size=5))
+    containers = st.sampled_from(sorted(CONTAINERS))
+    spec = [(draw(containers), block) for block in blocks]
+    if draw(st.integers(0, 9)) == 0:
+        spec.insert(draw(st.integers(0, len(spec))), ("scalar", draw(st.integers(1, 3))))
+    return draw(containers), spec
+
+
+def build(outer, spec):
+    """Fresh inputs from a partition_inputs spec, since one-shot iterators
+    can be read only once."""
+    blocks = [block if kind == "scalar" else CONTAINERS[kind](block) for kind, block in spec]
+    return CONTAINERS[outer](blocks)
+
+
+def outcome(construct, outer, spec):
+    try:
+        return construct(build(outer, spec))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(partition_inputs())
+@example(("tuple", [("tuple", [2, "a", 1])]))  # the TypeError, not a sort's comparison error
+@example(("list", [("tuple", [1, 3]), ("list", ["2", 4])]))
+@example(("tuple", [("tuple", [1]), ("scalar", 2)]))  # a block that is not iterable
+@example(("gen", [("tuple", ["a"]), ("scalar", 2)]))  # the bad element before it first
+@example(("iter", [("gen", [3, 1]), ("iter", [Small.TWO, True])]))
+def test_constructor_matches_its_reference(inputs):
+    """SetPartition builds the blocks and n of its earlier form, as plain
+    ints, and raises the same exception type with the same message."""
+
+    def construct(blocks):
+        sigma = SetPartition(blocks)
+        return sigma.blocks, sigma.n
+
+    got = outcome(construct, *inputs)
+    assert got == outcome(reference_partition, *inputs)
+    if isinstance(got[0], tuple):
+        assert all(type(e) is int for block in got[0] for e in block)
 
 
 def block_index_word(sigma):
