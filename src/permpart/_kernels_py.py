@@ -9,13 +9,16 @@ available at import time.
 Two search loops serve the three notions: one for permutations, and one
 for partitions and words, whose ``ordered`` flag picks the word rule.  Each
 takes a ``find`` flag: find returns the witness at the first complete match,
-count counts every match.  The six search functions are thin entries to
-these two loops.  The word loop skips positions no slot can take: an order
-lookahead, jumps of bound slots to the next copy of their text letter, and
-stops where too few copies of a slot's letter remain (see _word_search).
-The next copy is read from each letter's positions, O(n) in all.
-part_avoiders and rgf_avoiders count a census's avoiders below a prefix
-(see _avoiders), asking the word loop's find of each child that needs it.
+count counts every match.  The permutation count steps through its matches
+only down to their second-to-last entry, and counts the last entry's
+positions in one pass (see _perm_search).  The six search functions are
+thin entries to these two loops.  The word loop skips positions no slot
+can take: an order lookahead, jumps of bound slots to the next copy of
+their text letter, and stops where too few copies of a slot's letter
+remain (see _word_search).  The next copy is read from each letter's
+positions, O(n) in all.  part_avoiders and rgf_avoiders count a census's
+avoiders below a prefix (see _avoiders), asking the word loop's find of
+each child that needs it.
 
 Kernel conventions:
 
@@ -67,8 +70,11 @@ from typing import Callable, Sequence
 from .errors import SearchCancelled
 
 # A search polls ``cancel`` on every tick that is a multiple of 16,384,
-# tested inline in each loop.
+# tested inline in each loop; the permutation loop, whose count may add
+# several ticks at once, polls once its ticks reach the next multiple.
 _POLL_MASK = (1 << 14) - 1
+# A permutation count's pass over m positions adds m >> _PASS_SHIFT ticks.
+_PASS_SHIFT = 6
 _CANCELLED = "search aborted by cancellation signal"
 
 # Word letters stay below this, as the compiled kernels' C ints need.
@@ -163,7 +169,18 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
     a text whose own fall short holds no match, and is answered without a
     search or a poll.  A pattern with a repeated value skips the pass: the
     loop's strict comparisons admit matches that the pass would rule out,
-    such as (2, 1, 2, 3) in (2, 1, 3, 3)."""
+    such as (2, 1, 2, 3) in (2, 1, 3, 3).
+
+    The loop's slots take positions left to right, each between the values
+    at its two order bounds (see _order_bounds).  A find steps every slot.
+    A count with k >= 2 steps down to slot k - 2 only: each time that slot
+    takes position i, the last slot's matches are the positions after i
+    whose values lie strictly between its bounds, counted in one pass.
+    Each step is one tick, and a pass over m positions adds m >>
+    _PASS_SHIFT, so that no poll interval reads more than about 2**20
+    positions in passes; the loop polls once its ticks reach the next
+    multiple of 16,384.  The compiled kernel counts alike, so both backends
+    poll equally often."""
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
         return _trivial(find, k == 0)
@@ -173,12 +190,17 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
         if _longest_runs(text, *runs) != runs:
             return None if find else 0
     lo, hi = _order_bounds(pattern)
+    last = k - 1 if find else k - 2  # the last slot stepped; a count of k = 1 counts at slot 0
+    above, below = lo[-1], hi[-1]
     chosen = [0] * k
     count = j = i = ticks = 0
+    due = _POLL_MASK + 1  # the tick of the next poll
     while True:
         ticks += 1
-        if not ticks & _POLL_MASK and cancel is not None and cancel():
-            raise SearchCancelled(_CANCELLED)
+        if ticks >= due:
+            due = (ticks | _POLL_MASK) + 1
+            if cancel is not None and cancel():
+                raise SearchCancelled(_CANCELLED)
         if i > n - (k - j):
             if j == 0:
                 return None if find else count
@@ -190,12 +212,31 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
             hi[j] < 0 or v < text[chosen[hi[j]]]
         ):
             chosen[j] = i
-            if j < k - 1:
+            if j < last:
                 j += 1
             elif find:
                 return tuple(c + 1 for c in chosen)
-            else:
+            elif j == k - 1:
                 count += 1
+            else:  # the last slot's pass
+                ticks += (n - 1 - i) >> _PASS_SHIFT
+                if below < 0 and above < 0:
+                    count += n - 1 - i
+                elif below < 0:
+                    low = text[chosen[above]]
+                    for u in text[i + 1 :]:
+                        if u > low:
+                            count += 1
+                elif above < 0:
+                    high = text[chosen[below]]
+                    for u in text[i + 1 :]:
+                        if u < high:
+                            count += 1
+                else:
+                    low, high = text[chosen[above]], text[chosen[below]]
+                    for u in text[i + 1 :]:
+                        if low < u < high:
+                            count += 1
         i += 1
 
 

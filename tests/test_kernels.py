@@ -73,10 +73,12 @@ TWO_ROWS = two_rows(36)
 # rows for 3,2,1, which they avoid (4 polls): a find on a text with few
 # copies of each letter that succeeds, or fails early, settles in a few
 # steps per letter, too few to poll.  perm_find searches the layered text
-# with 40 blocks of two for 2,4,1,3 (5 polls).
+# with 40 blocks of two for 2,4,1,3 (5 polls).  perm_count steps down to
+# its second-to-last slot only, so it counts 1,...,5 (6 polls), where the
+# word counts take 1,2,3,4.
 LONG_SEARCHES = [
     ("perm_find", layered((2,) * 40), (2, 4, 1, 3)),
-    ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4)),
+    ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
     ("part_find", two_rows(60), matchstick_word((3, 2, 1))),
     ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
     ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
@@ -657,13 +659,15 @@ def seconds_past_an_alarm(call):
         signal.signal(signal.SIGALRM, previous)
 
 
-# Searches that run for seconds compiled, and far longer pure: the counts of
-# 1, ..., 6 in 1, ..., 100 reach C(100, 6), about 1.19e9, and the find of
-# 2,4,1,3 in the layered text 2, 1, 4, 3, ... of 80,000 tries each later
-# position for its third slot after each pair of its first two.
+# Searches that run for seconds compiled, and far longer pure: the word
+# counts of 1, ..., 6 in 1, ..., 100 reach C(100, 6), about 1.19e9;
+# perm_count, which steps down to its second-to-last slot only, takes about
+# as many steps for 1, ..., 7; and the find of 2,4,1,3 in the layered text
+# 2, 1, 4, 3, ... of 80,000 tries each later position for its third slot
+# after each pair of its first two.
 LAYERED = layered((2,) * 40000)
 ENDLESS_SEARCHES = [
-    ("perm_count", tuple(range(1, 101)), tuple(range(1, 7))),
+    ("perm_count", tuple(range(1, 101)), tuple(range(1, 8))),
     ("part_count", tuple(range(1, 101)), tuple(range(1, 7))),
     ("rgf_count", tuple(range(1, 101)), tuple(range(1, 7))),
     ("perm_find", LAYERED, (2, 4, 1, 3)),
@@ -678,6 +682,17 @@ def test_search_stops_at_an_interrupt(backend, name, text, pattern):
     # and the interpreter runs the pure ones.  The word finds poll through
     # the same run as the counts.
     assert seconds_past_an_alarm(lambda: getattr(backend, name)(text, pattern)) < 0.5
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_long_count_passes_stop_at_an_interrupt(compiled):
+    # Each step of this count that places the 2 sets off a pass over the
+    # rest of a 400,000-entry text.  The passes add steps for the positions
+    # they read, so the count still polls within a fraction of a second;
+    # were each pass one step, a poll interval would read about 6.5e9
+    # positions.
+    text = tuple(range(1, 400001))
+    assert seconds_past_an_alarm(lambda: compiled.perm_count(text, (1, 2, 3))) < 0.5
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
