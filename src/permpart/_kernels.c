@@ -26,18 +26,19 @@
  * passes.
  * Past the trivial answers for an empty pattern or one longer than its
  * text, the word kernels only search.  The permutation kernels first run a
- * pre-pass: a pattern with distinct values whose longest increasing or
- * decreasing subsequence is longer than the text's is absent, which
- * patience piles tell in O(n log k), with no step and no poll of cancel
- * (see longest_runs).  The block-size and letter-count rejections live in
- * permpart.matchers.
+ * pre-pass: a pattern whose longest increasing or decreasing subsequence is
+ * longer than the text's is absent, which patience piles tell in O(n log
+ * k), with no step and no poll of cancel (see longest_runs).  The
+ * block-size and letter-count rejections live in permpart.matchers.
  * part_avoiders and rgf_avoiders walk the census tree of permpart.oracle
  * (see count_avoiders) and take (prefix, pattern, n): the prefix is checked
  * as a pattern is, with its own message, and n must be an integer from the
  * prefix's length up to 2**31 - 2.  The searches take (text, pattern[,
  * cancel]).  Arguments are positional only.  A value that is not an
  * integer raises TypeError, on both backends.  Permutation values
- * must fit a C int (OverflowError; the pure kernels assume it).  Word
+ * must fit a C int (OverflowError; the pure kernels assume it), and a
+ * permutation pattern must have distinct values (ValueError, after any
+ * TypeError of either word); its text may repeat values.  Word
  * letters run from 1 to 2**31 - 2, and the first bad letter, reading the
  * text and then the pattern in order, names the fault: below 1 ValueError,
  * 2**31 - 1 or more OverflowError, a text letter above the text's length
@@ -333,15 +334,11 @@ Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
                 i = chosen[--j];
             } else if ((lo[j] < 0 || tw[chosen[lo[j]]] < tw[i]) && (hi[j] < 0 || tw[i] < tw[chosen[hi[j]]])) {
                 chosen[j] = i;
-                if (j < k - 1) {
-                    j++;
-                } else {
-                    count++;
-                    if (find) {
-                        done = 1;
-                        break;
-                    }
+                if (j == k - 1) {
+                    count = done = 1;
+                    break;
                 }
+                j++;
             }
             i++;
         } while ((++ticks & POLL_MASK) != 0);
@@ -395,16 +392,15 @@ Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
 
 /* The matches of a count's last slot: the positions from from to n - 1
  * whose value lies above low, when above is set, and below high, when below
- * is set.  One loop for each case, with no branch inside, which the
- * compiler vectorises.  INT_MIN or INT_MAX for a missing bound would refuse
- * the text values equal to it; one loop in long long, with LLONG_MIN and
- * LLONG_MAX, made the counts of 1,...,6 in a random 200-permutation and of
- * 2,3,1 in a random 600-permutation take 2.2x and 3.4x as long. */
+ * is set, as one is at least.  One loop for each case, with no branch
+ * inside, which the compiler vectorises.  INT_MIN or INT_MAX for a missing
+ * bound would refuse the text values equal to it; one loop in long long,
+ * with LLONG_MIN and LLONG_MAX, made the counts of 1,...,6 in a random
+ * 200-permutation and of 2,3,1 in a random 600-permutation take 2.2x and
+ * 3.4x as long. */
 static Py_ssize_t count_between(const int *v, Py_ssize_t from, Py_ssize_t n, int above, int low, int below,
                                 int high) {
     Py_ssize_t c = 0, x;
-    if (!above && !below)
-        return n - from;
     if (!below)
         for (x = from; x < n; x++)
             c += v[x] > low;
@@ -490,8 +486,8 @@ static void longest_runs(const int *v, Py_ssize_t n, int *tops, Py_ssize_t runs[
 }
 
 /* The permutation loop, behind the pre-pass of _perm_search in the pure
- * module: a pattern with distinct values, whose longest increasing or
- * decreasing subsequence is longer than the text's, is answered at once. */
+ * module: a pattern whose longest increasing or decreasing subsequence is
+ * longer than the text's is answered at once. */
 static PyObject *perm_search(const Call *c, Arena *a, int find) {
     Py_ssize_t n = c->n, k = c->k, j, *lo, *hi, *chosen, runs[2] = {k, k}, reach[2];
     int *tv, *pv, *tops, distinct = 1;
@@ -513,14 +509,14 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
             distinct &= pv[b] != pv[j];
         }
     }
-    if (distinct) {
-        longest_runs(pv, k, tops, runs);
-        reach[0] = runs[0];
-        reach[1] = runs[1];
-        longest_runs(tv, n, tops, reach);
-        if (reach[0] < runs[0] || reach[1] < runs[1])
-            return answer(find, 0, chosen, k);
-    }
+    if (!distinct)
+        return fail(PyExc_ValueError, "a permutation pattern must have distinct values");
+    longest_runs(pv, k, tops, runs);
+    reach[0] = runs[0];
+    reach[1] = runs[1];
+    longest_runs(tv, n, tops, reach);
+    if (reach[0] < runs[0] || reach[1] < runs[1])
+        return answer(find, 0, chosen, k);
     Walk w = {.tw = tv, .lo = lo, .hi = hi, .chosen = chosen, .n = n, .k = k, .ticks = 1, .find = find};
     while (!(find ? walk(&w) : perm_count_walk(&w)))
         if (poll(c->cancel) < 0)

@@ -43,6 +43,9 @@ Kernel conventions:
   kernels, and any other integer type is read through ``operator.index``;
 - permutation values are assumed to fit a C int: these kernels do not
   check, the compiled ones raise OverflowError;
+- a permutation pattern must have distinct values, or ValueError, raised
+  after any TypeError of either word; its text may hold any ints, repeats
+  included, and an occurrence is a subsequence order isomorphic to it;
 - bad word letters are named by the first one, reading the text's letters
   and then the pattern's in order: a letter below 1 raises ValueError("word
   letters must be at least 1"), one of 2**31 - 1 or more OverflowError("word
@@ -54,17 +57,17 @@ Kernel conventions:
 
 Past the trivial answers for an empty pattern or one longer than its
 text, the word kernels only search.  The permutation kernels first run a
-pre-pass (see _perm_search): a pattern with distinct values whose longest
-increasing or decreasing subsequence is longer than the text's is absent,
-which patience piles tell in O(n log k), without a step of the search and
-without polling ``cancel``.  The block-size and letter-count rejections
-are made by the callers in permpart.matchers.
+pre-pass (see _perm_search): a pattern whose longest increasing or
+decreasing subsequence is longer than the text's is absent, which patience
+piles tell in O(n log k), without a step of the search and without polling
+``cancel``.  The block-size and letter-count rejections are made by the
+callers in permpart.matchers.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from .errors import SearchCancelled
@@ -94,9 +97,9 @@ def _trivial(find: bool, empty: bool):
 
 
 def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
-    """For each slot j, the earlier slot holding the nearest pattern value
-    below (lo) and above (hi) pattern[j]; -1 when there is none, and the
-    first such slot when several hold that value.
+    """For each slot j of a pattern with distinct values, the earlier slot
+    holding the nearest pattern value below (lo) and above (hi) pattern[j],
+    or -1 when there is none.
 
     A partial selection is order isomorphic to the pattern prefix iff each
     new value lies strictly between the text values chosen for these two
@@ -104,16 +107,14 @@ def _order_bounds(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     """
     lo = []
     hi = []
-    values = []  # the distinct values of the slots before j, ascending
-    slots = []  # the first slot holding each
+    values = []  # the values of the slots before j, ascending
+    slots = []  # the slot holding each
     for j, v in enumerate(pattern):
         r = bisect_left(values, v)
-        s = bisect_right(values, v, r)
         lo.append(slots[r - 1] if r else -1)
-        hi.append(slots[s] if s < len(values) else -1)
-        if s == r:
-            values.insert(r, v)
-            slots.insert(r, j)
+        hi.append(slots[r] if r < len(values) else -1)
+        values.insert(r, v)
+        slots.insert(r, j)
     return lo, hi
 
 
@@ -163,19 +164,17 @@ def _longest_runs(values: Sequence[int], up: int, down: int) -> tuple[int, int]:
 
 
 def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel: Cancel):
-    """The permutation loop, behind one pre-pass.  An occurrence of a pattern
-    whose values are distinct is order isomorphic to it, so it carries the
-    pattern's longest increasing and decreasing subsequences into the text:
-    a text whose own fall short holds no match, and is answered without a
-    search or a poll.  A pattern with a repeated value skips the pass: the
-    loop's strict comparisons admit matches that the pass would rule out,
-    such as (2, 1, 2, 3) in (2, 1, 3, 3).
+    """The permutation loop, behind one pre-pass.  An occurrence is order
+    isomorphic to the pattern, so it carries the pattern's longest
+    increasing and decreasing subsequences into the text: a text whose own
+    fall short holds no match, and is answered without a search or a poll.
 
     The loop's slots take positions left to right, each between the values
     at its two order bounds (see _order_bounds).  A find steps every slot.
     A count with k >= 2 steps down to slot k - 2 only: each time that slot
     takes position i, the last slot's matches are the positions after i
-    whose values lie strictly between its bounds, counted in one pass.
+    whose values lie strictly between its bounds, one or two, counted in
+    one pass.
     Each step is one tick, and a pass over m positions adds m >>
     _PASS_SHIFT, so that no poll interval reads more than about 2**20
     positions in passes; the loop polls once its ticks reach the next
@@ -185,10 +184,11 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
     if k == 0 or k > n:
         return _trivial(find, k == 0)
     text, pattern = _plain_ints(text, pattern)
-    if len(set(pattern)) == k:
-        runs = _longest_runs(pattern, k, k)
-        if _longest_runs(text, *runs) != runs:
-            return None if find else 0
+    if len(set(pattern)) != k:
+        raise ValueError("a permutation pattern must have distinct values")
+    runs = _longest_runs(pattern, k, k)
+    if _longest_runs(text, *runs) != runs:
+        return None if find else 0
     lo, hi = _order_bounds(pattern)
     last = k - 1 if find else k - 2  # the last slot stepped; a count of k = 1 counts at slot 0
     above, below = lo[-1], hi[-1]
@@ -220,9 +220,7 @@ def _perm_search(text: Sequence[int], pattern: Sequence[int], find: bool, cancel
                 count += 1
             else:  # the last slot's pass
                 ticks += (n - 1 - i) >> _PASS_SHIFT
-                if below < 0 and above < 0:
-                    count += n - 1 - i
-                elif below < 0:
+                if below < 0:
                     low = text[chosen[above]]
                     for u in text[i + 1 :]:
                         if u > low:

@@ -51,9 +51,9 @@ Factorial and Bell growth make unbounded runs runaway jobs, so the
 verification and census entry points refuse bounds above a safety limit
 unless forced.  Both may spread independent work over worker processes:
 the gates their texts, a census the avoiding prefixes at a fixed cut
-depth, which it takes only then.  Reports aggregate associatively and
-mismatch lists are sorted, and avoider counts add, so the outcome is
-schedule independent.  The process pool is imported only when one runs
+depth, which it takes only then; jobs below 1 raise ValueError before any
+work.  Reports aggregate associatively and mismatch lists are sorted, and
+avoider counts add, so the outcome is schedule independent.  The process pool is imported only when one runs
 (jobs > 1 and more than one item), so a serial run does not import
 concurrent.futures or multiprocessing, and it is never larger than the
 chunks or the CPUs this process may use.
@@ -302,6 +302,8 @@ def _run_gate(check, max_n: int, max_k: int, force: bool, jobs: int, extra=tuple
     max_n, max_k, jobs = operator.index(max_n), operator.index(max_k), operator.index(jobs)
     if max_n < 0 or max_k < 0:
         raise ValueError("bounds must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not force and (max_n > VERIFY_BOUND or max_k > VERIFY_BOUND):
         raise BoundExceeded(
             f"refusing max_n={max_n}, max_k={max_k}: factorial growth past "
@@ -479,6 +481,8 @@ def census(
     n, jobs = operator.index(n), operator.index(jobs)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not force and n > CENSUS_BOUND:
         raise BoundExceeded(
             f"refusing census at n={n}: Bell growth past {CENSUS_BOUND} is a "

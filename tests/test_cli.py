@@ -420,6 +420,65 @@ def test_ctrl_c_ends_the_cli_with_130_and_one_line():
     assert out == "" and err == "error: interrupted\n"
 
 
+def children_of(pid):
+    """The pids whose parent is pid, read from /proc."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except OSError:  # the process has gone
+            continue
+        # state, then the parent pid, follow the command name in parentheses
+        if int(stat[stat.rindex(")") + 2 :].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see the pool")
+def test_ctrl_c_ends_a_jobs_census_and_its_workers():
+    # A terminal's Ctrl-C goes to the whole process group: here the group
+    # of a pure-backend census that runs for tens of seconds, sent SIGINT
+    # once its pool's workers are up.  The CLI and every worker must be
+    # gone at once.
+    source_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "permpart.cli", "census", "13", "1,3/2,4", "--force", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PERMPART_PURE="1", PYTHONPATH=path),
+        start_new_session=True,
+    )
+    pgid = child.pid
+    try:
+        deadline = time.monotonic() + 30
+        while not children_of(child.pid) and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert children_of(child.pid), "no pool worker started"
+        time.sleep(0.2)
+        os.killpg(pgid, signal.SIGINT)
+        out, err = child.communicate(timeout=30)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait()
+    assert child.returncode == 130
+    assert out == "" and err == "error: interrupted\n"
+
+
 def test_run_command_lets_ctrl_c_through(monkeypatch):
     # Library callers see the KeyboardInterrupt; only cli.main turns it
     # into exit code 130.

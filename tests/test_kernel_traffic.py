@@ -1,7 +1,9 @@
 """What the library hands the kernels.
 
-The word kernels refuse a text letter above the text's length, and their
-patterns and census prefixes must be restricted growth words.  Checking
+The permutation kernels refuse a pattern with a repeated value.  The word
+kernels refuse a text letter above the text's length, and their patterns
+and census prefixes must be restricted growth words.  Library callers hand
+the permutation kernels permutations, texts and patterns alike.  Checking
 stand-ins, which forward to the pure kernels, sit where the engines
 (matchers._K) and the census (permpart._backend.kernels) find their kernels,
 and assert that contract on every call the public functions make.  A caller

@@ -741,6 +741,25 @@ class TestIntegerArguments:
             census(8, SetPartition(((1, 3), (2, 4))), jobs=2.5)
         assert pool_sizes == []
 
+    def test_jobs_below_one_are_refused_before_any_walk_or_pool(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError(f"walked {args} before reading jobs")
+
+        def chunks(*args):
+            raise AssertionError("ran a gate's chunks before reading jobs")
+
+        monkeypatch.setattr(
+            _backend, "kernels", SimpleNamespace(part_avoiders=walk, rgf_avoiders=walk)
+        )
+        monkeypatch.setattr(oracle, "_map_chunks", chunks)
+        # as the CLI refuses --jobs 0; False reads as 0
+        for jobs in (0, -3, False, Index(0)):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                census(5, SetPartition(((1, 3), (2, 4))), jobs=jobs)
+            for gate in (verify_reduction, verify_rgf_coincidence):
+                with pytest.raises(ValueError, match="jobs must be at least 1"):
+                    gate(2, 2, jobs=jobs)
+
     def test_float_jobs_are_refused_with_a_one_prefix_cut(self):
         # 1,1,1,1 alone avoids 1/2 at the cut, so no pool would read jobs
         with pytest.raises(TypeError):
@@ -756,13 +775,6 @@ class TestIntegerArguments:
         for enumerator in (enumerate_partitions, enumerate_permutations):
             with pytest.raises(TypeError):
                 next(enumerator(3.0))
-        assert pool_sizes == []
-
-    def test_jobs_below_one_still_run_serially(self, pool_sizes):
-        pattern = SetPartition(((1, 3), (2, 4)))
-        for jobs in (0, -3, False):
-            assert census(6, pattern, jobs=jobs) == census(6, pattern)
-            assert verify_reduction(3, 2, jobs=jobs).pairs_checked == 27
         assert pool_sizes == []
 
 

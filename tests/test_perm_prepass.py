@@ -2,11 +2,12 @@
 
 Before the search, perm_find and perm_count compare the longest increasing
 and decreasing subsequences of the pattern with the text's, and answer at
-once when the text's fall short, with no poll.  Only patterns with distinct
-values get the pass.  These tests check that the pass rules out only
-absent patterns, that the loop behind it still meets brute force and polls
-alike on both backends, and that the pass answers the monotone cases that
-the loop needs about n**3 steps or more for in milliseconds.
+once when the text's fall short, with no poll.  A pattern must have
+distinct values.  These tests check that the pass rules out only absent
+patterns, that the loop behind it still meets brute force and polls alike
+on both backends, that both refuse a pattern with a repeated value alike,
+and that the pass answers the monotone cases that the loop needs about
+n**3 steps or more for in milliseconds.
 """
 
 import collections
@@ -108,24 +109,35 @@ def test_searched_negatives_poll_alike(compiled, pair):
         assert answer[0] == absent
 
 
-def test_perm_kernels_parity_with_repeated_values(compiled):
-    # Texts over 1..4 up to length 6, patterns over 1..3 up to length 4.  A
-    # pattern with a repeated value skips the pre-pass on both backends.
-    patterns = [p for k in range(5) for p in itertools.product((1, 2, 3), repeat=k)]
-    for n in range(7):
-        for text in itertools.product((1, 2, 3, 4), repeat=n):
-            for pattern in patterns:
-                assert compiled.perm_find(text, pattern) == _kernels_py.perm_find(text, pattern)
-                assert compiled.perm_count(text, pattern) == _kernels_py.perm_count(text, pattern)
+# A pattern with a repeated value is refused, after any TypeError of either
+# word; an empty pattern, or one longer than its text, is answered before
+# any value is read.  The text may repeat values.
+REPEATS = "a permutation pattern must have distinct values"
+REPEATED_PATTERNS = [
+    ((2, 1, 3, 3), (2, 1, 2, 3), ValueError, REPEATS),
+    ((5, 5, 5), (1, 1), ValueError, REPEATS),
+    ((1, 2, 3, 4), (3, 7, 3), ValueError, REPEATS),
+    ((-(2**31), 2**31 - 1, 0), (2**31 - 1, 2**31 - 1), ValueError, REPEATS),
+    ((2.0, 1, 3), (1, 1), TypeError, "integer"),
+    ((2, 1, 3), (1, 1.5, 1), TypeError, "integer"),
+    ((1,), (1, 1), None, (None, 0)),
+    (("a",), (2, 2), None, (None, 0)),
+    (("a", "b"), (), None, ((), 1)),
+]
 
 
-def test_repeated_pattern_values_skip_the_pre_pass(kernels):
-    # The loop compares values strictly, so the second 2 only needs to lie
-    # above the 1, and the text's 3 serves.  The pattern's increasing run
-    # 1, 2, 3 is longer than any of the text's, which the pre-pass would
-    # take for an absence.
-    assert kernels.perm_count((2, 1, 3, 3), (2, 1, 2, 3)) == 1
-    assert kernels.perm_find((2, 1, 3, 3), (2, 1, 2, 3)) == (1, 2, 3, 4)
+@pytest.mark.parametrize(
+    "text, pattern, error, outcome",
+    REPEATED_PATTERNS,
+    ids="text-ties pair spread int-extremes float-text float-pattern longer longer-unread empty".split(),
+)
+def test_repeated_pattern_values_are_refused(kernels, text, pattern, error, outcome):
+    if error is None:
+        assert (kernels.perm_find(text, pattern), kernels.perm_count(text, pattern)) == outcome
+        return
+    for name in ("perm_find", "perm_count"):
+        with pytest.raises(error, match=outcome):
+            getattr(kernels, name)(text, pattern)
 
 
 def random_avoided_pair():
