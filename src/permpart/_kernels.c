@@ -16,9 +16,11 @@
  * slot's letter last took (see next_copy).  The search loops run in walk,
  * the permutation finds and the word searches, and in perm_count_walk, the
  * permutation counts; each returns at every poll, so no call into Python
- * sits in a loop and the compiler can keep its state in registers; run
+ * sits in a loop and the compiler can keep its state in registers; search
  * drives the word loop, for the word searches and for each find of the
- * census walk.  Every loop, the census walk's too, calls poll every
+ * census walk, which tests a child by one find anchored at its last letter
+ * (see anchored), on a plan made once per walk for the pattern and once per
+ * parent for the text.  Every loop, the census walk's too, calls poll every
  * POLL_MASK + 1 steps, the one place where a kernel returns to Python:
  * pending signals first (Ctrl-C raises KeyboardInterrupt), then cancel.  A
  * count's pass is one step, plus one for every 2**PASS_SHIFT positions it
@@ -209,15 +211,16 @@ static inline Py_ssize_t next_copy(const int *succ, Py_ssize_t from, Py_ssize_t 
  * is taken, or the slot itself when there is none.  is_new: its letter first
  * occurs here; otherwise its letter is bound, and it goes straight to the
  * next copy of its text letter, after the copy at prev, the slot before it
- * with the same letter. */
+ * with the same letter.  copies: the copies of its letter from here on. */
 typedef struct {
     Py_ssize_t stop, ahead, prev;
-    int is_new;
+    int is_new, copies;
 } Slot;
 
 /* A search between two polls: a permutation search when lo and hi are set,
  * else a word search.  i, j, ticks and count carry over from one run of
- * walk to the next. */
+ * walk to the next.  anchor: a pattern letter bound before the word search
+ * starts, or 0 (see anchored). */
 typedef struct {
     const int *tw, *pw;
     const Py_ssize_t *lo, *hi;
@@ -225,7 +228,7 @@ typedef struct {
     Slot *slot;
     Py_ssize_t *chosen, n, k, i, j, ticks;
     unsigned long long count;
-    int nt, ordered, find;
+    int ordered, find, anchor;
 } Walk;
 
 /* The order lookahead of _word_search: slot j takes text position i, with
@@ -250,36 +253,52 @@ Py_NO_INLINE static int fits_ahead(const Walk *w, Py_ssize_t j, Py_ssize_t last,
     return 1;
 }
 
-/* Fill the slots of w before the search; see _pattern_slots and
- * _slot_stops in the pure module.  np is the largest pattern letter.
- * bound, used and chosen serve as scratch, whatever the last search left
- * in them, and bound and used are left zeroed. */
-static void plan_slots(const Walk *w, int np) {
-    const int *tw = w->tw, *pw = w->pw;
-    int *bound = w->bound, *used = w->used, peak = 0;
+/* The pattern's part of the slots of w, for its w->k slots: prev, is_new,
+ * ahead and copies; see _pattern_slots in the pure module.  np is the
+ * largest pattern letter, and q, unless 0, a letter bound before the search:
+ * its slots are never new, the first one jumps from the virtual slot k,
+ * whose chosen entry the caller points at its text letter's head link, and
+ * the lookahead counts them from slot 0.  bound serves as scratch and is
+ * left zeroed. */
+static void plan_pattern(const Walk *w, int np, int q) {
+    const int *pw = w->pw;
+    int *bound = w->bound, peak = 0;
     Slot *slot = w->slot;
-    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, j, i, last = 0, top = 0, most = 0;
-    memset(used, 0, (size_t)(w->nt + 1) * sizeof(int));
-    /* bound[q]: the last slot of letter q, so far. */
+    Py_ssize_t k = w->k, j, last;
+    /* bound[p]: the last slot of letter p, so far. */
+    bound[q] = (int)k;
     for (j = 0; j < k; j++) {
         slot[j].prev = bound[pw[j]];
         bound[pw[j]] = (int)j;
     }
+    last = q && bound[q] < k ? bound[q] : 0;
     for (j = 0; j < k; j++) {
-        slot[j].is_new = pw[j] > peak;
-        if (slot[j].is_new) {
+        slot[j].is_new = pw[j] > peak && pw[j] != q;
+        if (pw[j] > peak) {
             peak = pw[j];
             last = bound[peak] > last ? bound[peak] : last;
         }
         slot[j].ahead = last > j ? last : j;
     }
-    /* slot[j].stop, for now: the copies of its letter at or after slot j,
-     * counted in bound; most: the most copies of one letter. */
     memset(bound, 0, (size_t)(np + 1) * sizeof(int));
-    for (j = k - 1; j >= 0; j--) {
-        slot[j].stop = ++bound[pw[j]];
-        most = slot[j].stop > most ? slot[j].stop : most;
-    }
+    for (j = k - 1; j >= 0; j--)
+        slot[j].copies = ++bound[pw[j]];
+    memset(bound, 0, (size_t)(np + 1) * sizeof(int));
+}
+
+/* The text's part: the next-copy links of the first n letters of w->tw, up
+ * to the letter nt, and each slot's stop; see _slot_stops in the pure
+ * module.  chosen serves as scratch, and used, zero between searches, as
+ * scratch that is left zeroed. */
+static void plan_text(Walk *w, Py_ssize_t n, int nt) {
+    const int *tw = w->tw;
+    int *used = w->used;
+    Slot *slot = w->slot;
+    Py_ssize_t *chosen = w->chosen, k = w->k, j, i, top = 0, most = 0;
+    w->n = n;
+    next_links(w->succ, tw, n, nt);
+    for (j = 0; j < k; j++)
+        most = slot[j].copies > most ? slot[j].copies : most;
     /* chosen[c-1], for c up to top: the last text position whose letter has
      * c copies from there on.  used counts each letter's copies from the
      * back; a count past top is one past it. */
@@ -287,11 +306,10 @@ static void plan_slots(const Walk *w, int np) {
         if (++used[tw[i]] > top)
             chosen[top++] = i;
     for (j = 0; j < k; j++) {
-        Py_ssize_t reach = slot[j].stop > top ? -1 : chosen[slot[j].stop - 1];
+        Py_ssize_t reach = slot[j].copies > top ? -1 : chosen[slot[j].copies - 1];
         slot[j].stop = reach < n - k + j ? reach : n - k + j;
     }
-    memset(bound, 0, (size_t)(np + 1) * sizeof(int));
-    memset(used, 0, (size_t)(w->nt + 1) * sizeof(int));
+    memset(used, 0, (size_t)(nt + 1) * sizeof(int));
 }
 
 /* walk and perm_count_walk start on cache lines of their own.  Their loops
@@ -317,7 +335,7 @@ Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
     const int *tw = w->tw, *pw = w->pw, *succ = w->succ;
     const Slot *slot = w->slot;
     const Py_ssize_t *lo = w->lo, *hi = w->hi;
-    int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, done = 0;
+    int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, anchor = w->anchor, done = 0;
     Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
     unsigned long long count = w->count;
 
@@ -362,8 +380,10 @@ Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
                 }
             } else {
                 int t = tw[i], p = pw[j];
-                /* A bound slot's jump has already found a copy of its text letter. */
-                if ((!s->is_new || (ordered ? t > bound[p - 1] : !used[t])) &&
+                /* A bound slot's jump has already found a copy of its text
+                 * letter.  In words, a letter below the anchor takes a text
+                 * letter below the anchor's. */
+                if ((!s->is_new || (ordered ? t > bound[p - 1] && (p > anchor || t < bound[anchor]) : !used[t])) &&
                     (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
                     chosen[j] = i;
                     if (j < k - 1) {
@@ -524,16 +544,11 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     return answer(find, w.count, chosen, k);
 }
 
-/* One word search on the buffers of w: the text's first n letters, whose
- * largest is nt, against the pattern, whose largest letter is np.  It polls
- * between runs of walk.  1 on a match, 0 on none, -1 with an exception set. */
-static int run(Walk *w, Py_ssize_t n, int nt, int np, PyObject *cancel) {
-    w->n = n;
-    w->nt = nt;
+/* One word search on the buffers of w, planned for its text: 1 on a match,
+ * 0 on none, -1 with an exception set.  It polls between runs of walk. */
+static int search(Walk *w, PyObject *cancel) {
     w->i = w->j = w->count = 0;
     w->ticks = 1;
-    next_links(w->succ, w->tw, n, nt);
-    plan_slots(w, np);
     while (!walk(w))
         if (poll(cancel) < 0)
             return -1;
@@ -560,7 +575,32 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
         return NULL;
     Walk w = {.tw = tw, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
               .k = k, .ordered = ordered, .find = find};
-    return run(&w, n, nt, np, c->cancel) < 0 ? NULL : answer(find, w.count, chosen, k);
+    plan_pattern(&w, np, 0);
+    plan_text(&w, n, nt);
+    return search(&w, c->cancel) < 0 ? NULL : answer(find, w.count, chosen, k);
+}
+
+/* Does the child of an avoiding parent, the parent's w->n letters and then
+ * letter, contain the pattern?  Only with the pattern's last slot at its
+ * last position.  So the search, planned once per walk (plan_pattern) and
+ * once per parent (plan_text), looks for the pattern's first k - 1 slots in
+ * the parent, with the last letter, w->anchor, bound to letter before it
+ * starts: its slots jump to copies of letter, the first from the virtual
+ * slot k, whose chosen entry is letter's head link; no other letter may take
+ * letter in partitions (used), and in words the letters below the anchor
+ * take text letters below letter, and those above it land above letter
+ * through the order test.  bound and used are left zeroed. */
+static int anchored(Walk *w, int np, int letter) {
+    int hit;
+    w->bound[w->anchor] = letter;
+    w->used[letter] = 1;
+    w->chosen[w->k] = w->n + letter;
+    hit = search(w, Py_None);
+    for (int p = 1; p <= np; p++) {
+        w->used[w->bound[p]] = 0;
+        w->bound[p] = 0;
+    }
+    return hit;
 }
 
 /* The census walk: how many restricted growth words of length n extend the
@@ -569,12 +609,17 @@ static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
  * for the letter tests that screen each child before a find.  One
  * depth-first walk over word, which holds the prefix and then one path of
  * the tree, 0 past it: position d tries each of 1..peak[d] + 1, and
- * copies[t] counts letter t on the path.  The walk polls, with no cancel,
- * every POLL_MASK + 1 children, and each find polls as a search does (a
- * find that raises, hit < 0, ends the walk), so an interrupt stops a long
- * census. */
+ * copies[t] counts letter t on the path.  The prefix gets a full find, each
+ * child that passes the screens one anchored at its last letter; the
+ * parent's links and stops are planned when its first child needs a find,
+ * and again only once a deeper level has planned its own (ready, the depth
+ * planned for).  word[-1], 0, is the text letter that a slot 0 whose letter
+ * is the anchor reads before its first jump.  The walk polls, with no
+ * cancel, every POLL_MASK + 1 children, and each find polls as a search
+ * does (a find that raises, hit < 0, ends the walk), so an interrupt stops
+ * a long census. */
 static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *a, int ordered) {
-    Py_ssize_t n, d0, k, d, children = 0, *chosen;
+    Py_ssize_t n, d0, k, d, ready = -1, children = 0, *chosen;
     int *prefix, *pw, *word, *copies, *peak, *succ, *bound, *used, top = 0, np = 0, last = 0, exact, hit = 0;
     unsigned long long count = 0;
     Slot *slot;
@@ -594,11 +639,12 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         return fail(PyExc_ValueError, "n must be at least the prefix's length");
     if (k == 0)
         return PyLong_FromLong(0);
-    if ((word = take(a, n, sizeof(int))) == NULL || (copies = take(a, n + 1, sizeof(int))) == NULL ||
+    if ((word = take(a, n + 1, sizeof(int))) == NULL || (copies = take(a, n + 1, sizeof(int))) == NULL ||
         (peak = take(a, n + 1, sizeof(int))) == NULL || (succ = take(a, 2 * n + 1, sizeof(int))) == NULL ||
         (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
         (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, n + 1, sizeof(int))) == NULL)
         return NULL;
+    word++;
     Walk w = {.tw = word, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used,
               .chosen = chosen, .k = k, .ordered = ordered, .find = 1};
     memcpy(word, prefix, (size_t)d0 * sizeof(int));
@@ -606,11 +652,18 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         copies[word[d]]++;
     for (Py_ssize_t j = 0; j < k; j++)
         last += pw[j] == pw[k - 1];
-    if (d0 >= k && (hit = run(&w, d0, top, np, Py_None)) != 0)
-        return hit < 0 ? NULL : PyLong_FromLong(0);
+    if (d0 >= k) {
+        plan_pattern(&w, np, 0);
+        plan_text(&w, d0, top);
+        if ((hit = search(&w, Py_None)) != 0)
+            return hit < 0 ? NULL : PyLong_FromLong(0);
+    }
     if (d0 == n)
         return PyLong_FromLong(1);
     exact = np == k || np == 1;
+    w.k = k - 1;
+    w.anchor = pw[k - 1];
+    plan_pattern(&w, np, w.anchor);
     peak[d0] = top;
     for (d = d0; d >= d0 && hit >= 0;) {
         int letter = word[d];
@@ -618,6 +671,7 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
             copies[letter]--;
         if (letter > peak[d]) {
             word[d--] = 0;
+            ready = ready > d ? -1 : ready;
             continue;
         }
         word[d] = ++letter;
@@ -625,9 +679,16 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         if ((++children & POLL_MASK) == 0 && poll(Py_None) < 0)
             return NULL;
         top = letter > peak[d] ? letter : peak[d];
-        if (top >= np && d + 1 >= k && copies[letter] >= last &&
-            (exact || (hit = run(&w, d + 1, top, np, Py_None)) != 0))
-            continue;
+        if (top >= np && d + 1 >= k && copies[letter] >= last) {
+            if (exact)
+                continue;
+            if (ready != d) {
+                plan_text(&w, d, peak[d] + 1);
+                ready = d;
+            }
+            if ((hit = anchored(&w, np, letter)) != 0)
+                continue;
+        }
         if (d + 1 == n)
             count++;
         else

@@ -18,7 +18,8 @@ their text letter, and stops where too few copies of a slot's letter
 remain (see _word_search).  The next copy is read from each letter's
 positions, O(n) in all.  part_avoiders and rgf_avoiders count a census's
 avoiders below a prefix (see _avoiders), asking the word loop's find of
-each child that needs it.
+each child that needs it, anchored at the child's last letter, on a plan
+made once per walk for the pattern and once per parent for the text.
 
 Kernel conventions:
 
@@ -270,16 +271,19 @@ def _reject_letters(*words: tuple[Sequence[int], str | None]) -> None:
             peak = max(peak, letter)
 
 
-def _pattern_slots(pattern: Sequence[int]) -> tuple[list[bool], list[int], int]:
+def _pattern_slots(pattern: Sequence[int], anchor: int = 0) -> tuple[list[bool], list[int], int]:
     """For each slot j: is its letter new; and ahead[j], the last slot whose
     letter is bound once slot j is taken (j if none is); then the largest
-    letter.  Raises for the first bad letter (see _reject_letters) unless
-    the pattern is a restricted growth word, whose letters 1..m first occur
-    in that order."""
+    letter.  anchor, unless 0, is a letter bound before the search (see
+    _avoiders): its slots are never new, and count as bound from slot 0.
+    Raises for the first bad letter (see _reject_letters) unless the pattern
+    is a restricted growth word, whose letters 1..m first occur in that
+    order."""
     last_slot = dict(zip(pattern, range(len(pattern))))  # later slots overwrite
     is_new = []
     ahead = []
-    peak = last = 0
+    peak = 0
+    last = last_slot.get(anchor, 0)
     for j, letter in enumerate(pattern):
         if letter > peak:
             if letter != peak + 1:
@@ -287,7 +291,7 @@ def _pattern_slots(pattern: Sequence[int]) -> tuple[list[bool], list[int], int]:
             peak = letter
             if last_slot[letter] > last:
                 last = last_slot[letter]
-            is_new.append(True)
+            is_new.append(letter != anchor)
         else:
             if letter < 1:
                 _reject_letters((pattern, _NOT_GROWTH))
@@ -378,16 +382,36 @@ def _word_search(
     if min(text) < 1 or nt > n or nt >= _LETTER_LIMIT:
         _reject_letters((text, None), (pattern, _NOT_GROWTH))
     is_new, ahead, npat = _pattern_slots(pattern)
-    # Each text letter's positions, then n: the first copy of letter b at or
-    # after x is where[b][bisect_left(where[b], x)].
+    return _word_loop(
+        text, pattern, is_new, ahead, _letter_runs(text, nt),
+        _slot_stops(text, nt, pattern, npat), [0] * (npat + 1), [False] * (nt + 1), 0, ordered, find, cancel,
+    )
+
+
+def _letter_runs(text: Sequence[int], nt: int) -> list[list[int]]:
+    """Each letter's positions in the text, up to the letter nt, then the
+    text's length: the first copy of letter b at or after x is
+    where[b][bisect_left(where[b], x)]."""
     where = [[] for _ in range(nt + 1)]
     for i, t in enumerate(text):
         where[t].append(i)
+    n = len(text)
     for run in where:
         run.append(n)
-    stop = _slot_stops(text, nt, pattern, npat)
-    bound = [0] * (npat + 1)  # pattern letter -> text letter, 0 = unbound
-    used = [False] * (nt + 1)  # text letters bound to some pattern letter
+    return where
+
+
+def _word_loop(
+    text: Sequence[int], pattern: Sequence[int], is_new: list[bool], ahead: list[int],
+    where: list[list[int]], stop: list[int], bound: list[int], used: list[bool],
+    anchor: int, ordered: bool, find: bool, cancel: Cancel,
+):
+    """The word loop of _word_search, on the plan of the pattern and the
+    text.  bound (pattern letter -> text letter, 0 = unbound) and used (the
+    text letters bound) start as the caller sets them: the census binds its
+    anchor in advance, and in words a letter below the anchor must take a
+    text letter below the anchor's (see _avoiders)."""
+    n, k = len(text), len(pattern)
     chosen = [0] * k
     count = j = i = ticks = 0
     while True:
@@ -410,7 +434,9 @@ def _word_search(
         t = text[i]
         p = pattern[j]
         # A bound slot's jump has already found a copy of its text letter.
-        ok = not is_new[j] or (t > bound[p - 1] if ordered else not used[t])
+        ok = not is_new[j] or (
+            t > bound[p - 1] and (p > anchor or t < bound[anchor]) if ordered else not used[t]
+        )
         if ok and ahead[j] != j:
             # The order lookahead, inline: can slots j+1..ahead[j] still
             # take positions in order after i?  A slot whose letter is
@@ -484,8 +510,13 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
     (m == k) and 1, ..., 1 (m == 1) these tests are the whole rule: an
     avoiding parent has fewer than k distinct letters, or fewer than k
     copies of each, so its child contains the pattern exactly when it
-    reaches k of them.  Any other pattern asks the find of the word loop
-    once per child that passes them.
+    reaches k of them.  Any other pattern asks the word loop once per child
+    that passes them, for the pattern's first k - 1 slots in the parent,
+    with the pattern's last letter q, the anchor, bound to the child's last
+    letter l: no other letter may take l in partitions, and in words the
+    letters below q take text letters below l.  The pattern's plan is made
+    once per walk, the parent's letter positions and stops once per parent.
+    The prefix itself gets a full find.
     """
     n = operator.index(n)
     if n >= _LETTER_LIMIT:
@@ -496,27 +527,39 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
     prefix, pattern = map(tuple, _plain_ints(prefix, pattern))
     if not pattern or _word_search(prefix, pattern, ordered, True, None) is not None:
         return 0
-    k, m, copies = len(pattern), max(pattern), pattern.count(pattern[-1])
-    exact = m == k or m == 1
+    k, m, q = len(pattern), max(pattern), pattern[-1]
+    copies, exact = pattern.count(q), m == k or m == 1
     if n == len(prefix):
         return 1
+    head = pattern[:-1]
+    is_new, ahead, _ = _pattern_slots(head, q)
     peak = max(prefix, default=0)
     seen = [prefix.count(t) for t in range(peak + 2)]  # the copies of 0..peak + 1
     count, stack = 0, [(prefix, peak, seen)]
     while stack:
         word, peak, seen = stack.pop()
         length = len(word) + 1
+        where = None
         for letter in range(1, peak + 2):
             top = peak if letter <= peak else letter
-            if top < m or length < k or seen[letter] + 1 < copies or (
-                not exact and _word_search(word + (letter,), pattern, ordered, True, None) is None
-            ):
-                if length == n:
-                    count += 1
-                else:
-                    more = seen.copy() if letter <= peak else seen + [0]
-                    more[letter] += 1
-                    stack.append((word + (letter,), top, more))
+            if top >= m and length >= k and seen[letter] + 1 >= copies:
+                if exact:
+                    continue
+                if where is None:
+                    where = _letter_runs(word, peak + 1)
+                    stop = _slot_stops(word, peak, head, m)
+                bound = [0] * (m + 1)
+                bound[q] = letter
+                used = [False] * (peak + 2)
+                used[letter] = True
+                if _word_loop(word, head, is_new, ahead, where, stop, bound, used, q, ordered, True, None):
+                    continue
+            if length == n:
+                count += 1
+            else:
+                more = seen.copy() if letter <= peak else seen + [0]
+                more[letter] += 1
+                stack.append((word + (letter,), top, more))
     return count
 
 

@@ -42,8 +42,9 @@ A census walks the tree of avoiding prefixes rather than all Bell(n)
 words.  Containment is hereditary under prefixes, since a word's prefix of
 length m is its restriction to [m] (Sagan's restriction notion), so only
 avoiders are extended, a child of an avoider is tested only through its
-last position, and the containers are Bell(n) less the avoiders.  The cost
-follows the avoiders, not Bell(n).  The walk runs inside the kernels
+last position, by one search in its parent with the pattern's last letter
+bound to the child's, and the containers are Bell(n) less the avoiders.
+The cost follows the avoiders, not Bell(n).  The walk runs inside the kernels
 (part_avoiders and rgf_avoiders, see permpart._kernels_py), found at call
 time on permpart._backend.
 
@@ -252,7 +253,11 @@ def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
     one chunk of all the items run here when jobs is 1 or there is at most
     one item, else at most one chunk per job, run by a pool of worker
     processes no larger than the chunks or the usable CPUs (the fork start
-    method starts every worker the pool may have, needed or not)."""
+    method starts every worker the pool may have, needed or not).  On any
+    exception here, a Ctrl-C sent to this process alone included, the
+    pending chunks are cancelled and the workers stopped before it
+    propagates: leaving the pool's block would otherwise wait for every
+    chunk to finish."""
     if jobs <= 1 or len(items) < 2:
         return [worker((items, *args))]
     per = (len(items) + jobs - 1) // jobs
@@ -260,7 +265,15 @@ def _map_chunks(worker, items: list, args: tuple, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(len(payloads), _usable_cpus())) as pool:
-        return list(pool.map(worker, payloads))
+        try:
+            return list(pool.map(worker, payloads))
+        except BaseException:
+            # The executor has no public way to stop its workers.
+            workers = list((getattr(pool, "_processes", None) or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for process in workers:
+                process.terminate()
+            raise
 
 
 # A gate's view of one permutation: the permutation and its reduced

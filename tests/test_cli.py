@@ -435,30 +435,35 @@ def children_of(pid):
     return found
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see the pool")
-def test_ctrl_c_ends_a_jobs_census_and_its_workers():
-    # A terminal's Ctrl-C goes to the whole process group: here the group
-    # of a pure-backend census that runs for tens of seconds, sent SIGINT
-    # once its pool's workers are up.  The CLI and every worker must be
-    # gone at once.
+def jobs_census_with_its_pool_up(n):
+    """A pure-backend `census n 1,3/2,4 --force --jobs 2` in a session of its
+    own, once a pool worker shows in /proc."""
     source_root = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
-        [sys.executable, "-m", "permpart.cli", "census", "13", "1,3/2,4", "--force", "--jobs", "2"],
+        [sys.executable, "-m", "permpart.cli", "census", str(n), "1,3/2,4", "--force", "--jobs", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PERMPART_PURE="1", PYTHONPATH=path),
         start_new_session=True,
     )
+    deadline = time.monotonic() + 30
+    while not children_of(child.pid) and child.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not children_of(child.pid):
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        pytest.fail("no pool worker started")
+    time.sleep(0.2)
+    return child
+
+
+def assert_group_ends(child):
+    """Wait for the child, then for every process of its group, which it
+    leads, to go, for up to 10 s; the group is killed in any case."""
     pgid = child.pid
     try:
-        deadline = time.monotonic() + 30
-        while not children_of(child.pid) and child.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert children_of(child.pid), "no pool worker started"
-        time.sleep(0.2)
-        os.killpg(pgid, signal.SIGINT)
         out, err = child.communicate(timeout=30)
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
@@ -475,8 +480,32 @@ def test_ctrl_c_ends_a_jobs_census_and_its_workers():
         except ProcessLookupError:
             pass
         child.wait()
+    return out, err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see the pool")
+def test_ctrl_c_ends_a_jobs_census_and_its_workers():
+    # A terminal's Ctrl-C goes to the whole process group: here the group
+    # of a pure-backend census that runs for seconds, sent SIGINT once its
+    # pool's workers are up.  The CLI and every worker must be gone at once.
+    child = jobs_census_with_its_pool_up(13)
+    os.killpg(child.pid, signal.SIGINT)
+    out, err = assert_group_ends(child)
     assert child.returncode == 130
     assert out == "" and err == "error: interrupted\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see the pool")
+def test_sigint_to_the_cli_alone_ends_a_jobs_census_and_its_workers():
+    # kill -INT <pid>: the workers get no signal, so the CLI must stop them
+    # itself instead of waiting for their chunks, about 15 s each here.
+    child = jobs_census_with_its_pool_up(14)
+    sent = time.monotonic()
+    child.send_signal(signal.SIGINT)
+    out, err = assert_group_ends(child)
+    assert child.returncode == 130
+    assert out == "" and err == "error: interrupted\n"
+    assert time.monotonic() - sent < 5
 
 
 def test_run_command_lets_ctrl_c_through(monkeypatch):
