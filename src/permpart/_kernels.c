@@ -607,17 +607,18 @@ static int anchored(Walk *w, int np, int letter) {
  * prefix and avoid the pattern, read as partitions or, when ordered, as
  * words; none if the prefix contains it.  See _avoiders in the pure module
  * for the letter tests that screen each child before a find.  One
- * depth-first walk over word, which holds the prefix and then one path of
- * the tree, 0 past it: position d tries each of 1..peak[d] + 1, and
- * copies[t] counts letter t on the path.  The prefix gets a full find, each
- * child that passes the screens one anchored at its last letter; the
- * parent's links and stops are planned when its first child needs a find,
- * and again only once a deeper level has planned its own (ready, the depth
- * planned for).  word[-1], 0, is the text letter that a slot 0 whose letter
- * is the anchor reads before its first jump.  The walk polls, with no
- * cancel, every POLL_MASK + 1 children, and each find polls as a search
- * does (a find that raises, hit < 0, ends the walk), so an interrupt stops
- * a long census. */
+ * depth-first walk over word, which holds one path of the tree, 0 past it:
+ * position d tries only prefix[d] inside the prefix, then each of
+ * 1..peak[d] + 1, and copies[t] counts letter t on the path.  Each child
+ * that passes the screens, the prefix's own positions too, gets one find
+ * anchored at its last letter, so a prefix that contains the pattern dies at
+ * the first position where an occurrence ends; the parent's links and stops
+ * are planned when its first child needs a find, and again only once a
+ * deeper level has planned its own (ready, the depth planned for).
+ * word[-1], 0, is the text letter that a slot 0 whose letter is the anchor
+ * reads before its first jump.  The walk polls, with no cancel, every
+ * POLL_MASK + 1 children, and each find polls as a search does (a find that
+ * raises, hit < 0, ends the walk), so an interrupt stops a long census. */
 static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *a, int ordered) {
     Py_ssize_t n, d0, k, d, ready = -1, children = 0, *chosen;
     int *prefix, *pw, *word, *copies, *peak, *succ, *bound, *used, top = 0, np = 0, last = 0, exact, hit = 0;
@@ -639,6 +640,8 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         return fail(PyExc_ValueError, "n must be at least the prefix's length");
     if (k == 0)
         return PyLong_FromLong(0);
+    if (n == 0)
+        return PyLong_FromLong(1);
     if ((word = take(a, n + 1, sizeof(int))) == NULL || (copies = take(a, n + 1, sizeof(int))) == NULL ||
         (peak = take(a, n + 1, sizeof(int))) == NULL || (succ = take(a, 2 * n + 1, sizeof(int))) == NULL ||
         (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
@@ -646,35 +649,21 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         return NULL;
     word++;
     Walk w = {.tw = word, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used,
-              .chosen = chosen, .k = k, .ordered = ordered, .find = 1};
-    memcpy(word, prefix, (size_t)d0 * sizeof(int));
-    for (d = 0; d < d0; d++)
-        copies[word[d]]++;
+              .chosen = chosen, .k = k - 1, .ordered = ordered, .find = 1, .anchor = pw[k - 1]};
     for (Py_ssize_t j = 0; j < k; j++)
         last += pw[j] == pw[k - 1];
-    if (d0 >= k) {
-        plan_pattern(&w, np, 0);
-        plan_text(&w, d0, top);
-        if ((hit = search(&w, Py_None)) != 0)
-            return hit < 0 ? NULL : PyLong_FromLong(0);
-    }
-    if (d0 == n)
-        return PyLong_FromLong(1);
     exact = np == k || np == 1;
-    w.k = k - 1;
-    w.anchor = pw[k - 1];
     plan_pattern(&w, np, w.anchor);
-    peak[d0] = top;
-    for (d = d0; d >= d0 && hit >= 0;) {
+    for (d = 0; d >= 0 && hit >= 0;) {
         int letter = word[d];
         if (letter > 0)
             copies[letter]--;
-        if (letter > peak[d]) {
+        if (letter > (d < d0 ? 0 : peak[d])) {
             word[d--] = 0;
             ready = ready > d ? -1 : ready;
             continue;
         }
-        word[d] = ++letter;
+        word[d] = letter = d < d0 ? prefix[d] : letter + 1;
         copies[letter]++;
         if ((++children & POLL_MASK) == 0 && poll(Py_None) < 0)
             return NULL;

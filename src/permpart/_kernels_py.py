@@ -516,7 +516,10 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
     letter l: no other letter may take l in partitions, and in words the
     letters below q take text letters below l.  The pattern's plan is made
     once per walk, the parent's letter positions and stops once per parent.
-    The prefix itself gets a full find.
+    The prefix is the walk's forced path: inside it, a word's only child is
+    the prefix's next letter, tested as any other child is, so a prefix
+    that contains the pattern dies at the first position where an
+    occurrence ends.
     """
     n = operator.index(n)
     if n >= _LETTER_LIMIT:
@@ -525,22 +528,18 @@ def _avoiders(prefix: Sequence[int], pattern: Sequence[int], n: int, ordered: bo
     if n < len(prefix):
         raise ValueError("n must be at least the prefix's length")
     prefix, pattern = map(tuple, _plain_ints(prefix, pattern))
-    if not pattern or _word_search(prefix, pattern, ordered, True, None) is not None:
-        return 0
+    if not pattern or not n:
+        return 1 if pattern else 0
     k, m, q = len(pattern), max(pattern), pattern[-1]
     copies, exact = pattern.count(q), m == k or m == 1
-    if n == len(prefix):
-        return 1
     head = pattern[:-1]
     is_new, ahead, _ = _pattern_slots(head, q)
-    peak = max(prefix, default=0)
-    seen = [prefix.count(t) for t in range(peak + 2)]  # the copies of 0..peak + 1
-    count, stack = 0, [(prefix, peak, seen)]
+    count, stack = 0, [((), 0, [0, 0])]  # the copies of 0..peak + 1
     while stack:
         word, peak, seen = stack.pop()
         length = len(word) + 1
         where = None
-        for letter in range(1, peak + 2):
+        for letter in (prefix[length - 1],) if length <= len(prefix) else range(1, peak + 2):
             top = peak if letter <= peak else letter
             if top >= m and length >= k and seen[letter] + 1 >= copies:
                 if exact:

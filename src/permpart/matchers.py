@@ -13,10 +13,11 @@ Each engine is a pruned backtracking search (permpart._kernels_py documents
 the algorithms; a compiled twin is preferred when built).  Before it
 searches, the permutation kernel rules out a pattern whose longest
 increasing or decreasing subsequence is longer than the text's, in O(n log
-k) and without polling ``cancel``; the word kernels only search.  The answers that need no search are given here first: the two
-linear partition shapes (k singletons, one block of k), partitions whose
-block sizes cannot hold the pattern's, and words with fewer distinct
-letters than the pattern.  Witnesses are deterministic: always the
+k) and without polling ``cancel``; the word kernels only search.  The
+answers that need no search are given here first: the two linear
+partition shapes (k singletons, one block of k), partitions whose block
+sizes cannot hold the pattern's, and words with fewer distinct letters
+than the pattern.  Witnesses are deterministic: always the
 lexicographically least index or element sequence.  A pattern longer than
 its text is simply not contained, never an error.
 

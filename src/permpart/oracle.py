@@ -44,9 +44,12 @@ length m is its restriction to [m] (Sagan's restriction notion), so only
 avoiders are extended, a child of an avoider is tested only through its
 last position, by one search in its parent with the pattern's last letter
 bound to the child's, and the containers are Bell(n) less the avoiders.
-The cost follows the avoiders, not Bell(n).  The walk runs inside the kernels
-(part_avoiders and rgf_avoiders, see permpart._kernels_py), found at call
-time on permpart._backend.
+A prefix given to the walk is a forced path: at each of its positions the
+prefix's letter is the one child tried, tested as any other child is, so a
+prefix that contains the pattern ends the walk at the first position where
+an occurrence ends.  The cost follows the avoiders, not Bell(n).  The walk
+runs inside the kernels (part_avoiders and rgf_avoiders, see
+permpart._kernels_py), found at call time on permpart._backend.
 
 Factorial and Bell growth make unbounded runs runaway jobs, so the
 verification and census entry points refuse bounds above a safety limit
@@ -54,10 +57,10 @@ unless forced.  Both may spread independent work over worker processes:
 the gates their texts, a census the avoiding prefixes at a fixed cut
 depth, which it takes only then; jobs below 1 raise ValueError before any
 work.  Reports aggregate associatively and mismatch lists are sorted, and
-avoider counts add, so the outcome is schedule independent.  The process pool is imported only when one runs
-(jobs > 1 and more than one item), so a serial run does not import
-concurrent.futures or multiprocessing, and it is never larger than the
-chunks or the CPUs this process may use.
+avoider counts add, so the outcome is schedule independent.  The process
+pool is imported only when one runs (jobs > 1 and more than one item), so
+a serial run does not import concurrent.futures or multiprocessing, and it
+is never larger than the chunks or the CPUs this process may use.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ def bell_number(n: int) -> int:
     >>> [bell_number(n) for n in range(6)]
     [1, 1, 2, 5, 15, 52]
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     row = [1]

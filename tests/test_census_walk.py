@@ -2,12 +2,17 @@
 
 part_avoiders and rgf_avoiders test each child of an avoiding parent with
 one search anchored at the child's last letter (see _avoiders in
-permpart._kernels_py).  Here their counts are checked against a scan of
-every restricted growth word of length n <= 8 that shares no code with the
-kernels: a word avoids a pattern partition when no subset of its ground set
-restricts to it, read off its blocks, and a pattern word when no
-subsequence value-standardizes to it.  Every pattern of up to 5 letters is
-checked, from every prefix of length up to 4, both notions, both backends.
+permpart._kernels_py).  The prefix is the walk's forced path, each of its
+positions tested as any other child is, so a prefix that contains the
+pattern dies at the first position where an occurrence ends.  Here the
+counts are checked against a scan of every restricted growth word of
+length n <= 8 that shares no code with the kernels: a word avoids a pattern
+partition when no subset of its ground set restricts to it, read off its
+blocks, and a pattern word when no subsequence value-standardizes to it.
+Every pattern of up to 5 letters is checked, from every prefix of length up
+to 4, both notions, both backends; and every pattern of 2 to 4 letters from
+every prefix of length 5 to 7, with n its length and one more, where the
+forced path runs deepest.
 """
 
 import itertools
@@ -21,6 +26,7 @@ from helpers import partitions_of, rgf_words_of, value_standardize, witnesses_by
 MAX_N = 8
 MAX_K = 5
 MAX_PREFIX = 4
+MAX_LONG_PREFIX = 7
 WALKS = {"partition": "part_avoiders", "rgf": "rgf_avoiders"}
 
 # Patterns that reach the anchored search in unusual ways, named.
@@ -48,7 +54,8 @@ def contained(sigma, word, sizes):
 def avoiders():
     """(notion, pattern, prefix, n) -> how many words of length n start with
     the prefix and avoid the pattern, for every pattern of up to MAX_K
-    letters and every prefix of up to MAX_PREFIX letters; a missing key
+    letters and every prefix of up to MAX_PREFIX letters, or up to
+    MAX_LONG_PREFIX letters and at most one short of n; a missing key
     counts none."""
     patterns = [word.letters for k in range(MAX_K + 1) for word in rgf_words_of(k)]
     table = Counter()
@@ -58,9 +65,23 @@ def avoiders():
             found = contained(sigma, word, range(min(n, MAX_K) + 1))
             for notion, pattern in itertools.product(WALKS, patterns):
                 if pattern not in found[notion]:
-                    for length in range(min(n, MAX_PREFIX) + 1):
+                    for length in prefix_lengths(n):
                         table[notion, pattern, word[:length], n] += 1
     return table
+
+
+def prefix_lengths(n):
+    """The prefix lengths the scan counts for words of length n."""
+    return [d for d in range(n + 1) if d <= MAX_PREFIX or n - 1 <= d <= MAX_LONG_PREFIX]
+
+
+def long_prefix_cases():
+    """Every growth word longer than MAX_PREFIX, up to MAX_LONG_PREFIX
+    letters, as the prefix, with n its length and one more."""
+    for length in range(MAX_PREFIX + 1, MAX_LONG_PREFIX + 1):
+        for prefix in rgf_words_of(length):
+            for n in (length, length + 1):
+                yield prefix.letters, n
 
 
 def walk_cases():
@@ -115,3 +136,20 @@ def test_prefixes_that_contain_the_pattern_have_no_avoiders(kernels, notion):
                     assert walk(prefix, pattern.letters, n) == 0, (prefix, pattern, n)
                     checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("notion", WALKS)
+def test_long_prefixes_match_the_scan(kernels, notion):
+    # deep inside these prefixes, only the screens and the anchored find of
+    # each forced position can tell that the prefix contains the pattern
+    walk, table = getattr(kernels, WALKS[notion]), avoiders()
+    none = checked = 0
+    for k in range(2, 5):
+        for pattern in rgf_words_of(k):
+            for prefix, n in long_prefix_cases():
+                count = walk(prefix, pattern.letters, n)
+                assert count == table[notion, pattern.letters, prefix, n], (prefix, pattern, n)
+                none += count == 0
+                checked += 1
+    # both answers are common: 60-65% of the cases have no avoider
+    assert 10_000 < none < checked - 10_000, (none, checked)

@@ -57,6 +57,13 @@ class TestBellNumbers:
         with pytest.raises(ValueError):
             bell_number(-1)
 
+    def test_reads_n_as_an_integer(self):
+        assert bell_number(Index(6)) == 203
+        assert bell_number(True) == 1
+        for bad in (2.0, "3"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                bell_number(bad)
+
 
 class TestEnumerators:
     def test_permutations_lexicographic(self):
