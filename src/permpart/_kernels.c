@@ -8,7 +8,14 @@
  * witness, a count entry counts every match.  A permutation count steps
  * through its matches only down to slot k - 2: each time that slot takes a
  * position, one pass counts the later positions that the last slot could
- * take (see perm_count_walk).  See the pure module for the algorithm notes:
+ * take (see perm_count_walk).  A word count steps only down to its tail
+ * slot, and one pass counts the rest (see complete): the slots after the
+ * last new letter by suffix sums over their text letters' copies, read
+ * through each position's previous copy and kept in a buffer indexed by
+ * position (see tail_count), or a new last letter by a scan.  A word count
+ * past 2**64 - 1 raises OverflowError on both backends; the suffix sums
+ * saturate, and none of them exceeds the count unless it overflows too.
+ * See the pure module for the algorithm notes:
  * the order lookahead of the word search, the jumps of its bound slots to
  * the next copy of their text letter, and the stops where too few copies of
  * a slot's letter remain.  The next copy is read from O(n) links, each
@@ -81,7 +88,8 @@ static int parse_call(PyObject *const *args, Py_ssize_t nargs, Call *c) {
 
 /* The scratch arrays of one call, freed together.  count_avoiders takes the
  * most: the prefix, pw, the word, its copy counts and peaks, the next-copy
- * links, slot, chosen, bound and used. */
+ * links, slot, chosen, bound and used; a word count takes the previous-copy
+ * links and the suffix sums besides its search's seven. */
 #define ARENA_BLOCKS 10
 typedef struct {
     void *block[ARENA_BLOCKS];
@@ -196,6 +204,19 @@ static void next_links(int *succ, const int *word, Py_ssize_t n, int width) {
     }
 }
 
+/* The previous-copy links of a word, a block of n + width + 1 ints: pred[i],
+ * the last position before i that holds the letter at i, or -1; then
+ * last[t], the last position of letter t, or -1. */
+static void prev_links(int *pred, const int *word, Py_ssize_t n, int width) {
+    int *last = pred + n;
+    for (int t = 0; t <= width; t++)
+        last[t] = -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        pred[i] = last[word[i]];
+        last[word[i]] = (int)i;
+    }
+}
+
 /* The first position at or after x that holds the letter at position from,
  * for from < x, or n: the links from there on, and the closer from is to x,
  * the fewer. */
@@ -220,15 +241,17 @@ typedef struct {
 /* A search between two polls: a permutation search when lo and hi are set,
  * else a word search.  i, j, ticks and count carry over from one run of
  * walk to the next.  anchor: a pattern letter bound before the word search
- * starts, or 0 (see anchored). */
+ * starts, or 0 (see anchored).  last: the last slot that the word loop
+ * steps.  pred, sums, reads and over serve a word count's passes (see
+ * complete). */
 typedef struct {
     const int *tw, *pw;
     const Py_ssize_t *lo, *hi;
-    int *succ, *bound, *used;
+    int *succ, *pred, *bound, *used;
     Slot *slot;
-    Py_ssize_t *chosen, n, k, i, j, ticks;
-    unsigned long long count;
-    int ordered, find, anchor;
+    Py_ssize_t *chosen, n, k, last, i, j, ticks, reads;
+    unsigned long long count, *sums;
+    int ordered, find, anchor, over;
 } Walk;
 
 /* The order lookahead of _word_search: slot j takes text position i, with
@@ -312,6 +335,84 @@ static void plan_text(Walk *w, Py_ssize_t n, int nt) {
     memset(used, 0, (size_t)(nt + 1) * sizeof(int));
 }
 
+/* a + b, or ULLONG_MAX with w->over set when it does not fit. */
+static inline unsigned long long add_or_saturate(Walk *w, unsigned long long a, unsigned long long b) {
+    if (a + b < a) {
+        w->over = 1;
+        return ULLONG_MAX;
+    }
+    return a + b;
+}
+
+/* The runs of a count's bound tail, slots from to k - 1, each placed by
+ * fits_ahead at the first copy of its text letter after the slot before,
+ * in chosen; see _tail_count in the pure module.  From the last slot back,
+ * sums[x], for each copy x of a slot's letter from its greedy place on,
+ * becomes the runs of that slot and the later ones that start at or after
+ * x: the sum, over those copies, of the next slot's sums at its first copy
+ * after them, which y reaches by walking that slot's copies down alongside.
+ * When two slots in a row share a letter, y meets x, whose entry the next
+ * slot's sums hold until x's own replaces it.  Each slot's copies are one
+ * read each (w->reads). */
+Py_NO_INLINE static unsigned long long tail_count(Walk *w, Py_ssize_t from) {
+    const int *tw = w->tw, *pred = w->pred;
+    const Py_ssize_t *at = w->chosen;
+    unsigned long long *sums = w->sums, run, next, acc = 0;
+    Py_ssize_t n = w->n, k = w->k, reads = 0, s, x, y;
+    for (s = k - 1; s >= from; s--) {
+        y = s + 1 < k ? pred[n + tw[at[s + 1]]] : -1;
+        run = s + 1 < k ? 0 : 1;
+        acc = 0;
+        for (x = pred[n + tw[at[s]]]; x >= at[s]; x = pred[x]) {
+            while (y > x) {
+                run = sums[y];
+                y = pred[y];
+            }
+            next = run;
+            if (y == x) {
+                run = sums[x];
+                y = pred[x];
+            }
+            sums[x] = acc = add_or_saturate(w, acc, next);
+            reads++;
+        }
+    }
+    w->reads = reads;
+    return acc;
+}
+
+/* A count's matches once slot j, its last stepped (w->last), takes
+ * position i with text letter t, added to count: one with no later slot; a
+ * bound tail's runs (tail_count); or the positions after i that the new
+ * last letter may take, the letters that no other holds (partitions) or
+ * those above the letter before (words).  w->reads is left at the
+ * positions read. */
+Py_NO_INLINE static unsigned long long complete(Walk *w, unsigned long long count, Py_ssize_t j, Py_ssize_t i,
+                                                int t) {
+    const int *tw = w->tw;
+    Py_ssize_t n = w->n, k = w->k, x;
+    unsigned long long more = 0;
+    w->reads = 0;
+    if (j == k - 1) {
+        more = 1;
+    } else if (!w->slot[k - 1].is_new) {
+        more = tail_count(w, j + 1);
+    } else if (w->ordered) {
+        int floor = w->slot[j].is_new ? t : w->bound[w->pw[k - 1] - 1];
+        for (x = i + 1; x < n; x++)
+            more += tw[x] > floor;
+        w->reads = n - 1 - i;
+    } else {
+        int *used = w->used, mark = used[t];
+        used[t] = 1;
+        for (x = i + 1; x < n; x++)
+            more += !used[tw[x]];
+        used[t] = mark;
+        w->reads = n - 1 - i;
+    }
+    return add_or_saturate(w, count, more);
+}
+
 /* walk and perm_count_walk start on cache lines of their own.  Their loops
  * are short, and their speed moves with where the linker puts them, so code
  * added elsewhere in this file could slow them: on x86-64 with gcc -O3, the
@@ -330,13 +431,22 @@ static void plan_text(Walk *w, Py_ssize_t n, int nt) {
  * permutation loop or the word loop.  It makes no call into Python, so the
  * compiler can keep the loop's state in registers: with the poll inside the
  * loop, the jumps and stops made general searches slower, not faster, and
- * the permutation loop took up to 1.8x as long per step. */
+ * the permutation loop took up to 1.8x as long per step.  The word loop
+ * steps slots 0 to w->last: a find to the last slot, a count with k >= 2 to
+ * its tail slot only (see _word_loop in the pure module).  Once that slot
+ * takes position i, complete adds a count's later matches, and the loop a
+ * tick for every 2**PASS_SHIFT positions that the pass read; so it polls
+ * once its ticks reach the next multiple of POLL_MASK + 1.  Both loops count
+ * down the steps left until then, which frees the register that a tick
+ * count and its limit would take: with both, the finds of 1,1,2 in
+ * 1,2,...,2 took 5-10% longer. */
 Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
     const int *tw = w->tw, *pw = w->pw, *succ = w->succ;
     const Slot *slot = w->slot;
     const Py_ssize_t *lo = w->lo, *hi = w->hi;
     int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, anchor = w->anchor, done = 0;
-    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
+    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, last = w->last;
+    Py_ssize_t due = (w->ticks | POLL_MASK) + 1, left = due - w->ticks;
     unsigned long long count = w->count;
 
     /* Permutations: slot j takes position i when its value lies between
@@ -359,7 +469,7 @@ Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
                 j++;
             }
             i++;
-        } while ((++ticks & POLL_MASK) != 0);
+        } while (--left > 0);
     else
         do {
             const Slot *s = &slot[j];
@@ -386,26 +496,26 @@ Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
                 if ((!s->is_new || (ordered ? t > bound[p - 1] && (p > anchor || t < bound[anchor]) : !used[t])) &&
                     (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
                     chosen[j] = i;
-                    if (j < k - 1) {
+                    if (j < last) {
                         if (s->is_new) {
                             bound[p] = t;
                             used[t] = 1;
                         }
                         j++;
+                    } else if (find) {
+                        count = done = 1;
+                        break;
                     } else {
-                        count++;
-                        if (find) {
-                            done = 1;
-                            break;
-                        }
+                        count = complete(w, count, j, i, t);
+                        left -= w->reads >> PASS_SHIFT;
                     }
                 }
             }
             i++;
-        } while ((++ticks & POLL_MASK) != 0);
+        } while (--left > 0);
     w->i = i;
     w->j = j;
-    w->ticks = ticks;
+    w->ticks = due - left;
     w->count = count;
     return done;
 }
@@ -557,27 +667,42 @@ static int search(Walk *w, PyObject *cancel) {
 
 /* Partitions and words: see _word_search in the pure module.  A new
  * pattern letter p takes a text block no other letter holds (partitions) or,
- * when ordered (words), a text letter above the one bound to p - 1. */
+ * when ordered (words), a text letter above the one bound to p - 1.  A count
+ * with k >= 2 steps down to its tail slot only (see _word_loop): the last
+ * new slot, or k - 2 when that is the last slot. */
 static PyObject *word_search(const Call *c, Arena *a, int ordered, int find) {
     Py_ssize_t n = c->n, k = c->k;
     /* tw: the text's letters, the largest nt <= n; bound: pattern letter ->
-     * text letter, 0 = unbound; used: text letters bound; succ, the text's
-     * next-copy links. */
-    int *tw, *pw, *succ, *bound, *used, nt = 0, np = 0;
+     * text letter, 0 = unbound; used: text letters bound; succ and pred, the
+     * text's next-copy and previous-copy links. */
+    int *tw, *pw, *succ, *pred = NULL, *bound, *used, nt = 0, np = 0;
     Slot *slot;
     Py_ssize_t *chosen;
+    unsigned long long *sums = NULL;
 
     if ((tw = read_ints(a, c->text, n, &nt, NULL)) == NULL ||
         (pw = read_ints(a, c->pattern, k, &np, NOT_GROWTH)) == NULL ||
         (succ = take(a, n + nt + 1, sizeof(int))) == NULL ||
         (slot = take(a, k, sizeof(Slot))) == NULL || (chosen = take(a, k, sizeof(Py_ssize_t))) == NULL ||
-        (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL)
+        (bound = take(a, np + 1, sizeof(int))) == NULL || (used = take(a, nt + 1, sizeof(int))) == NULL ||
+        (!find && ((pred = take(a, n + nt + 1, sizeof(int))) == NULL ||
+                   (sums = take(a, n, sizeof(unsigned long long))) == NULL)))
         return NULL;
-    Walk w = {.tw = tw, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used, .chosen = chosen,
-              .k = k, .ordered = ordered, .find = find};
+    Walk w = {.tw = tw, .pw = pw, .succ = succ, .pred = pred, .slot = slot, .sums = sums, .bound = bound,
+              .used = used, .chosen = chosen, .k = k, .last = k - 1, .ordered = ordered, .find = find};
     plan_pattern(&w, np, 0);
     plan_text(&w, n, nt);
-    return search(&w, c->cancel) < 0 ? NULL : answer(find, w.count, chosen, k);
+    if (!find && k > 1) {
+        prev_links(pred, tw, n, nt);
+        while (!slot[w.last].is_new) /* slot 0's letter is new */
+            w.last--;
+        w.last = w.last == k - 1 ? k - 2 : w.last;
+    }
+    if (search(&w, c->cancel) < 0)
+        return NULL;
+    if (w.over)
+        return fail(PyExc_OverflowError, "count exceeds 2**64 - 1");
+    return answer(find, w.count, chosen, k);
 }
 
 /* Does the child of an avoiding parent, the parent's w->n letters and then
@@ -649,7 +774,7 @@ static PyObject *count_avoiders(PyObject *const *args, Py_ssize_t nargs, Arena *
         return NULL;
     word++;
     Walk w = {.tw = word, .pw = pw, .succ = succ, .slot = slot, .bound = bound, .used = used,
-              .chosen = chosen, .k = k - 1, .ordered = ordered, .find = 1, .anchor = pw[k - 1]};
+              .chosen = chosen, .k = k - 1, .last = k - 2, .ordered = ordered, .find = 1, .anchor = pw[k - 1]};
     for (Py_ssize_t j = 0; j < k; j++)
         last += pw[j] == pw[k - 1];
     exact = np == k || np == 1;

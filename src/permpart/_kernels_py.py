@@ -11,7 +11,10 @@ for partitions and words, whose ``ordered`` flag picks the word rule.  Each
 takes a ``find`` flag: find returns the witness at the first complete match,
 count counts every match.  The permutation count steps through its matches
 only down to their second-to-last entry, and counts the last entry's
-positions in one pass (see _perm_search).  The six search functions are
+positions in one pass (see _perm_search).  The word count steps only down
+to its tail slot and counts the rest in one pass too: the slots after the
+last new letter by a suffix-sum count over their text letters' copies, or
+a new last letter by a scan (see _word_loop).  The six search functions are
 thin entries to these two loops.  The word loop skips positions no slot
 can take: an order lookahead, jumps of bound slots to the next copy of
 their text letter, and stops where too few copies of a slot's letter
@@ -36,6 +39,8 @@ Kernel conventions:
   Signals stop every loop, with or without it: here the interpreter
   handles them, and the compiled kernels check them at each poll, before
   ``cancel``, so Ctrl-C raises KeyboardInterrupt within one poll interval;
+- a word count past 2**64 - 1 raises OverflowError("count exceeds 2**64 -
+  1"), as the compiled kernels' 64-bit counts cannot hold it;
 - arguments are positional only: ``(text, pattern[, cancel])`` for the
   searches, ``(prefix, pattern, n)`` for the census walk, whose prefix is
   checked as a pattern is, with its own message, and whose n is an
@@ -68,17 +73,19 @@ callers in permpart.matchers.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import SearchCancelled
 
-# A search polls ``cancel`` on every tick that is a multiple of 16,384,
-# tested inline in each loop; the permutation loop, whose count may add
-# several ticks at once, polls once its ticks reach the next multiple.
+# A search polls ``cancel`` once its ticks reach the next multiple of
+# 16,384; a count's passes may add several ticks at once.
 _POLL_MASK = (1 << 14) - 1
-# A permutation count's pass over m positions adds m >> _PASS_SHIFT ticks.
+# A count's pass that reads m positions adds m >> _PASS_SHIFT ticks.
 _PASS_SHIFT = 6
+# The largest word count, the compiled kernels' 64-bit limit.
+_COUNT_LIMIT = 2**64 - 1
 _CANCELLED = "search aborted by cancellation signal"
 
 # Word letters stay below this, as the compiled kernels' C ints need.
@@ -368,8 +375,11 @@ def _word_search(
     copies of one text letter, in order, so the slot stops at the last text
     position whose letter still has c copies from there on, if that comes
     before n - k + j (see ``_slot_stops``).
-    Each step of the loop is one tick, whatever it skips, and the compiled
-    kernel counts alike, so both backends poll equally often.
+
+    A count steps only down to its tail slot; see _word_loop.
+    Each step of the loop is one tick, whatever it skips, and a count's pass
+    that reads m positions adds m >> _PASS_SHIFT; the compiled kernel counts
+    alike, so both backends poll equally often.
     """
     n, k = len(text), len(pattern)
     if k == 0 or k > n:
@@ -401,6 +411,45 @@ def _letter_runs(text: Sequence[int], nt: int) -> list[list[int]]:
     return where
 
 
+def _tail_count(where: list[list[int]], letters: list[int], i: int) -> tuple[int, int]:
+    """The increasing runs of positions after i that hold the given text
+    letters, one after the other, and the number of positions read.
+
+    Each slot is placed greedily at the first copy of its letter after the
+    slot before; the caller's lookahead has found that such a run exists.
+    Then, from the last slot back, each copy x from its greedy place on
+    gets the number of runs of the later slots that start at a copy at or
+    after x: the sum, over those copies, of the next slot's number at its
+    first copy after them.  Every such number counts runs that the greedy
+    places of the earlier slots extend to full ones, so none exceeds the
+    answer, which is the first slot's number at its greedy place.  The
+    copies read are those from each slot's greedy place on; when that is
+    one copy per slot, the greedy run is the only one, and the sums are
+    skipped: on matchstick words, where every tail letter has one copy
+    left, they made the counts 1.6x as slow.  A slot's numbers are indexed
+    as its letter's positions are, from its greedy place, and end with a 0
+    for the letter's closing n."""
+    starts = []
+    reads = 0
+    for b in letters:
+        run = where[b]
+        r = bisect_right(run, i)
+        i = run[r]
+        starts.append(r)
+        reads += len(run) - 1 - r
+    if reads == len(letters):
+        return 1, reads
+    later, lo = where[letters[-1]], starts[-1]
+    sums = range(len(later) - 1 - lo, -1, -1)
+    for b, r in zip(letters[-2::-1], starts[-2::-1]):
+        copies = where[b][r:-1]
+        sums = list(accumulate([sums[bisect_right(later, x, lo) - lo] for x in reversed(copies)]))
+        sums.reverse()
+        sums.append(0)
+        later, lo = where[b], r
+    return sums[0], reads
+
+
 def _word_loop(
     text: Sequence[int], pattern: Sequence[int], is_new: list[bool], ahead: list[int],
     where: list[list[int]], stop: list[int], bound: list[int], used: list[bool],
@@ -410,20 +459,46 @@ def _word_loop(
     text.  bound (pattern letter -> text letter, 0 = unbound) and used (the
     text letters bound) start as the caller sets them: the census binds its
     anchor in advance, and in words a letter below the anchor must take a
-    text letter below the anchor's (see _avoiders)."""
+    text letter below the anchor's (see _avoiders).
+
+    A find steps every slot.  A count with k >= 2 steps only down to its
+    tail slot, and counts the matches of the later slots in one pass each
+    time the tail slot takes a position i.  Let L be the last slot whose
+    letter is new.
+    - Bound tail (L < k - 1): the tail slot is L.  Every later slot's letter
+      is bound once L is taken, and L's lookahead has placed them greedily,
+      so their matches are the increasing runs after i of their text
+      letters (see _tail_count), read from the letters' copies.
+    - New last letter (L = k - 1): the tail slot is k - 2, and the last
+      slot's matches are the positions after i whose letter is unused
+      (partitions) or above the one bound to the letter before (words).
+    Each pass is one step, plus one tick for every 2**_PASS_SHIFT positions
+    it reads.  A count past _COUNT_LIMIT raises OverflowError at the end."""
     n, k = len(text), len(pattern)
+    last = k - 1  # the last slot stepped
+    if not find and k > 1:
+        last -= is_new[::-1].index(True)  # slot 0's letter is new
+        if last == k - 1:
+            last = k - 2
     chosen = [0] * k
     count = j = i = ticks = 0
+    due = _POLL_MASK + 1  # the tick of the next poll
     while True:
         ticks += 1
-        if not ticks & _POLL_MASK and cancel is not None and cancel():
-            raise SearchCancelled(_CANCELLED)
+        if ticks >= due:
+            due = (ticks | _POLL_MASK) + 1
+            if cancel is not None and cancel():
+                raise SearchCancelled(_CANCELLED)
         if not is_new[j]:
             run = where[bound[pattern[j]]]
             i = run[bisect_left(run, i)]
         if i > stop[j]:
             if j == 0:
-                return None if find else count
+                if find:
+                    return None
+                if count > _COUNT_LIMIT:
+                    raise OverflowError("count exceeds 2**64 - 1")
+                return count
             j -= 1
             if is_new[j]:
                 p = pattern[j]
@@ -453,15 +528,28 @@ def _word_loop(
                     break
         if ok:
             chosen[j] = i
-            if j < k - 1:
+            if j < last:
                 if is_new[j]:
                     bound[p] = t
                     used[t] = True
                 j += 1
             elif find:
                 return tuple(c + 1 for c in chosen)
-            else:
+            elif j == k - 1:
                 count += 1
+            elif is_new[-1]:  # the new last letter's pass
+                ticks += (n - 1 - i) >> _PASS_SHIFT
+                if ordered:
+                    floor = t if is_new[j] else bound[pattern[-1] - 1]
+                    count += len([u for u in text[i + 1 :] if u > floor])
+                else:
+                    mark, used[t] = used[t], True
+                    count += len([u for u in text[i + 1 :] if not used[u]])
+                    used[t] = mark
+            else:  # the bound tail's pass
+                matches, reads = _tail_count(where, [t if q == p else bound[q] for q in pattern[j + 1 :]], i)
+                count += matches
+                ticks += reads >> _PASS_SHIFT
         i += 1
 
 

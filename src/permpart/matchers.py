@@ -35,7 +35,8 @@ letter n, over 2n elements), and the permutation is kept on the object.
 Counts stay on the word kernels for now.  Routed as well, they let the
 layered benchmark's search workload run so many more operations that its
 per-operation samples took peak memory past its bound; the count route
-waits for bounded sample memory (ROADMAP item 1).
+waits until the benchmark keeps its latency samples in memory that does not
+grow with the number of operations.
 
 The subset-enumeration references these engines are validated against live
 in permpart.oracle and share no search code with them.

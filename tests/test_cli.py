@@ -268,6 +268,16 @@ class TestCommands:
         )
         assert (code, out) == (0, '{"command":"count","count":3}\n')
 
+    def test_count_past_two_to_the_64_is_2(self, capsys):
+        # C(70, 35), about 1.1e20: one block of 70 against one of 35, or the
+        # word of 70 ones against 35 of them.
+        block, half = ",".join(map(str, range(1, 71))), ",".join(map(str, range(1, 36)))
+        for argv in (
+            ["count", "--kind", "partition", block, half],
+            ["count", "--kind", "rgf", ",".join("1" * 70), ",".join("1" * 35)],
+        ):
+            assert run(capsys, argv) == (2, "", "error: count exceeds 2**64 - 1\n"), argv
+
     def test_stdin_dash(self, capsys):
         code, out, err = run(capsys, ["reduce", "-"], stdin="2,3,1\n")
         assert (code, out) == (0, "1,5/2,6/3,4\n")

@@ -64,9 +64,9 @@ def two_rows(m):
 
 
 # The word search prunes this text hard (the order lookahead, the jumps of
-# bound slots and the stops): the counts below still reach the poll three to
-# five times.
-TWO_ROWS = two_rows(36)
+# bound slots and the stops), and the counts below add their bound tails in
+# one pass: they still reach the poll 13 and 4 times.
+TWO_ROWS = two_rows(60)
 
 # Searches long enough to reach the poll at least twice: full counts, and
 # exhaustive searches for patterns the text avoids.  part_find searches two
@@ -74,18 +74,28 @@ TWO_ROWS = two_rows(36)
 # copies of each letter that succeeds, or fails early, settles in a few
 # steps per letter, too few to poll.  perm_find searches the layered text
 # with 40 blocks of two for 2,4,1,3 (5 polls).  perm_count steps down to
-# its second-to-last slot only, so it counts 1,...,5 (6 polls), where the
-# word counts take 1,2,3,4.
+# its second-to-last slot only, and so does a word count whose last letter
+# is new, so all three count 1,...,5 (6 polls); a word count whose last
+# letters are bound steps down to its last new letter only, so 1,2,1,2
+# takes a text of 800 (4 polls).  The last four entries
+# are counts whose passes add ticks for the positions they read: a new
+# last letter, after a slot whose letter is new and after one whose letter
+# is bound (4 and 3 polls), and a bound tail of one letter, in two slots
+# and in three (3 polls each).
 LONG_SEARCHES = [
     ("perm_find", layered((2,) * 40), (2, 4, 1, 3)),
     ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
     ("part_find", two_rows(60), matchstick_word((3, 2, 1))),
-    ("part_count", tuple(range(1, 41)), (1, 2, 3, 4)),
+    ("part_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
     ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
-    ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4)),
-    ("rgf_count", tuple(range(1, 161)) * 2, (1, 2, 1, 2)),
+    ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
+    ("rgf_count", tuple(range(1, 401)) * 2, (1, 2, 1, 2)),
     ("part_count", TWO_ROWS, matchstick_word((1, 3, 2))),
     ("rgf_count", TWO_ROWS, matchstick_word((3, 1, 2))),
+    ("part_count", tuple(range(1, 3001)), (1, 2)),
+    ("rgf_count", tuple(range(1, 51)) * 20, (1, 1, 2)),
+    ("part_count", (1,) * 2000, (1, 1, 1)),
+    ("rgf_count", (1,) * 1500, (1, 1, 1, 1)),
 ]
 
 
@@ -659,10 +669,11 @@ def seconds_past_an_alarm(call):
         signal.signal(signal.SIGALRM, previous)
 
 
-# Searches that run for seconds compiled, and far longer pure: the word
-# counts of 1, ..., 6 in 1, ..., 100 reach C(100, 6), about 1.19e9;
-# perm_count, which steps down to its second-to-last slot only, takes about
-# as many steps for 1, ..., 7; and the find of 2,4,1,3 in the layered text
+# Searches that run for seconds compiled, and far longer pure: the counts
+# step down to their second-to-last slot only, so the word counts of
+# 1, ..., 6 in 1, ..., 100 take C(100, 5) steps, about 7.5e7, and their
+# passes read C(100, 6) positions, about 1.19e9; perm_count takes about as
+# many steps for 1, ..., 7; and the find of 2,4,1,3 in the layered text
 # 2, 1, 4, 3, ... of 80,000 tries each later position for its third slot
 # after each pair of its first two.
 LAYERED = layered((2,) * 40000)
@@ -693,6 +704,25 @@ def test_long_count_passes_stop_at_an_interrupt(compiled):
     # positions.
     text = tuple(range(1, 400001))
     assert seconds_past_an_alarm(lambda: compiled.perm_count(text, (1, 2, 3))) < 0.5
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+@pytest.mark.parametrize(
+    "name, text, pattern",
+    [
+        ("part_count", tuple(range(1, 400001)), (1, 2)),
+        ("rgf_count", tuple(range(1, 400001)), (1, 2)),
+        ("part_count", (1,) * 400000, (1, 1, 1)),
+        ("rgf_count", (1,) * 400000, (1, 1, 1)),
+    ],
+)
+def test_long_word_count_passes_stop_at_an_interrupt(compiled, name, text, pattern):
+    # Each step of slot 0 sets off a pass over the rest of a 400,000-letter
+    # text: a scan for the new last letter 2, or suffix sums over the copies
+    # of 1 for the bound tail 1,1.  The passes add steps for the positions
+    # they read, as the permutation count's do, so the count still polls
+    # within a fraction of a second.
+    assert seconds_past_an_alarm(lambda: getattr(compiled, name)(text, pattern)) < 0.5
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
