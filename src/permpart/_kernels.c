@@ -7,32 +7,31 @@
  * word rule; a find entry stops at the first complete match and returns the
  * witness, a count entry counts every match.  A permutation count steps
  * through its matches only down to slot k - 2: each time that slot takes a
- * position, one pass counts the later positions that the last slot could
- * take (see perm_count_walk).  A word count steps only down to its tail
- * slot, and one pass counts the rest (see complete): the slots after the
- * last new letter by suffix sums over their text letters' copies, read
- * through each position's previous copy and kept in a buffer indexed by
- * position (see tail_count), or a new last letter by a scan.  A word count
- * past 2**64 - 1 raises OverflowError on both backends; the suffix sums
- * saturate, and none of them exceeds the count unless it overflows too.
- * See the pure module for the algorithm notes:
- * the order lookahead of the word search, the jumps of its bound slots to
- * the next copy of their text letter, and the stops where too few copies of
- * a slot's letter remain.  The next copy is read from O(n) links, each
- * position's next copy of its own letter, starting from the copy that the
- * slot's letter last took (see next_copy).  The search loops run in walk,
- * the permutation finds and the word searches, and in perm_count_walk, the
- * permutation counts; each returns at every poll, so no call into Python
- * sits in a loop and the compiler can keep its state in registers; search
- * drives the word loop, for the word searches and for each find of the
- * census walk, which tests a child by one find anchored at its last letter
- * (see anchored), on a plan made once per walk for the pattern and once per
- * parent for the text.  Every loop, the census walk's too, calls poll every
- * POLL_MASK + 1 steps, the one place where a kernel returns to Python:
- * pending signals first (Ctrl-C raises KeyboardInterrupt), then cancel.  A
- * count's pass is one step, plus one for every 2**PASS_SHIFT positions it
- * reads, so that no poll interval reads more than about 2**20 positions in
- * passes.
+ * position, one pass counts the later positions that the last slot could take
+ * (see perm_walk).  A word count steps only down to its tail slot, and one
+ * pass counts the rest (see complete): the slots after the last new letter by
+ * suffix sums over their text letters' copies, read through each position's
+ * previous copy and kept in a buffer indexed by position (see tail_count), or
+ * a new last letter by a scan.  A word count past 2**64 - 1 raises
+ * OverflowError on both backends; the suffix sums saturate, and none of them
+ * exceeds the count unless it overflows too.  See the pure module for the
+ * algorithm notes: the order lookahead of the word search, the jumps of its
+ * bound slots to the next copy of their text letter, and the stops where too
+ * few copies of a slot's letter remain.  The next copy is read from O(n)
+ * links, each position's next copy of its own letter, starting from the copy
+ * that the slot's letter last took (see next_copy).  The two search loops run
+ * in perm_walk, the permutation finds and counts, and in walk, the word
+ * searches; each returns at every poll, so no call into Python sits in a loop
+ * and the compiler can keep its state in registers; perm_search drives
+ * perm_walk, and search drives walk, for the word searches and for each find
+ * of the census walk, which tests a child by one find anchored at its last
+ * letter (see anchored), on a plan made once per walk for the pattern and
+ * once per parent for the text.  Every loop, the census walk's too, calls
+ * poll every POLL_MASK + 1 steps, the one place where a kernel returns to
+ * Python: pending signals first (Ctrl-C raises KeyboardInterrupt), then
+ * cancel.  A count's pass is one step, plus one for every 2**PASS_SHIFT
+ * positions it reads, so that no poll interval reads more than about 2**20
+ * positions in passes.
  * Past the trivial answers for an empty pattern or one longer than its
  * text, the word kernels only search.  The permutation kernels first run a
  * pre-pass: a pattern whose longest increasing or decreasing subsequence is
@@ -238,12 +237,12 @@ typedef struct {
     int is_new, copies;
 } Slot;
 
-/* A search between two polls: a permutation search when lo and hi are set,
- * else a word search.  i, j, ticks and count carry over from one run of
- * walk to the next.  anchor: a pattern letter bound before the word search
- * starts, or 0 (see anchored).  last: the last slot that the word loop
- * steps.  pred, sums, reads and over serve a word count's passes (see
- * complete). */
+/* A search between two polls, a permutation search (perm_walk, which reads
+ * tw, lo, hi, chosen, n, k, last and find) or a word search (walk).  i, j,
+ * ticks and count carry over from one run of the loop to the next.  last:
+ * the last slot that the loop steps.  anchor: a pattern letter bound before
+ * the word search starts, or 0 (see anchored).  pred, sums, reads and over
+ * serve a word count's passes (see complete). */
 typedef struct {
     const int *tw, *pw;
     const Py_ssize_t *lo, *hi;
@@ -413,112 +412,16 @@ Py_NO_INLINE static unsigned long long complete(Walk *w, unsigned long long coun
     return add_or_saturate(w, count, more);
 }
 
-/* walk and perm_count_walk start on cache lines of their own.  Their loops
- * are short, and their speed moves with where the linker puts them, so code
+/* perm_walk and walk start on cache lines of their own.  Their loops are
+ * short, and their speed moves with where the linker puts them, so code
  * added elsewhere in this file could slow them: on x86-64 with gcc -O3, the
  * three counts on 22 search-sized pairs took 10% less time with walk on a
- * 64-byte boundary than 32 bytes past one.  The permutation count's pass
- * has a function of its own for the same reason: in walk, or in a function
- * shared with the find, it made the word counts 3-15% slower, or the finds
- * on layered texts up to 35%. */
+ * 64-byte boundary than 32 bytes past one. */
 #if defined(__GNUC__) || defined(__clang__)
 #define CACHE_LINE __attribute__((aligned(64)))
 #else
 #define CACHE_LINE
 #endif
-
-/* Run the search until it ends (1) or the next poll is due (0): the
- * permutation loop or the word loop.  It makes no call into Python, so the
- * compiler can keep the loop's state in registers: with the poll inside the
- * loop, the jumps and stops made general searches slower, not faster, and
- * the permutation loop took up to 1.8x as long per step.  The word loop
- * steps slots 0 to w->last: a find to the last slot, a count with k >= 2 to
- * its tail slot only (see _word_loop in the pure module).  Once that slot
- * takes position i, complete adds a count's later matches, and the loop a
- * tick for every 2**PASS_SHIFT positions that the pass read; so it polls
- * once its ticks reach the next multiple of POLL_MASK + 1.  Both loops count
- * down the steps left until then, which frees the register that a tick
- * count and its limit would take: with both, the finds of 1,1,2 in
- * 1,2,...,2 took 5-10% longer. */
-Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
-    const int *tw = w->tw, *pw = w->pw, *succ = w->succ;
-    const Slot *slot = w->slot;
-    const Py_ssize_t *lo = w->lo, *hi = w->hi;
-    int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, anchor = w->anchor, done = 0;
-    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, last = w->last;
-    Py_ssize_t due = (w->ticks | POLL_MASK) + 1, left = due - w->ticks;
-    unsigned long long count = w->count;
-
-    /* Permutations: slot j takes position i when its value lies between
-     * those at the slots lo[j] and hi[j].  perm_search runs only its finds
-     * here, and its counts in perm_count_walk. */
-    if (lo != NULL)
-        do {
-            if (i > n - (k - j)) {
-                if (j == 0) {
-                    done = 1;
-                    break;
-                }
-                i = chosen[--j];
-            } else if ((lo[j] < 0 || tw[chosen[lo[j]]] < tw[i]) && (hi[j] < 0 || tw[i] < tw[chosen[hi[j]]])) {
-                chosen[j] = i;
-                if (j == k - 1) {
-                    count = done = 1;
-                    break;
-                }
-                j++;
-            }
-            i++;
-        } while (--left > 0);
-    else
-        do {
-            const Slot *s = &slot[j];
-            /* A bound slot jumps to the next copy of its text letter: from
-             * i - 1 after a rejected copy, and otherwise from its prev
-             * slot's copy. */
-            if (!s->is_new)
-                i = next_copy(succ, tw[i - 1] == bound[pw[j]] ? i - 1 : chosen[s->prev], i);
-            if (i > s->stop) {
-                if (j == 0) {
-                    done = 1;
-                    break;
-                }
-                i = chosen[--j];
-                if (slot[j].is_new) {
-                    used[bound[pw[j]]] = 0;
-                    bound[pw[j]] = 0;
-                }
-            } else {
-                int t = tw[i], p = pw[j];
-                /* A bound slot's jump has already found a copy of its text
-                 * letter.  In words, a letter below the anchor takes a text
-                 * letter below the anchor's. */
-                if ((!s->is_new || (ordered ? t > bound[p - 1] && (p > anchor || t < bound[anchor]) : !used[t])) &&
-                    (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
-                    chosen[j] = i;
-                    if (j < last) {
-                        if (s->is_new) {
-                            bound[p] = t;
-                            used[t] = 1;
-                        }
-                        j++;
-                    } else if (find) {
-                        count = done = 1;
-                        break;
-                    } else {
-                        count = complete(w, count, j, i, t);
-                        left -= w->reads >> PASS_SHIFT;
-                    }
-                }
-            }
-            i++;
-        } while (--left > 0);
-    w->i = i;
-    w->j = j;
-    w->ticks = due - left;
-    w->count = count;
-    return done;
-}
 
 /* The matches of a count's last slot: the positions from from to n - 1
  * whose value lies above low, when above is set, and below high, when below
@@ -543,18 +446,25 @@ static Py_ssize_t count_between(const int *v, Py_ssize_t from, Py_ssize_t n, int
     return c;
 }
 
-/* The permutation loop of walk, for a count: with k >= 2 it steps slots 0
- * to k - 2 only, and once slot k - 2 takes i, it adds the last slot's
- * matches after i in one pass, as _perm_search does, and (n - 1 - i) >>
- * PASS_SHIFT ticks for the positions the pass reads.  It polls once its
- * ticks reach the next multiple of POLL_MASK + 1. */
-Py_NO_INLINE CACHE_LINE static int perm_count_walk(Walk *w) {
+/* Run a permutation search until it ends (1) or the next poll is due (0),
+ * making no call into Python, so the compiler can keep the loop's state in
+ * registers: with the poll inside the loop, the loop took up to 1.8x as long
+ * per step.  Slot j takes position i when its value lies between those at
+ * the slots lo[j] and hi[j].  The loop steps slots 0 to w->last, as
+ * _perm_search does: a find to k - 1, and it returns at its first complete
+ * match; a count to k - 2, and once that slot takes i, it adds the last
+ * slot's matches after i in one pass and a tick for every 2**PASS_SHIFT
+ * positions the pass reads (a count of one slot counts each position its
+ * slot takes).  The pass stays inline: with count_between out of line, the
+ * find of 2,4,1,3 in a layered 1,000-permutation took 1.10x as long.  The
+ * loop counts down the steps left to the next poll, as walk does. */
+Py_NO_INLINE CACHE_LINE static int perm_walk(Walk *w) {
     const int *tw = w->tw;
     const Py_ssize_t *lo = w->lo, *hi = w->hi;
-    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, ticks = w->ticks;
-    Py_ssize_t last = k - 2, due = (ticks | POLL_MASK) + 1;
+    Py_ssize_t *chosen = w->chosen, n = w->n, k = w->k, i = w->i, j = w->j, last = w->last;
+    Py_ssize_t due = (w->ticks | POLL_MASK) + 1, left = due - w->ticks;
     unsigned long long count = w->count;
-    int done = 0;
+    int find = w->find, done = 0;
     do {
         if (i > n - (k - j)) {
             if (j == 0) {
@@ -566,20 +476,91 @@ Py_NO_INLINE CACHE_LINE static int perm_count_walk(Walk *w) {
             chosen[j] = i;
             if (j < last) {
                 j++;
+            } else if (find) {
+                count = done = 1;
+                break;
             } else if (k == 1) {
                 count++;
             } else {
                 Py_ssize_t a = lo[k - 1], b = hi[k - 1];
                 count += (unsigned long long)count_between(tw, i + 1, n, a >= 0, a >= 0 ? tw[chosen[a]] : 0,
                                                            b >= 0, b >= 0 ? tw[chosen[b]] : 0);
-                ticks += (n - 1 - i) >> PASS_SHIFT;
+                left -= (n - 1 - i) >> PASS_SHIFT;
             }
         }
         i++;
-    } while (++ticks < due);
+    } while (--left > 0);
     w->i = i;
     w->j = j;
-    w->ticks = ticks;
+    w->ticks = due - left;
+    w->count = count;
+    return done;
+}
+
+/* Run a word search until it ends (1) or the next poll is due (0), making
+ * no call into Python, as perm_walk does: with the poll inside the loop,
+ * the jumps and stops made general searches slower, not faster.  The loop
+ * steps slots 0 to w->last: a find to the last slot, a count with k >= 2 to
+ * its tail slot only (see _word_loop in the pure module).  Once that slot
+ * takes position i, complete adds a count's later matches, and the loop a
+ * tick for every 2**PASS_SHIFT positions that the pass read; so it polls
+ * once its ticks reach the next multiple of POLL_MASK + 1.  It counts down
+ * the steps left until then, which frees the register that a tick count and
+ * its limit would take: with both, the finds of 1,1,2 in 1,2,...,2 took
+ * 5-10% longer. */
+Py_NO_INLINE CACHE_LINE static int walk(Walk *w) {
+    const int *tw = w->tw, *pw = w->pw, *succ = w->succ;
+    const Slot *slot = w->slot;
+    int *bound = w->bound, *used = w->used, ordered = w->ordered, find = w->find, anchor = w->anchor, done = 0;
+    Py_ssize_t *chosen = w->chosen, i = w->i, j = w->j, last = w->last;
+    Py_ssize_t due = (w->ticks | POLL_MASK) + 1, left = due - w->ticks;
+    unsigned long long count = w->count;
+
+    do {
+        const Slot *s = &slot[j];
+        /* A bound slot jumps to the next copy of its text letter: from
+         * i - 1 after a rejected copy, and otherwise from its prev
+         * slot's copy. */
+        if (!s->is_new)
+            i = next_copy(succ, tw[i - 1] == bound[pw[j]] ? i - 1 : chosen[s->prev], i);
+        if (i > s->stop) {
+            if (j == 0) {
+                done = 1;
+                break;
+            }
+            i = chosen[--j];
+            if (slot[j].is_new) {
+                used[bound[pw[j]]] = 0;
+                bound[pw[j]] = 0;
+            }
+        } else {
+            int t = tw[i], p = pw[j];
+            /* A bound slot's jump has already found a copy of its text
+             * letter.  In words, a letter below the anchor takes a text
+             * letter below the anchor's. */
+            if ((!s->is_new || (ordered ? t > bound[p - 1] && (p > anchor || t < bound[anchor]) : !used[t])) &&
+                (s->ahead == j || fits_ahead(w, j, s->ahead, i, p, t))) {
+                chosen[j] = i;
+                if (j < last) {
+                    if (s->is_new) {
+                        bound[p] = t;
+                        used[t] = 1;
+                    }
+                    j++;
+                } else if (find) {
+                    count = done = 1;
+                    break;
+                } else {
+                    count = complete(w, count, j, i, t);
+                    left -= w->reads >> PASS_SHIFT;
+                }
+            }
+        }
+        i++;
+    } while (--left > 0);
+    w->i = i;
+    w->j = j;
+    w->ticks = due - left;
     w->count = count;
     return done;
 }
@@ -647,8 +628,9 @@ static PyObject *perm_search(const Call *c, Arena *a, int find) {
     longest_runs(tv, n, tops, reach);
     if (reach[0] < runs[0] || reach[1] < runs[1])
         return answer(find, 0, chosen, k);
-    Walk w = {.tw = tv, .lo = lo, .hi = hi, .chosen = chosen, .n = n, .k = k, .ticks = 1, .find = find};
-    while (!(find ? walk(&w) : perm_count_walk(&w)))
+    Walk w = {.tw = tv, .lo = lo, .hi = hi, .chosen = chosen, .n = n, .k = k, .last = find ? k - 1 : k - 2,
+              .ticks = 1, .find = find};
+    while (!perm_walk(&w))
         if (poll(c->cancel) < 0)
             return NULL;
     return answer(find, w.count, chosen, k);

@@ -125,26 +125,42 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(values)
 
 
-def _block_forms(block: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple]:
-    """Ascending canonical block forms of the partitions of block and rest
-    (ascending) whose first block is block, closed first, then extended by
-    each later element of rest in increasing order."""
-    for tail in _block_forms(rest[:1], rest[1:]) if rest else [()]:
-        yield (block,) + tail
-    for i, e in enumerate(rest):
-        if e > block[-1]:
-            yield from _block_forms(block + (e,), rest[:i] + rest[i + 1 :])
-
-
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     """All Bell(n) partitions of [n], one at a time, in lexicographic order
-    of canonical block forms."""
+    of canonical block forms, by a depth-first walk with no recursion.  It
+    yields with every free element in a block of its own, the least form
+    that extends the blocks placed, then backtracks from the last block's
+    last element, placed last, until that block can take a later free one."""
     n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ground = tuple(range(1, n + 1))
-    for blocks in _block_forms(ground[:1], ground[1:]) if n else [()]:
-        yield SetPartition._from_canonical(blocks, n)
+    free = [False, False] + [True] * n  # free[e]: e is in no block yet; n + 1 stops scans
+    blocks = [[1]] if n else []
+    while True:
+        for e in range(2, n + 1):
+            if free[e]:
+                free[e] = False
+                blocks.append([e])
+        yield SetPartition._from_canonical(tuple(map(tuple, blocks)), n)
+        while blocks:
+            block = blocks[-1]
+            after = block.pop()
+            free[after] = True
+            if not block:  # after opened it: the block before may take it instead
+                blocks.pop()
+                if not blocks:
+                    return
+                block = blocks[-1]
+                after = block[-1]
+            e = after + 1
+            while not free[e]:
+                e += 1
+            if e <= n:
+                free[e] = False
+                block.append(e)
+                break
+        else:
+            return
 
 
 def _relabel(letters: tuple[int, ...]) -> tuple[int, ...]:

@@ -72,22 +72,29 @@ TWO_ROWS = two_rows(60)
 # exhaustive searches for patterns the text avoids.  part_find searches two
 # rows for 3,2,1, which they avoid (4 polls): a find on a text with few
 # copies of each letter that succeeds, or fails early, settles in a few
-# steps per letter, too few to poll.  perm_find searches the layered text
-# with 40 blocks of two for 2,4,1,3 (5 polls).  perm_count steps down to
-# its second-to-last slot only, and so does a word count whose last letter
-# is new, so all three count 1,...,5 (6 polls); a word count whose last
-# letters are bound steps down to its last new letter only, so 1,2,1,2
-# takes a text of 800 (4 polls).  The last four entries
-# are counts whose passes add ticks for the positions they read: a new
-# last letter, after a slot whose letter is new and after one whose letter
-# is bound (4 and 3 polls), and a bound tail of one letter, in two slots
-# and in three (3 polls each).
+# steps per letter, too few to poll.  rgf_find searches 300,...,1 for 1,2,
+# which it avoids (2 polls).  perm_find searches the layered text with 40
+# blocks of two for 2,4,1,3 (5 polls), and the same text with 82,84,81,83
+# appended, whose one occurrence is the last four (5 polls before it is
+# found).  perm_count steps down to its second-to-last slot only, and so
+# does a word count whose last letter is new, so all three count 1,...,5
+# (6 polls); a word count whose last letters are bound steps down to its
+# last new letter only, so 1,2,1,2 takes a text of 800 (4 polls).  The
+# count of 2,4,1,3 in the layered text backtracks on most of its steps (5
+# polls), and a count of one value takes a step for each position (2 polls
+# in 40,000).  The last four entries are counts whose passes add ticks for
+# the positions they read: a new last letter, after a slot whose letter is
+# new and after one whose letter is bound (4 and 3 polls), and a bound tail
+# of one letter, in two slots and in three (3 polls each).
 LONG_SEARCHES = [
     ("perm_find", layered((2,) * 40), (2, 4, 1, 3)),
+    ("perm_find", layered((2,) * 40) + (82, 84, 81, 83), (2, 4, 1, 3)),
     ("perm_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
+    ("perm_count", layered((2,) * 40), (2, 4, 1, 3)),
+    ("perm_count", tuple(range(1, 40001)), (1,)),
     ("part_find", two_rows(60), matchstick_word((3, 2, 1))),
     ("part_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
-    ("rgf_find", tuple(range(200, 0, -1)), (1, 2)),
+    ("rgf_find", tuple(range(300, 0, -1)), (1, 2)),
     ("rgf_count", tuple(range(1, 41)), (1, 2, 3, 4, 5)),
     ("rgf_count", tuple(range(1, 401)) * 2, (1, 2, 1, 2)),
     ("part_count", TWO_ROWS, matchstick_word((1, 3, 2))),
@@ -243,10 +250,9 @@ def test_word_patterns_must_be_restricted_growth_words(backend, name, text, patt
         getattr(backend, name)(text, pattern)
 
 
-@pytest.mark.parametrize(
-    "name, text, pattern", [s for s in LONG_SEARCHES if s[0].endswith("_count")]
-)
+@pytest.mark.parametrize("name, text, pattern", LONG_SEARCHES)
 def test_count_cancels_on_the_second_poll(backend, name, text, pattern):
+    # Finds too: each search of LONG_SEARCHES reaches the poll twice.
     calls = []
 
     def cancel():

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import tracemalloc
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -92,18 +93,26 @@ class TestEnumerators:
             keys = [p.blocks for p in enumerate_partitions(n)]
             assert keys == sorted(keys), n
 
-    def test_partitions_stream_one_at_a_time(self):
+    @pytest.mark.parametrize("n, peak_bound", [(11, 1 << 20), (5000, 4 << 20)])
+    def test_partitions_stream_one_at_a_time(self, n, peak_bound):
         # The first of Bell(11) = 678,570 partitions comes before any other
-        # is built: all of them at once take hundreds of megabytes.
+        # is built: all of them at once take hundreds of megabytes.  The
+        # walk does not recurse, so n = 5,000 streams too, far past the
+        # recursion limit.
         tracemalloc.start()
+        start = time.perf_counter()
         try:
-            first = next(enumerate_partitions(11))
+            partitions = enumerate_partitions(n)
+            first, second = next(partitions), next(partitions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert first.blocks == tuple((i,) for i in range(1, 12))
-        assert first.n == 11
-        assert peak < 1 << 20
+        assert time.perf_counter() - start < 1.0
+        singletons = tuple((i,) for i in range(1, n + 1))
+        assert first.blocks == singletons
+        assert second.blocks == singletons[:-2] + ((n - 1, n),)
+        assert first.n == second.n == n
+        assert peak < peak_bound
 
     def test_partitions_small(self):
         assert list(enumerate_partitions(1)) == [SetPartition(((1,),))]
