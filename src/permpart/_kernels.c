@@ -59,6 +59,17 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+/* Python.h defines Py_NO_INLINE from 3.11 on; 3.10 names it _Py_NO_INLINE. */
+#ifndef Py_NO_INLINE
+#if defined(__GNUC__) || defined(__clang__)
+#define Py_NO_INLINE __attribute__((noinline))
+#elif defined(_MSC_VER)
+#define Py_NO_INLINE __declspec(noinline)
+#else
+#define Py_NO_INLINE
+#endif
+#endif
+
 #define POLL_MASK ((1 << 14) - 1)
 #define PASS_SHIFT 6
 #define NOT_GROWTH "a word pattern must be a restricted growth word"

@@ -20,7 +20,8 @@ Conventions used throughout the package:
   module it imports, took a large share of the start-up of a one-query
   CLI process.  So dataclasses.fields, asdict and replace do not apply to
   them; their equality, hashing, repr, match patterns and pickles are
-  those of frozen dataclasses.
+  those of frozen dataclasses.  As in a dataclass, a type's fields are its
+  class annotations, in order, and it annotates nothing else.
 """
 
 from __future__ import annotations
@@ -81,18 +82,19 @@ class _lazy:
 
 
 class _Frozen:
-    """Base of the frozen value types.  A subclass names its fields, in
-    order, in _fields, and its __init__ validates and then stores the
-    fields with _store or _store_fields.  Equality (same class only), hashing and repr read
-    the fields, in the manner of a frozen dataclass; any other stored
-    attribute is invisible to them."""
+    """Base of the frozen value types.  A subclass annotates its fields, in
+    order, and nothing else at class level: the names of its own
+    annotations are its fields, as in a dataclass.  Its __init__
+    validates and then stores the fields with _store or _store_fields.
+    Equality (same class only), hashing and repr read the fields, in the
+    manner of a frozen dataclass; any other stored attribute is invisible."""
 
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
         # _astuple() is the tuple of the field values; attrgetter returns
         # a lone field bare, not in a tuple.
-        cls.__match_args__ = fields = cls._fields
+        cls._fields = cls.__match_args__ = fields = tuple(cls.__annotations__)
         get = operator.attrgetter(*fields)
         if len(fields) == 1:
             cls._astuple = lambda self: (get(self),)
@@ -134,7 +136,6 @@ class Permutation(_Frozen):
     3
     """
 
-    _fields = ("values",)
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]) -> None:
@@ -171,7 +172,6 @@ class SetPartition(_Frozen):
     (1, 2, 1, 2)
     """
 
-    _fields = ("blocks",)
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
@@ -259,7 +259,6 @@ class RGFWord(_Frozen):
     """A restricted growth word: w_1 = 1 and no letter exceeds the running
     maximum of the letters before it by more than one."""
 
-    _fields = ("letters",)
     letters: tuple[int, ...]
 
     def __init__(self, letters: Iterable[int]) -> None:

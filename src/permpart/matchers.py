@@ -62,7 +62,6 @@ Cancel = Callable[[], bool] | None
 class MatchResult(_Frozen):
     """Outcome of a containment query; witness is present iff contains."""
 
-    _fields = ("contains", "witness")
     contains: bool
     witness: tuple[int, ...] | None
 

@@ -208,7 +208,6 @@ def brute_partition_count(text: SetPartition, pattern: SetPartition) -> int:
 class Mismatch(_Frozen):
     """One disagreement found by a verification run."""
 
-    _fields = ("check", "text", "pattern", "engine", "oracle")
     check: str
     text: tuple[int, ...]
     pattern: tuple[int, ...]
@@ -230,7 +229,6 @@ class VerificationReport(_Frozen):
     """The outcome of a verification gate: its bounds, how many pairs it
     checked, its sorted mismatches and its run time in seconds."""
 
-    _fields = ("max_n", "max_k", "pairs_checked", "mismatches", "elapsed")
     max_n: int
     max_k: int
     pairs_checked: int
@@ -444,7 +442,6 @@ def verify_rgf_coincidence(
 class CensusRow(_Frozen):
     """Avoider/container counts for one pattern over all structures of [n]."""
 
-    _fields = ("n", "pattern", "notion", "avoiders", "containers")
     n: int
     pattern: SetPartition | RGFWord
     notion: Notion

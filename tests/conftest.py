@@ -13,21 +13,20 @@ import pytest
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "permpart" / "_kernels.c"
 
 
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernels, built into a temporary directory.  Skips only
-    when the compiler is missing; a build that warns fails."""
+def build_kernels(source: Path, out: Path) -> Path:
+    """Build the kernels from source into the directory out with this
+    interpreter's compiler and flags, and return the module's path.  Skips
+    only when the compiler is missing; a build that warns fails."""
     ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     if not ldshared or shutil.which(ldshared[0]) is None:
         pytest.skip("no C compiler to build the kernels with")
-    out = tmp_path_factory.mktemp("kernels")
     target = out / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     cmd = [
         *ldshared,
         *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
         *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
         "-I" + sysconfig.get_paths()["include"],
-        str(SOURCE),
+        str(source),
         "-o",
         str(target),
     ]
@@ -35,6 +34,14 @@ def compiled(tmp_path_factory):
         cmd, capture_output=True, text=True, env=dict(os.environ, TMPDIR=str(out))
     )
     assert proc.returncode == 0 and not proc.stderr.strip(), proc.stderr
+    return target
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernels, built into a temporary directory by
+    build_kernels."""
+    target = build_kernels(SOURCE, tmp_path_factory.mktemp("kernels"))
     spec = importlib.util.spec_from_file_location("permpart._kernels", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -38,6 +38,7 @@ from permpart import (
 )
 from permpart.core import rgf_of
 from permpart.errors import SearchCancelled
+from conftest import SOURCE, build_kernels
 from helpers import (
     SAGAN_ANCHORS,
     Index,
@@ -140,6 +141,17 @@ def test_pure_env_var_forces_fallback():
 
 def test_compiled_module_stays_out_of_sys_modules(compiled):
     assert sys.modules.get("permpart._kernels") is not compiled
+
+
+def test_kernels_build_against_headers_without_py_no_inline(tmp_path):
+    # Python.h defines Py_NO_INLINE only from 3.11 on; the kernels must
+    # define it themselves for 3.10, which pyproject.toml supports.
+    include = "#include <Python.h>\n"
+    text = SOURCE.read_text()
+    assert include in text
+    source = tmp_path / SOURCE.name
+    source.write_text(text.replace(include, include + "#undef Py_NO_INLINE\n", 1))
+    assert build_kernels(source, tmp_path).exists()
 
 
 @pytest.mark.parametrize("name", KERNELS)

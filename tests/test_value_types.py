@@ -26,6 +26,7 @@ from permpart import (
     restrict,
     rgf_of,
 )
+from permpart.core import _Frozen
 from helpers import partitions_of, perms_of
 
 
@@ -327,3 +328,29 @@ def test_threads_reading_a_fresh_word_agree():
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8 and seen.count(_expected_lazy(sigma)["word"]) == 8
         assert sigma.word == seen[0]
+
+
+def test_a_subclass_fields_are_its_annotations_in_order():
+    class Pair(_Frozen):
+        right: int
+        left: int
+        kind = "pair"  # unannotated: not a field
+
+        def __init__(self, right, left):
+            self._store_fields(right, left)
+
+        @property
+        def total(self):
+            return self.right + self.left
+
+    pair = Pair(1, 2)
+    assert Pair.__match_args__ == ("right", "left")
+    assert vars(pair) == {"right": 1, "left": 2}
+    assert repr(pair) == f"{Pair.__qualname__}(right=1, left=2)"
+    assert pair == Pair(1, 2) != Pair(2, 1)
+    assert hash(pair) == hash((1, 2))
+    match pair:
+        case Pair(1, left):
+            assert left == 2 and pair.total == 3 and pair.kind == "pair"
+        case _:
+            pytest.fail("no case matched")
